@@ -411,7 +411,7 @@ def _cmd_weibull_hazard(args):
 
 
 def _cmd_weibull_sample(args):
-    count = args.samples if args.samples else 1000
+    count = 1000 if args.samples is None else args.samples
     values = weibull.sample(_weibull_params(args), seed=args.seed, count=count)
     if args.json:
         print(json.dumps({"samples": [float(v) for v in values]}))
@@ -422,7 +422,7 @@ def _cmd_weibull_sample(args):
 
 def _cmd_system_mttf(args):
     topo = system.topology_from_document(_read_config(args))
-    samples = args.samples if args.samples else 100000
+    samples = 100000 if args.samples is None else args.samples
     estimate, std_err = system.monte_carlo_mttf(topo, samples=samples, seed=args.seed)
     _emit(args, [
         ("mttf", estimate, None),

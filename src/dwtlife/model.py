@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,6 +12,11 @@ from .errors import ValidationError
 def _require_positive(name: str, value: float) -> None:
     if not value > 0:
         raise ValidationError(f"{name} must be strictly positive, got {value}")
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

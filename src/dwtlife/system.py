@@ -1,11 +1,19 @@
 """Series/parallel system reliability and Monte Carlo system MTTF.
 
 Component failures are independent. A series group fails with its first
-child, a parallel group (non-repairable hot standby) with its last. The
-Monte Carlo sampler draws from a counter-based Philox stream keyed by the
-seed, with one draw block per leaf in depth-first order, so a
-(topology, samples, seed) triple always reproduces the same estimate no
-matter how the work is chunked internally.
+child, a parallel group (non-repairable hot standby) with its last.
+
+The Monte Carlo sampler addresses one Philox stream keyed by the seed: leaf
+i of the depth-first leaf order owns draws [i * samples, (i + 1) * samples).
+Its generator is moved to that offset once (Philox is counter-based, so this
+costs no draws; Salmon et al., SC'11), and the samples are then walked in
+fixed chunks of _CHUNK. Each chunk takes the next draws of every leaf, folds
+the tree into preallocated buffers with in-place minimum/maximum, and merges
+its (count, mean, M2) into the running moments (Chan, Golub & LeVeque,
+1979). Memory therefore stays flat as samples grow. The draws are
+bit-identical whatever the chunk size; the moments differ between chunk
+sizes only by rounding, about 1e-15 relative, so a (topology, samples, seed)
+triple always reproduces the same estimate.
 """
 
 from __future__ import annotations
@@ -16,12 +24,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
+from .model import _require_finite
 from .weibull import WeibullParams
 
 EXPONENTIAL = "exponential"
 WEIBULL = "weibull"
 FIXED_LIFE = "fixed_life"
+
+_CHUNK = 1 << 16  # samples per streamed chunk
 
 
 @dataclass(frozen=True)
@@ -37,12 +48,14 @@ class LifeModel:
         if self.kind == EXPONENTIAL:
             if self.rate is None or not self.rate > 0:
                 raise ValidationError(f"exponential model needs a positive rate, got {self.rate}")
+            _require_finite("exponential rate", self.rate)
         elif self.kind == WEIBULL:
             if self.params is None:
                 raise ValidationError("weibull model needs WeibullParams")
         elif self.kind == FIXED_LIFE:
             if self.life is None or not self.life > 0:
                 raise ValidationError(f"fixed_life model needs a positive life, got {self.life}")
+            _require_finite("fixed_life life", self.life)
         else:
             raise ValidationError(f"unknown life model kind {self.kind!r}")
 
@@ -162,14 +175,43 @@ def _reliability(t: float, topo: SystemTopology) -> float:
     return parallel_reliability(child_r)
 
 
-def _system_failure_times(topo: SystemTopology, times: dict[str, np.ndarray]) -> np.ndarray:
+def _positioned_stream(seed: int, offset: int) -> np.random.Generator:
+    """Philox(key=seed) moved past its first `offset` doubles.
+
+    Philox4x64 yields four 64-bit words per counter step and each double
+    takes one word, so advancing the counter by offset // 4 and discarding
+    offset % 4 doubles lands exactly where a single stream would be.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed).advance(offset // 4))
+    rng.random(offset % 4)
+    return rng
+
+
+def _fold_depth(topo: SystemTopology) -> int:
+    """Number of group levels, an upper bound on the fold buffers needed."""
     if isinstance(topo, Component):
-        return times[topo.component_id]
-    child_times = [_system_failure_times(c, times) for c in topo.children]
-    stacked = np.vstack(child_times)
-    if isinstance(topo, Series):
-        return stacked.min(axis=0)
-    return stacked.max(axis=0)
+        return 0
+    return 1 + max(_fold_depth(c) for c in topo.children)
+
+
+def _fold(topo: SystemTopology, leaf_times, buffers: list[np.ndarray]) -> np.ndarray:
+    """System failure times of one chunk, folded in place.
+
+    leaf_times yields each leaf's failure times in depth-first order. A group
+    folds into buffers[0]; its first child may fold there too, the later
+    children into buffers[1:], so the result of a child group is consumed
+    before the next child overwrites it.
+    """
+    if isinstance(topo, Component):
+        return next(leaf_times)
+    out = buffers[0]
+    first = _fold(topo.children[0], leaf_times, buffers)
+    if first is not out:
+        np.copyto(out, first)
+    combine = np.minimum if isinstance(topo, Series) else np.maximum
+    for child in topo.children[1:]:
+        combine(out, _fold(child, leaf_times, buffers[1:]), out=out)
+    return out
 
 
 def monte_carlo_mttf(
@@ -178,19 +220,39 @@ def monte_carlo_mttf(
     """Estimate the system MTTF; returns (mean, standard error).
 
     Standard error is the sample standard deviation over sqrt(samples).
+    Raises NumericError when either is not finite, e.g. when failure times
+    overflow double precision.
     """
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
     validate_topology(topo)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    times = {
-        leaf.component_id: leaf.model.failure_times(rng.random(samples))
-        for leaf in _leaves(topo)
-    }
-    system_times = _system_failure_times(topo, times)
-    estimate = float(system_times.mean())
-    std_err = float(system_times.std(ddof=1) / math.sqrt(samples))
-    return estimate, std_err
+    leaves = _leaves(topo)
+    streams = [_positioned_stream(seed, i * samples) for i in range(len(leaves))]
+    buffers = [np.empty(min(_CHUNK, samples)) for _ in range(_fold_depth(topo))]
+    mean, m2 = 0.0, 0.0
+    with np.errstate(all="ignore"):
+        for start in range(0, samples, _CHUNK):
+            size = min(_CHUNK, samples - start)
+            leaf_times = (
+                leaf.model.failure_times(rng.random(size))
+                for leaf, rng in zip(leaves, streams)
+            )
+            times = _fold(topo, leaf_times, [b[:size] for b in buffers])
+            chunk_mean = float(times.mean())
+            deviation = times - chunk_mean
+            chunk_m2 = float(np.square(deviation, out=deviation).sum())
+            # Chan, Golub & LeVeque (1979) merge of the first `start` samples
+            # with this chunk's (size, chunk_mean, chunk_m2)
+            delta = chunk_mean - mean
+            mean += delta * size / (start + size)
+            m2 += chunk_m2 + delta * delta * start * size / (start + size)
+    std_err = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    if not (math.isfinite(mean) and math.isfinite(std_err)):
+        raise NumericError(
+            f"Monte Carlo MTTF is not finite (mean {mean}, standard error {std_err}); "
+            "failure times overflow double precision"
+        )
+    return mean, std_err
 
 
 def topology_from_document(doc: dict) -> SystemTopology:

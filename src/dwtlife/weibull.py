@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError, ValidationError
+from .model import _require_finite
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
 RANDOM = "random"  # beta = 1, constant hazard
@@ -34,6 +35,8 @@ class WeibullParams:
             raise ValidationError(f"shape must be positive, got {self.shape_beta}")
         if not self.scale_eta > 0:
             raise ValidationError(f"scale must be positive, got {self.scale_eta}")
+        _require_finite("shape", self.shape_beta)
+        _require_finite("scale", self.scale_eta)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
+import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
-from dwtlife.errors import ValidationError
+from dwtlife import cli, system
+from dwtlife.errors import NumericError, ValidationError
 from dwtlife.system import (
     Component,
     LifeModel,
@@ -20,6 +25,7 @@ from dwtlife.system import (
     topology_from_document,
 )
 from dwtlife.weibull import WeibullParams
+from oracles import one_shot_mttf
 
 LIFE_SUMMARY = {
     "tower": 38.0,
@@ -135,6 +141,120 @@ class TestMonteCarlo:
             if abs(estimate - 2.5) < 3 * se:
                 hits += 1
         assert hits >= 99
+
+
+def leaf_doc(cid, kind, **params):
+    return {"component": {"id": cid, "model": {kind: params}}}
+
+
+# README topology: generator in series with (inv1 || inv2)
+README_DOC = {"series": [
+    leaf_doc("generator", "exponential", rate=0.05),
+    {"parallel": [
+        leaf_doc("inv1", "weibull", beta=2.0, eta=15.0),
+        leaf_doc("inv2", "fixed_life", life=12.0),
+    ]},
+]}
+
+# 5 leaves, 3 levels; a group as first child and as a later child. At
+# samples=1001 the leaf offsets 0, 1001, ..., 4004 cover every offset % 4.
+MIXED_DOC = {"series": [
+    {"parallel": [
+        {"series": [
+            leaf_doc("a", "weibull", beta=0.9, eta=30.0),
+            leaf_doc("b", "exponential", rate=0.08),
+        ]},
+        leaf_doc("c", "fixed_life", life=12.0),
+    ]},
+    {"parallel": [
+        leaf_doc("d", "exponential", rate=0.05),
+        leaf_doc("e", "weibull", beta=2.0, eta=15.0),
+    ]},
+]}
+
+
+class TestStreamingMonteCarlo:
+    @pytest.mark.parametrize("chunk", [97, 1000])
+    def test_chunk_invariance_against_one_shot(self, monkeypatch, chunk):
+        monkeypatch.setattr(system, "_CHUNK", chunk)
+        got = monte_carlo_mttf(topology_from_document(MIXED_DOC), samples=1001, seed=2024)
+        want = one_shot_mttf(MIXED_DOC, samples=1001, seed=2024)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_memory_flat_in_samples(self):
+        # every draw held at once would need over 250 MB here
+        doc = {"series": [
+            {"parallel": [leaf_doc(f"p{i}", "weibull", beta=1.5, eta=20.0 + i) for i in range(4)]},
+            *(leaf_doc(f"s{i}", "exponential", rate=0.01 * (i + 1)) for i in range(4)),
+        ]}
+        topo = topology_from_document(doc)
+        tracemalloc.start()
+        try:
+            monte_carlo_mttf(topo, samples=2_000_000, seed=11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_within_four_se_of_quadrature(self):
+        # MTTF = integral of R(t) over [0, inf), split at the fixed-life step
+        topo = topology_from_document(README_DOC)
+        reliability = lambda t: system_reliability_at(t, topo)
+        exact = quad(reliability, 0.0, 12.0)[0] + quad(reliability, 12.0, math.inf)[0]
+        estimate, se = monte_carlo_mttf(topo, samples=1_000_000, seed=7)
+        assert abs(estimate - exact) < 4 * se
+
+
+OVERFLOWING_DOC = {"parallel": [leaf_doc("a", "weibull", beta=0.05, eta=1e300)]}
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "topology.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestRobustness:
+    def test_non_finite_estimate_is_numeric_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                monte_carlo_mttf(topology_from_document(OVERFLOWING_DOC), samples=1000, seed=0)
+
+    def test_non_finite_estimate_exits_2_quietly(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["system", "mttf", "--config", write_config(tmp_path, OVERFLOWING_DOC)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: LifeModel.exponential(math.inf),
+        lambda: LifeModel.fixed_life(math.inf),
+        lambda: WeibullParams(math.inf, 10.0),
+        lambda: WeibullParams(2.0, math.inf),
+        lambda: WeibullParams(math.nan, 10.0),
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_infinite_rate_document_exits_1(self, tmp_path, capsys):
+        doc = {"series": [leaf_doc("a", "exponential", rate="inf")]}
+        code = cli.run(["system", "mttf", "--config", write_config(tmp_path, doc)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_zero_samples_not_replaced_by_default(self, tmp_path, capsys):
+        config = write_config(tmp_path, README_DOC)
+        for argv in (
+            ["system", "mttf", "--config", config, "--samples", "0"],
+            ["weibull", "sample", "--beta", "2", "--eta", "5", "--samples", "0"],
+        ):
+            assert cli.run(argv) == 1
+            assert capsys.readouterr().err.startswith("error")
 
 
 class TestPoisson:
