@@ -473,7 +473,11 @@ def _installation_and_usage(args):
     if install is None:
         if not getattr(args, "install_date", None):
             raise ValidationError("need --install-date or a --config with an 'install' record")
-        install = schedule.InstallationRecord(install_date=date.fromisoformat(args.install_date))
+        try:
+            install_date = date.fromisoformat(args.install_date)
+        except ValueError as exc:
+            raise ValidationError(f"--install-date {args.install_date!r}: {exc}") from None
+        install = schedule.InstallationRecord(install_date=install_date)
     return install, usage
 
 
@@ -666,8 +670,11 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: unreadable input file
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -333,6 +333,14 @@ def _years_to_days(years: float) -> int:
     return round(years * DAYS_PER_YEAR)
 
 
+def _days_after(start: date, days: int) -> Optional[date]:
+    """start + days, or None past date.max (beyond every horizon)."""
+    try:
+        return start + timedelta(days=days)
+    except OverflowError:
+        return None
+
+
 class _CounterModel:
     """Date at which a cumulative counter first reaches a threshold.
 
@@ -357,7 +365,7 @@ class _CounterModel:
                 return when
         if self.rate > 0:
             days = math.ceil((threshold - self.last_count) / self.rate)
-            return self.last_date + timedelta(days=max(days, 0))
+            return _days_after(self.last_date, max(days, 0))
         return None
 
 
@@ -374,12 +382,15 @@ def generate_schedule(
     threshold as due_count); whichever_first takes the earlier side at each
     recurrence, calendar winning ties; event triggers emit one entry per
     logged matching event; a lifed component gets a life_expired entry.
-    Output is sorted by (due date, component id, task, reason).
+    Output is sorted by (due date, component id, task, reason). The horizon
+    must end by date.max; a recurrence that would pass it is never due.
     """
-    if not horizon_years > 0:
-        raise ValidationError(f"horizon must be positive, got {horizon_years}")
+    if not 0 < horizon_years < math.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon_years}")
     start = install.install_date
-    end = start + timedelta(days=_years_to_days(horizon_years))
+    end = _days_after(start, _years_to_days(horizon_years))
+    if end is None:
+        raise ValidationError(f"horizon of {horizon_years} years from {start} ends after {date.max}")
     entries: list[ScheduleEntry] = []
 
     def within(d: Optional[date]) -> bool:
@@ -411,12 +422,12 @@ def generate_schedule(
                 model = _CounterModel(trig.counter, install, usage)
                 k = 1
                 while True:
-                    cal_due = start + timedelta(days=_years_to_days(k * trig.years))
+                    cal_due = _days_after(start, _years_to_days(k * trig.years))
                     cyc_due = model.date_reaching(k * trig.cycles)
-                    if cyc_due is None or cal_due <= cyc_due:
-                        due, reason, count = cal_due, INTERVAL_ELAPSED, None
-                    else:
+                    if cyc_due is not None and (cal_due is None or cyc_due < cal_due):
                         due, reason, count = cyc_due, CYCLES_ELAPSED, k * trig.cycles
+                    else:
+                        due, reason, count = cal_due, INTERVAL_ELAPSED, None
                     if not within(due):
                         break
                     entries.append(
@@ -432,7 +443,7 @@ def generate_schedule(
         life = component.service_life
         if life is not None:
             if life.unit == YEARS:
-                due, count = start + timedelta(days=_years_to_days(life.value)), None
+                due, count = _days_after(start, _years_to_days(life.value)), None
             else:
                 model = _CounterModel(life.counter, install, usage)
                 due, count = model.date_reaching(life.value), life.value
@@ -452,8 +463,8 @@ def generate_schedule(
 def _calendar_recurrences(start: date, end: date, interval_years: float):
     k = 1
     while True:
-        due = start + timedelta(days=_years_to_days(k * interval_years))
-        if due > end:
+        due = _days_after(start, _years_to_days(k * interval_years))
+        if due is None or due > end:
             return
         yield due
         k += 1

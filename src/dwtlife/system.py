@@ -14,6 +14,9 @@ its (count, mean, M2) into the running moments (Chan, Golub & LeVeque,
 bit-identical whatever the chunk size; the moments differ between chunk
 sizes only by rounding, about 1e-15 relative, so a (topology, samples, seed)
 triple always reproduces the same estimate.
+
+numpy is imported inside the sampling functions, not at module level, so
+the closed-form reliability paths run without loading it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
-
-import numpy as np
 
 from .errors import NumericError, ValidationError
 from .model import _require_finite
@@ -73,7 +74,7 @@ class LifeModel:
 
     def survival(self, t: float) -> float:
         """Probability the component is still functioning at time t."""
-        if t < 0:
+        if not t >= 0:
             raise ValidationError(f"time must be >= 0, got {t}")
         if self.kind == EXPONENTIAL:
             return math.exp(-self.rate * t)
@@ -83,6 +84,8 @@ class LifeModel:
 
     def failure_times(self, u: np.ndarray) -> np.ndarray:
         """Inverse-transform failure times for uniforms u in [0, 1)."""
+        import numpy as np
+
         if self.kind == EXPONENTIAL:
             return -np.log1p(-u) / self.rate
         if self.kind == WEIBULL:
@@ -160,7 +163,7 @@ def parallel_reliability(reliabilities: list[float]) -> float:
 
 def system_reliability_at(t: float, topo: SystemTopology) -> float:
     """Survival probability of the whole system at time t."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"time must be >= 0, got {t}")
     validate_topology(topo)
     return _reliability(t, topo)
@@ -182,6 +185,8 @@ def _positioned_stream(seed: int, offset: int) -> np.random.Generator:
     takes one word, so advancing the counter by offset // 4 and discarding
     offset % 4 doubles lands exactly where a single stream would be.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=seed).advance(offset // 4))
     rng.random(offset % 4)
     return rng
@@ -202,6 +207,8 @@ def _fold(topo: SystemTopology, leaf_times, buffers: list[np.ndarray]) -> np.nda
     children into buffers[1:], so the result of a child group is consumed
     before the next child overwrites it.
     """
+    import numpy as np
+
     if isinstance(topo, Component):
         return next(leaf_times)
     out = buffers[0]
@@ -223,6 +230,8 @@ def monte_carlo_mttf(
     Raises NumericError when either is not finite, e.g. when failure times
     overflow double precision.
     """
+    import numpy as np
+
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
     validate_topology(topo)

@@ -6,14 +6,14 @@ F(t) = 1 - exp(-(t/eta)^beta), with the two-quantile fit
     B_p  = eta * (-ln(1 - p/100))^(1/beta)
 
 Time carries whatever unit the life measure uses; rates are its inverse.
+Only sample() needs numpy; it imports numpy itself, so the closed-form
+functions run without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SingularityError, ValidationError
 from .model import _require_finite
@@ -57,14 +57,14 @@ class QuantilePoint:
 
 def cdf(t: float, w: WeibullParams) -> float:
     """Failure probability by time t."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"time must be >= 0, got {t}")
     return -math.expm1(-((t / w.scale_eta) ** w.shape_beta))
 
 
 def pdf(t: float, w: WeibullParams) -> float:
     """Failure density (beta/eta)(t/eta)^(beta-1) exp(-(t/eta)^beta)."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"time must be >= 0, got {t}")
     if t == 0:
         return hazard(0.0, w)  # survival is 1 at t = 0
@@ -109,7 +109,7 @@ def fit_two_quantiles(q1: QuantilePoint, q2: QuantilePoint) -> WeibullParams:
 
 def hazard(t: float, w: WeibullParams) -> float:
     """Instantaneous failure rate h(t) = (beta/eta)(t/eta)^(beta-1)."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"time must be >= 0, got {t}")
     if t == 0:
         if w.shape_beta < 1:
@@ -122,20 +122,22 @@ def hazard(t: float, w: WeibullParams) -> float:
 
 def cumulative_hazard(t: float, w: WeibullParams) -> float:
     """H(t) = (t/eta)^beta."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"time must be >= 0, got {t}")
     return (t / w.scale_eta) ** w.shape_beta
 
 
 def average_failure_rate(t1: float, t2: float, w: WeibullParams) -> float:
     """Average rate over [t1, t2]: (H(t2) - H(t1)) / (t2 - t1)."""
-    if t1 < 0 or t2 <= t1:
+    if not (0 <= t1 < t2):
         raise ValidationError(f"need 0 <= t1 < t2, got [{t1}, {t2}]")
     return (cumulative_hazard(t2, w) - cumulative_hazard(t1, w)) / (t2 - t1)
 
 
 def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
     """Inverse-transform samples eta*(-ln(1-u))^(1/beta), deterministic per seed."""
+    import numpy as np
+
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)

@@ -1,5 +1,9 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +384,119 @@ class TestScheduleCommands:
         assert code == 0
         assert "solo" in out
         assert "Ballast Foundation" not in out
+
+
+SINGLE_LEAF_TOPOLOGY = {"component": {"id": "a", "model": {"exponential": {"rate": 0.1}}}}
+
+
+class TestInputFileErrors:
+    @staticmethod
+    def commands(path):
+        return [
+            ["system", "mttf", "--config", path],
+            ["system", "reliability", "--config", path, "--t", "1"],
+            ["bearing", "life", "--config", path],
+            ["schedule", "report", "--registry", path],
+            ["schedule", "generate", "--config", path, "--horizon", "1"],
+        ]
+
+    @staticmethod
+    def assert_one_line_error(capsys, argv):
+        code, out, err = run_lines(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_missing_file(self, capsys, tmp_path):
+        for argv in self.commands(str(tmp_path / "missing.json")):
+            self.assert_one_line_error(capsys, argv)
+
+    def test_malformed_json(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"series": [')
+        for argv in self.commands(str(path)):
+            self.assert_one_line_error(capsys, argv)
+
+    def test_directory_instead_of_file(self, capsys, tmp_path):
+        self.assert_one_line_error(capsys, ["system", "mttf", "--config", str(tmp_path)])
+
+    def test_missing_registry_env_var(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DWT_REGISTRY", str(tmp_path / "nope.json"))
+        self.assert_one_line_error(capsys, ["schedule", "report"])
+
+    @pytest.mark.parametrize("argv", [
+        ["weibull", "cdf", "--beta", "2", "--eta", "5", "--t", "nan"],
+        ["weibull", "hazard", "--beta", "2", "--eta", "5", "--t", "nan"],
+        ["weibull", "hazard", "--beta", "2", "--eta", "5", "--t", "1", "--t2", "nan"],
+        ["schedule", "generate", "--install-date", "2025-13-01"],
+        ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "inf"],
+        ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "8000"],
+    ], ids=["cdf_nan", "hazard_nan", "average_nan", "install_month_13", "horizon_inf",
+            "horizon_8000"])
+    def test_bad_values_are_validation_errors(self, capsys, argv):
+        self.assert_one_line_error(capsys, argv)
+
+    def test_nan_time_in_reliability_config(self, capsys, tmp_path):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(SINGLE_LEAF_TOPOLOGY))
+        self.assert_one_line_error(
+            capsys, ["system", "reliability", "--config", str(path), "--t", "nan"]
+        )
+
+
+# Runs in a fresh interpreter: every command but the Monte Carlo and sampling
+# ones must leave numpy unloaded.
+LAZY_NUMPY_CHILD = """
+import contextlib, io, json, sys
+from dwtlife import cli
+
+cheap, mc = json.loads(sys.argv[1])
+for argv in cheap:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    assert code == 0, (argv, code)
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(mc)
+assert code == 0, (mc, code)
+assert "numpy" in sys.modules
+"""
+
+
+class TestLazyNumpy:
+    def test_numpy_loaded_only_for_monte_carlo(self, tmp_path):
+        topology = tmp_path / "topology.json"
+        topology.write_text(json.dumps(SINGLE_LEAF_TOPOLOGY))
+        bearing = tmp_path / "bearing.json"
+        bearing.write_text(json.dumps({
+            "geometry": {
+                "fcm": 1.0, "balls": 30, "ball_diameter_mm": 25.0,
+                "contact_angle_deg": 60.0, "raceway_center_diameter_mm": 1000.0,
+            },
+            "loads": {"axial_n": 1000.0, "moment_nm": 100.0},
+        }))
+        cheap = [
+            ["fatigue", "endurance", "--sut", "58ksi", "--preset", "tower"],
+            ["blade", "torsion", "--torque", "300 Nm"],
+            ["tower", "life"],
+            ["ballast", "--thrust", "6035", "--nacelle-diameter", "2",
+             "--base-diameter", "3", "--base-area", "4"],
+            ["aero", "torque"],
+            ["bearing", "life", "--config", str(bearing)],
+            ["weibull", "fit", "--p", "10", "--bp", "10", "--q", "50", "--bq", "20"],
+            ["weibull", "cdf", "--beta", "2", "--eta", "5", "--t", "1"],
+            ["weibull", "quantile", "--beta", "2", "--eta", "5", "--p", "10"],
+            ["weibull", "hazard", "--beta", "2", "--eta", "5", "--t", "1"],
+            ["system", "reliability", "--config", str(topology), "--t", "1"],
+            ["system", "life"],
+            ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "1"],
+            ["schedule", "report"],
+            ["schedule", "rul", "--component", "Generator", "--elapsed", "5"],
+        ]
+        mc = ["system", "mttf", "--config", str(topology), "--samples", "1000"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_NUMPY_CHILD, json.dumps([cheap, mc])],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import math
 from datetime import date, timedelta
 
 import pytest
@@ -253,6 +254,44 @@ class TestGenerateSchedule:
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValidationError):
             generate_schedule(default_registry(), INSTALL, DEFAULT_USAGE, 0.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 8000.0, 1e300])
+    def test_horizon_past_last_date_rejected(self, horizon):
+        with pytest.raises(ValidationError, match="horizon"):
+            generate_schedule(default_registry(), INSTALL, DEFAULT_USAGE, horizon)
+
+    def test_recurrences_past_last_date_are_never_due(self):
+        reg = single_component_registry(
+            [
+                {"description": "triennial", "trigger": {"calendar_interval": {"years": 3}}},
+                {
+                    "description": "inspect",
+                    "trigger": {
+                        "whichever_first": {"years": 4, "cycles": 100, "counter": "jack_cycles"}
+                    },
+                },
+                {
+                    "description": "lubricate",
+                    "trigger": {"cycle_interval": {"cycles": 100, "counter": "jack_cycles"}},
+                },
+            ],
+            service_life={"value": 50, "unit": "years"},
+        )
+        install = InstallationRecord(install_date=date(9990, 1, 1))
+        usage = UsageProfile(counters={"jack_cycles": 0.01})
+        # ends 9999-12-26; the next calendar, cycle and life dates pass date.max
+        entries = generate_schedule(reg, install, usage, 9.99)
+        assert [(e.task, e.due_date.year) for e in entries] == [
+            ("triennial", 9992), ("inspect", 9993), ("triennial", 9995),
+            ("inspect", 9997), ("triennial", 9998),
+        ]
+
+    def test_interval_longer_than_the_calendar_never_fires(self):
+        reg = single_component_registry(
+            [{"description": "someday", "trigger": {"calendar_interval": {"years": 1e6}}}],
+            service_life={"value": 1e6, "unit": "years"},
+        )
+        assert generate_schedule(reg, INSTALL, DEFAULT_USAGE, 20.0) == []
 
     def test_installation_document_parsing(self):
         install = installation_from_document(

@@ -103,6 +103,19 @@ class TestSystemReliability:
         with pytest.raises(ValidationError):
             system_reliability_at(1.0, Series([exp_leaf("a", 0.1), exp_leaf("a", 0.2)]))
 
+    @pytest.mark.parametrize("model", [
+        LifeModel.exponential(0.2),
+        LifeModel.weibull(WeibullParams(2.0, 10.0)),
+        LifeModel.fixed_life(5.0),
+    ], ids=["exponential", "weibull", "fixed_life"])
+    def test_nan_time_rejected_infinite_time_dead(self, model):
+        with pytest.raises(ValidationError):
+            model.survival(math.nan)
+        with pytest.raises(ValidationError):
+            system_reliability_at(math.nan, Component("a", model))
+        assert model.survival(math.inf) == 0.0
+        assert system_reliability_at(math.inf, Component("a", model)) == 0.0
+
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError):
             Series([])

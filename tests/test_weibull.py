@@ -52,6 +52,25 @@ class TestCdf:
         assert values[-1] == pytest.approx(1.0, abs=1e-6)
 
 
+class TestNanTime:
+    W = WeibullParams(shape_beta=2.0, scale_eta=5.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda w: cdf(math.nan, w),
+        lambda w: pdf(math.nan, w),
+        lambda w: hazard(math.nan, w),
+        lambda w: cumulative_hazard(math.nan, w),
+        lambda w: average_failure_rate(math.nan, 1.0, w),
+        lambda w: average_failure_rate(1.0, math.nan, w),
+    ], ids=["cdf", "pdf", "hazard", "cumulative_hazard", "average_t1", "average_t2"])
+    def test_nan_time_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call(self.W)
+
+    def test_infinite_time_gives_limit(self):
+        assert cdf(math.inf, self.W) == 1.0
+
+
 class TestQuantile:
     def test_scale_recovery(self):
         w = WeibullParams(shape_beta=1.7, scale_eta=42.0)
