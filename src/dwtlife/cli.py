@@ -446,7 +446,10 @@ def _cmd_system_reliability(args):
 def _cmd_system_life(args):
     if getattr(args, "config", None):
         doc = _read_config(args)
-        lives = {str(k): float(v) for k, v in doc.get("lives", doc).items()}
+        try:
+            lives = {str(k): float(v) for k, v in doc.get("lives", doc).items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed lives document: {exc}") from None
     else:
         lives = presets.SERVICE_LIFE_SUMMARY_YEARS
     years, limiting = system.system_service_life(lives)

@@ -5,15 +5,26 @@ child, a parallel group (non-repairable hot standby) with its last.
 
 The Monte Carlo sampler addresses one Philox stream keyed by the seed: leaf
 i of the depth-first leaf order owns draws [i * samples, (i + 1) * samples).
-Its generator is moved to that offset once (Philox is counter-based, so this
-costs no draws; Salmon et al., SC'11), and the samples are then walked in
-fixed chunks of _CHUNK. Each chunk takes the next draws of every leaf, folds
-the tree into preallocated buffers with in-place minimum/maximum, and merges
-its (count, mean, M2) into the running moments (Chan, Golub & LeVeque,
-1979). Memory therefore stays flat as samples grow. The draws are
-bit-identical whatever the chunk size; the moments differ between chunk
-sizes only by rounding, about 1e-15 relative, so a (topology, samples, seed)
-triple always reproduces the same estimate.
+A generator is moved to any offset in that block without drawing (Philox is
+counter-based; Salmon et al., SC'11), so each leaf's draws are fixed by the
+seed alone, whoever draws them and in what order. A fixed-life leaf needs no
+draws and gets none; skipping its block leaves every other leaf's unchanged.
+
+The samples are walked in fixed chunks of _CHUNK. Per chunk, each leaf draws
+into a preallocated buffer and LifeModel.failure_times turns the uniforms
+into failure times in place; a group's first child writes straight into the
+group's buffer and the later children are folded in with in-place
+minimum/maximum. The chunk's (count, mean, M2) is then computed in place too.
+Memory therefore stays flat as samples grow.
+
+The chunks are split into one contiguous run per CPU, each worked by a
+thread with its own positioned generators and buffers (numpy releases the
+GIL while drawing and in the ufuncs). The calling thread merges the chunk
+moments in chunk order (Chan, Golub & LeVeque, 1979), the same order as a
+single thread would, so the estimate does not depend on the number of
+threads. The draws are bit-identical whatever the chunk size; the moments
+differ between chunk sizes only by rounding, about 1e-15 relative, so a
+(topology, samples, seed) triple always reproduces the same estimate.
 
 numpy is imported inside the sampling functions, not at module level, so
 the closed-form reliability paths run without loading it.
@@ -22,12 +33,13 @@ the closed-form reliability paths run without loading it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
 from .model import _require_finite
-from .weibull import WeibullParams
+from .weibull import WeibullParams, inverse_transform
 
 EXPONENTIAL = "exponential"
 WEIBULL = "weibull"
@@ -83,14 +95,22 @@ class LifeModel:
         return 1.0 if t < self.life else 0.0
 
     def failure_times(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-transform failure times for uniforms u in [0, 1)."""
+        """Overwrite uniforms u in [0, 1) with failure times; returns u.
+
+        A fixed-life model fills u with its life whatever u holds, so it
+        needs no draws.
+        """
         import numpy as np
 
         if self.kind == EXPONENTIAL:
-            return -np.log1p(-u) / self.rate
+            # log1p(-u) / -rate is exactly -log1p(-u) / rate
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            return np.divide(u, -self.rate, out=u)
         if self.kind == WEIBULL:
-            return self.params.scale_eta * (-np.log1p(-u)) ** (1.0 / self.params.shape_beta)
-        return np.full_like(u, self.life)
+            return inverse_transform(u, self.params)
+        u.fill(self.life)
+        return u
 
 
 @dataclass(frozen=True)
@@ -193,32 +213,65 @@ def _positioned_stream(seed: int, offset: int) -> np.random.Generator:
 
 
 def _fold_depth(topo: SystemTopology) -> int:
-    """Number of group levels, an upper bound on the fold buffers needed."""
+    """Number of group levels, an upper bound on the scratch buffers _fold needs."""
     if isinstance(topo, Component):
         return 0
     return 1 + max(_fold_depth(c) for c in topo.children)
 
 
-def _fold(topo: SystemTopology, leaf_times, buffers: list[np.ndarray]) -> np.ndarray:
-    """System failure times of one chunk, folded in place.
+def _fold(topo: SystemTopology, streams, out: np.ndarray, scratch: list[np.ndarray]) -> None:
+    """Write one chunk of topo's failure times into out, in place.
 
-    leaf_times yields each leaf's failure times in depth-first order. A group
-    folds into buffers[0]; its first child may fold there too, the later
-    children into buffers[1:], so the result of a child group is consumed
-    before the next child overwrites it.
+    streams yields each leaf's positioned generator in depth-first order,
+    None for a fixed-life leaf. A group's first child writes straight into
+    out; each later child writes into scratch[0], which is folded into out
+    before the next child reuses it, and deeper groups use scratch[1:].
     """
     import numpy as np
 
     if isinstance(topo, Component):
-        return next(leaf_times)
-    out = buffers[0]
-    first = _fold(topo.children[0], leaf_times, buffers)
-    if first is not out:
-        np.copyto(out, first)
+        rng = next(streams)
+        if rng is not None:
+            rng.random(out=out)
+        topo.model.failure_times(out)
+        return
+    first, *later = topo.children
+    _fold(first, streams, out, scratch)
     combine = np.minimum if isinstance(topo, Series) else np.maximum
-    for child in topo.children[1:]:
-        combine(out, _fold(child, leaf_times, buffers[1:]), out=out)
-    return out
+    for child in later:
+        _fold(child, streams, scratch[0], scratch[1:])
+        combine(out, scratch[0], out=out)
+
+
+def _chunk_moments(
+    topo: SystemTopology, samples: int, seed: int, lo: int, hi: int
+) -> list[tuple[int, float, float]]:
+    """(count, mean, M2) of each chunk of samples [lo, hi); lo is _CHUNK-aligned."""
+    import numpy as np
+
+    streams = [
+        None if leaf.model.kind == FIXED_LIFE else _positioned_stream(seed, i * samples + lo)
+        for i, leaf in enumerate(_leaves(topo))
+    ]
+    buffers = [np.empty(min(_CHUNK, hi - lo)) for _ in range(1 + _fold_depth(topo))]
+    moments = []
+    with np.errstate(all="ignore"):  # thread-local: every worker enters it
+        for start in range(lo, hi, _CHUNK):
+            size = min(_CHUNK, hi - start)
+            times, *scratch = (b[:size] for b in buffers)
+            _fold(topo, iter(streams), times, scratch)
+            chunk_mean = float(times.mean())
+            np.subtract(times, chunk_mean, out=times)
+            moments.append((size, chunk_mean, float(np.square(times, out=times).sum())))
+    return moments
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def monte_carlo_mttf(
@@ -230,31 +283,30 @@ def monte_carlo_mttf(
     Raises NumericError when either is not finite, e.g. when failure times
     overflow double precision.
     """
-    import numpy as np
-
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
     validate_topology(topo)
-    leaves = _leaves(topo)
-    streams = [_positioned_stream(seed, i * samples) for i in range(len(leaves))]
-    buffers = [np.empty(min(_CHUNK, samples)) for _ in range(_fold_depth(topo))]
-    mean, m2 = 0.0, 0.0
-    with np.errstate(all="ignore"):
-        for start in range(0, samples, _CHUNK):
-            size = min(_CHUNK, samples - start)
-            leaf_times = (
-                leaf.model.failure_times(rng.random(size))
-                for leaf, rng in zip(leaves, streams)
+    chunks = -(-samples // _CHUNK)
+    workers = min(_worker_count(), chunks)
+    if workers == 1:
+        moments = _chunk_moments(topo, samples, seed, 0, samples)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        edges = [min(chunks * w // workers * _CHUNK, samples) for w in range(workers + 1)]
+        with ThreadPoolExecutor(workers) as pool:
+            runs = pool.map(
+                lambda lo, hi: _chunk_moments(topo, samples, seed, lo, hi), edges[:-1], edges[1:]
             )
-            times = _fold(topo, leaf_times, [b[:size] for b in buffers])
-            chunk_mean = float(times.mean())
-            deviation = times - chunk_mean
-            chunk_m2 = float(np.square(deviation, out=deviation).sum())
-            # Chan, Golub & LeVeque (1979) merge of the first `start` samples
-            # with this chunk's (size, chunk_mean, chunk_m2)
-            delta = chunk_mean - mean
-            mean += delta * size / (start + size)
-            m2 += chunk_m2 + delta * delta * start * size / (start + size)
+            moments = [chunk for run in runs for chunk in run]
+    mean, m2, count = 0.0, 0.0, 0
+    for size, chunk_mean, chunk_m2 in moments:
+        # Chan, Golub & LeVeque (1979) merge of the first `count` samples
+        # with this chunk's (size, chunk_mean, chunk_m2)
+        delta = chunk_mean - mean
+        mean += delta * size / (count + size)
+        m2 += chunk_m2 + delta * delta * count * size / (count + size)
+        count += size
     std_err = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
     if not (math.isfinite(mean) and math.isfinite(std_err)):
         raise NumericError(
@@ -330,5 +382,6 @@ def system_service_life(lives: dict[str, float]) -> tuple[float, str]:
     for cid, years in lives.items():
         if not years > 0:
             raise ValidationError(f"life for {cid!r} must be positive, got {years}")
+        _require_finite(f"life for {cid!r}", years)
     limiting = min(sorted(lives), key=lambda cid: lives[cid])
     return lives[limiting], limiting

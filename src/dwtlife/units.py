@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .model import _require_finite
 
 # Standard gravity, used wherever a weight is derived from a mass.
 GRAVITY = 9.80665  # m/s²
@@ -109,5 +110,6 @@ def parse_quantity(text: str, default_unit: str) -> Quantity:
         value = float(m.group(1))
     except ValueError:
         raise ValidationError(f"cannot parse quantity {text!r}") from None
+    _require_finite(f"quantity {text!r}", value)
     unit = m.group(2) or default_unit
     return Quantity(value, canonical_unit(unit))

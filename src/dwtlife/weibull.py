@@ -6,8 +6,9 @@ F(t) = 1 - exp(-(t/eta)^beta), with the two-quantile fit
     B_p  = eta * (-ln(1 - p/100))^(1/beta)
 
 Time carries whatever unit the life measure uses; rates are its inverse.
-Only sample() needs numpy; it imports numpy itself, so the closed-form
-functions run without loading it.
+Only the array functions, inverse_transform() and sample(), need numpy;
+they import it themselves, so the closed-form functions run without
+loading it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def pdf(t: float, w: WeibullParams) -> float:
         raise ValidationError(f"time must be >= 0, got {t}")
     if t == 0:
         return hazard(0.0, w)  # survival is 1 at t = 0
+    if t == math.inf:
+        return 0.0  # the limit; the formula gives inf * 0
     z = t / w.scale_eta
     return (
         (w.shape_beta / w.scale_eta)
@@ -131,7 +134,19 @@ def average_failure_rate(t1: float, t2: float, w: WeibullParams) -> float:
     """Average rate over [t1, t2]: (H(t2) - H(t1)) / (t2 - t1)."""
     if not (0 <= t1 < t2):
         raise ValidationError(f"need 0 <= t1 < t2, got [{t1}, {t2}]")
+    _require_finite("t2", t2)
     return (cumulative_hazard(t2, w) - cumulative_hazard(t1, w)) / (t2 - t1)
+
+
+def inverse_transform(u: np.ndarray, w: WeibullParams) -> np.ndarray:
+    """Overwrite uniforms u in [0, 1) with eta*(-ln(1-u))^(1/beta); returns u."""
+    import numpy as np
+
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    np.power(u, 1.0 / w.shape_beta, out=u)
+    return np.multiply(u, w.scale_eta, out=u)
 
 
 def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
@@ -140,9 +155,7 @@ def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
 
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    return w.scale_eta * (-np.log1p(-u)) ** (1.0 / w.shape_beta)
+    return inverse_transform(np.random.default_rng(seed).random(count), w)
 
 
 def failure_regime(beta: float) -> str:

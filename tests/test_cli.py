@@ -431,10 +431,23 @@ class TestInputFileErrors:
         ["schedule", "generate", "--install-date", "2025-13-01"],
         ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "inf"],
         ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "8000"],
+        ["weibull", "hazard", "--beta", "2", "--eta", "5", "--t", "1", "--t2", "inf"],
+        ["fatigue", "endurance", "--sut", "1e999 ksi"],
     ], ids=["cdf_nan", "hazard_nan", "average_nan", "install_month_13", "horizon_inf",
-            "horizon_8000"])
+            "horizon_8000", "average_inf", "sut_inf"])
     def test_bad_values_are_validation_errors(self, capsys, argv):
         self.assert_one_line_error(capsys, argv)
+
+    @pytest.mark.parametrize("doc", [
+        {"lives": {"a": "x"}},
+        {"lives": {"a": None}},
+        {"lives": [20.0]},
+        {"lives": {"a": "inf"}},
+    ], ids=["text", "null", "list", "inf"])
+    def test_bad_lives_in_system_life_config(self, capsys, tmp_path, doc):
+        path = tmp_path / "lives.json"
+        path.write_text(json.dumps(doc))
+        self.assert_one_line_error(capsys, ["system", "life", "--config", str(path)])
 
     def test_nan_time_in_reliability_config(self, capsys, tmp_path):
         path = tmp_path / "topology.json"

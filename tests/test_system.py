@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +221,96 @@ class TestStreamingMonteCarlo:
         exact = quad(reliability, 0.0, 12.0)[0] + quad(reliability, 12.0, math.inf)[0]
         estimate, se = monte_carlo_mttf(topo, samples=1_000_000, seed=7)
         assert abs(estimate - exact) < 4 * se
+
+
+# fixed-life leaves as the first child of the root and of an inner group
+FIXED_FIRST_DOC = {"parallel": [
+    leaf_doc("f", "fixed_life", life=9.0),
+    {"series": [
+        leaf_doc("g", "fixed_life", life=14.0),
+        leaf_doc("a", "exponential", rate=0.08),
+        leaf_doc("b", "weibull", beta=1.5, eta=20.0),
+    ]},
+    leaf_doc("c", "weibull", beta=0.8, eta=6.0),
+]}
+
+
+def set_workers(monkeypatch, workers):
+    monkeypatch.setattr(system, "_worker_count", lambda: workers)
+
+
+class TestWorkerThreads:
+    @pytest.mark.parametrize("doc", [MIXED_DOC, FIXED_FIRST_DOC], ids=["mixed", "fixed_first"])
+    @pytest.mark.parametrize("chunk", [97, 1000])
+    def test_estimate_independent_of_worker_count(self, monkeypatch, chunk, doc):
+        # 5001 samples: 52 chunks of 97 or 6 of 1000, split over up to 3 workers
+        monkeypatch.setattr(system, "_CHUNK", chunk)
+        topo = topology_from_document(doc)
+        estimates = []
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            estimates.append(monte_carlo_mttf(topo, samples=5001, seed=2024))
+        assert estimates[0] == estimates[1] == estimates[2]
+        want = one_shot_mttf(doc, samples=5001, seed=2024)
+        assert estimates[0] == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [97, 1000])
+    def test_bare_fixed_life_root(self, monkeypatch, chunk, workers):
+        monkeypatch.setattr(system, "_CHUNK", chunk)
+        set_workers(monkeypatch, workers)
+        topo = Component(component_id="f", model=LifeModel.fixed_life(12.0))
+        assert monte_carlo_mttf(topo, samples=5001, seed=3) == (12.0, 0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_non_finite_estimate_on_workers_is_quiet_numeric_error(self, monkeypatch, workers):
+        monkeypatch.setattr(system, "_CHUNK", 97)
+        set_workers(monkeypatch, workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                monte_carlo_mttf(topology_from_document(OVERFLOWING_DOC), samples=1000, seed=0)
+
+    def test_chunk_runs_leave_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(system, "_CHUNK", 97)
+        set_workers(monkeypatch, 2)
+        threads = set()
+        original = LifeModel.failure_times
+
+        def spy(model, u):
+            threads.add(threading.get_ident())
+            return original(model, u)
+
+        monkeypatch.setattr(LifeModel, "failure_times", spy)
+        monte_carlo_mttf(topology_from_document(MIXED_DOC), samples=5001, seed=1)
+        assert threads and threading.get_ident() not in threads
+
+    def test_one_chunk_starts_no_pool(self):
+        child = (
+            "import sys\n"
+            "from dwtlife.system import Component, LifeModel, monte_carlo_mttf\n"
+            "monte_carlo_mttf(Component('a', LifeModel.exponential(0.1)), 10_000, 1)\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("model", [
+        LifeModel.exponential(0.3),
+        LifeModel.weibull(WeibullParams(shape_beta=1.7, scale_eta=8.0)),
+        LifeModel.fixed_life(4.5),
+    ], ids=["exponential", "weibull", "fixed_life"])
+    def test_failure_times_overwrites_its_input(self, model):
+        u = np.random.default_rng(5).random(1000)
+        want = {
+            "exponential": lambda: -np.log1p(-u) / 0.3,
+            "weibull": lambda: 8.0 * (-np.log1p(-u)) ** (1.0 / 1.7),
+            "fixed_life": lambda: np.full_like(u, 4.5),
+        }[model.kind]()
+        assert model.failure_times(u) is u
+        assert np.array_equal(u, want)
 
 
 OVERFLOWING_DOC = {"parallel": [leaf_doc("a", "weibull", beta=0.05, eta=1e300)]}

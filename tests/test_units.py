@@ -70,6 +70,12 @@ def test_parse_quantity_forms():
         parse_quantity("not-a-number", "MPa")
 
 
+@pytest.mark.parametrize("text", ["1e999 ksi", "-1e999", "1e400MPa"])
+def test_parse_quantity_rejects_non_finite(text):
+    with pytest.raises(ValidationError, match="finite"):
+        parse_quantity(text, "MPa")
+
+
 def test_material_yield_above_ultimate_rejected():
     with pytest.raises(ValidationError):
         Material(name="bad", ultimate_tensile_strength=1e8, yield_strength_compressive=2e8)

@@ -18,6 +18,7 @@ from dwtlife.weibull import (
     failure_regime,
     fit_two_quantiles,
     hazard,
+    inverse_transform,
     pdf,
     quantile_Bp,
     sample,
@@ -167,6 +168,18 @@ class TestHazard:
         assert hazard(t, w) == pytest.approx(pdf(t, w) / survival, rel=1e-9)
 
 
+class TestInfiniteTime:
+    W = WeibullParams(shape_beta=2.0, scale_eta=5.0)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_pdf_at_infinity_is_its_limit(self, beta):
+        assert pdf(math.inf, WeibullParams(shape_beta=beta, scale_eta=5.0)) == 0.0
+
+    def test_average_rate_to_infinity_rejected(self):
+        with pytest.raises(ValidationError):
+            average_failure_rate(1.0, math.inf, self.W)
+
+
 class TestAverageRate:
     def test_constant_hazard_case(self):
         w = WeibullParams(shape_beta=1.0, scale_eta=4.0)
@@ -205,6 +218,19 @@ class TestSampling:
             draws, lambda t: -math.expm1(-((t / 3.0) ** 1.8))
         )
         assert distance < 0.005
+
+
+class TestInverseTransform:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.3, 2.0, 3.7])
+    def test_sample_is_the_closed_form_bit_for_bit(self, beta):
+        w = WeibullParams(shape_beta=beta, scale_eta=5.0)
+        u = np.random.default_rng(7).random(1000)
+        want = 5.0 * (-np.log1p(-u)) ** (1.0 / beta)
+        assert np.array_equal(sample(w, seed=7, count=1000), want)
+
+    def test_overwrites_its_input(self):
+        u = np.random.default_rng(1).random(10)
+        assert inverse_transform(u, WeibullParams(2.0, 5.0)) is u
 
 
 class TestPdfAndRegime:
