@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .model import DAYS_PER_YEAR
 
 BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
 ROLLER_EXPONENT = 10.0 / 3.0
 
 OSCILLATIONS = "oscillations"
 RACEWAY_CYCLES = "raceway_cycles"
-DAYS_PER_YEAR = 365.0
 
 
 @dataclass(frozen=True)

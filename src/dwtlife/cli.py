@@ -12,6 +12,12 @@ Quantity-valued flags accept a unit suffix ("58 ksi", "300Nm"); bare
 numbers take the active unit mode's default for that flag. Results go to
 stdout (6 significant digits, or --json); diagnostics go to stderr. Exit
 codes: 0 success, 1 validation/usage error, 2 numeric failure.
+
+At module level this file imports only the standard library and
+``.errors``; each handler imports the library modules it uses, and
+building the parser reads none of them. A cold command therefore loads
+only what its subcommand runs: ``weibull cdf`` loads ``errors``, ``model``
+and ``weibull``, and only the ``schedule`` commands load ``schedule``.
 """
 
 from __future__ import annotations
@@ -20,12 +26,8 @@ import argparse
 import json
 import os
 import sys
-from datetime import date
 
-from . import bearing, fatigue, presets, rotor, schedule, structural, system, weibull
 from .errors import NumericError, ValidationError
-from .model import ColumnSpec, Material
-from .units import Quantity, convert, parse_quantity
 
 # Where each library operation surfaces on the command line. The test
 # suite checks this map covers the whole public API exactly once.
@@ -111,14 +113,16 @@ def _fmt(value: float) -> str:
 
 def _qty_in(args, text: str, dimension: str) -> float:
     """Parse a flag value into SI, defaulting to the unit mode's unit."""
+    from .units import parse_quantity
+
     return parse_quantity(str(text), _DISPLAY_UNITS[args.units][dimension]).si_value
 
 
 def _display(args, si_value: float, dimension: str) -> tuple[float, str]:
+    from .units import from_si
+
     unit = _DISPLAY_UNITS[args.units][dimension]
-    base = {"stress": "Pa", "force": "N", "torque": "N·m", "length": "m",
-            "speed": "m/s", "density": "kg/m³"}[dimension]
-    return convert(Quantity(si_value, base), unit).value, unit
+    return from_si(si_value, unit), unit
 
 
 def _emit(args, rows):
@@ -154,21 +158,26 @@ def _read_config(args) -> dict:
 # fatigue / tower / blade chains
 
 
-def _marin_from_args(args) -> fatigue.MarinFactors:
-    if args.preset == "tower":
-        base = presets.TOWER_MARIN
-    elif args.preset == "blade":
-        base = presets.BLADE_MARIN
+def _marin_from_args(args):
+    from .fatigue import MarinFactors
+
+    if args.preset in ("tower", "blade"):
+        from . import presets
+
+        base = presets.TOWER_MARIN if args.preset == "tower" else presets.BLADE_MARIN
     else:
-        base = fatigue.MarinFactors(1, 1, 1, 1, 1, 1)
+        base = MarinFactors(1, 1, 1, 1, 1, 1)
     values = {
         name: getattr(args, name) if getattr(args, name) is not None else getattr(base, name)
         for name in ("ka", "kb", "kc", "kd", "ke", "kf")
     }
-    return fatigue.MarinFactors(**values)
+    return MarinFactors(**values)
 
 
 def _cmd_fatigue_endurance(args):
+    from . import fatigue
+    from .model import Material
+
     sut = _qty_in(args, args.sut, "stress")
     material = Material(name="cli", ultimate_tensile_strength=sut)
     se_prime = fatigue.endurance_limit_unmodified(material)
@@ -177,6 +186,8 @@ def _cmd_fatigue_endurance(args):
 
 
 def _cmd_fatigue_sn(args):
+    from . import fatigue
+
     constants = fatigue.sn_constants(
         _qty_in(args, args.sut, "stress"), _qty_in(args, args.se, "stress"), args.f
     )
@@ -184,6 +195,8 @@ def _cmd_fatigue_sn(args):
 
 
 def _cmd_fatigue_life(args):
+    from . import fatigue
+
     constants = fatigue.SnConstants(a=_qty_in(args, args.a, "stress"), b=args.b, f=args.f)
     life = fatigue.cycles_to_failure(_qty_in(args, args.stress, "stress"), constants)
     rows = [("cycles", life.cycles, None), ("flags", ",".join(life.flags) or "none", None)]
@@ -193,6 +206,8 @@ def _cmd_fatigue_life(args):
 
 
 def _life_chain(args, material, marin, stress_si, cycles_per_day):
+    from . import fatigue, presets
+
     se_prime = fatigue.endurance_limit_unmodified(material)
     se = fatigue.marin_modified_endurance(se_prime, marin)
     constants = fatigue.sn_constants(
@@ -211,16 +226,23 @@ def _life_chain(args, material, marin, stress_si, cycles_per_day):
 
 
 def _cmd_tower_life(args):
+    from . import presets
+
     stress = _qty_in(args, args.stress, "stress") if args.stress else presets.TOWER_GUST_STRESS
     _life_chain(args, presets.TOWER_STEEL, presets.TOWER_MARIN, stress, args.cycles_per_day)
 
 
 def _cmd_blade_life(args):
+    from . import presets
+
     stress = _qty_in(args, args.stress, "stress") if args.stress else presets.BLADE_BENDING_STRESS
     _life_chain(args, presets.BLADE_ALUMINUM, presets.BLADE_MARIN, stress, args.cycles_per_day)
 
 
 def _cmd_tower_column(args):
+    from . import presets, structural
+    from .model import ColumnSpec, Material
+
     col = ColumnSpec(
         load_P=_qty_in(args, args.load, "force"),
         eccentricity_e=_qty_in(args, args.eccentricity, "length"),
@@ -243,6 +265,8 @@ def _cmd_tower_column(args):
 
 
 def _cmd_ballast(args):
+    from . import structural
+
     spec = structural.BallastSpec(
         turbine_thrust=_qty_in(args, args.thrust, "force"),
         nacelle_diameter=_qty_in(args, args.nacelle_diameter, "length"),
@@ -259,22 +283,30 @@ def _cmd_ballast(args):
 
 
 def _blade_section(args):
+    """The --width/--thickness/--span section; an omitted flag takes the preset's."""
+    from . import presets
     from .model import RectSection
 
+    def length(text, preset_m):
+        return preset_m if text is None else _qty_in(args, text, "length")
+
+    preset = presets.BLADE_SECTION
     return RectSection(
-        width_b=_qty_in(args, args.width, "length"),
-        thickness_t=_qty_in(args, args.thickness, "length"),
-        span_L=_qty_in(args, args.span, "length"),
+        width_b=length(args.width, preset.width_b),
+        thickness_t=length(args.thickness, preset.thickness_t),
+        span_L=length(args.span, preset.span_L),
     )
 
 
 def _cmd_blade_bending(args):
+    from . import presets, structural
+
     section = _blade_section(args)
     blade = structural.BladeSpec(
         section=section,
         material=presets.BLADE_ALUMINUM,
         mount_angle_phi=args.mount_angle,
-        mass=args.mass,
+        mass=presets.BLADE_MASS_KG if args.mass is None else args.mass,
     )
     moment = structural.blade_root_bending_moment(blade)
     _emit(args, [
@@ -285,6 +317,8 @@ def _cmd_blade_bending(args):
 
 
 def _cmd_blade_torsion(args):
+    from . import structural
+
     section = _blade_section(args)
     torque = _qty_in(args, args.torque, "torque")
     _emit(args, [
@@ -296,9 +330,12 @@ def _cmd_blade_torsion(args):
 # aero / bearing
 
 
-def _rotor_state(args) -> rotor.RotorState:
+def _rotor_state(args):
+    from .rotor import RotorState
+    from .units import Quantity, convert
+
     omega = convert(Quantity(args.rpm, "rpm"), "rad/s").value
-    return rotor.RotorState(
+    return RotorState(
         radius_R=_qty_in(args, args.radius, "length"),
         rotor_speed_omega=omega,
         wind_speed_V=_qty_in(args, args.wind, "speed"),
@@ -308,6 +345,8 @@ def _rotor_state(args) -> rotor.RotorState:
 
 
 def _cmd_aero_torque(args):
+    from . import rotor
+
     state = _rotor_state(args)
     lam = rotor.tip_speed_ratio(state)
     torque = rotor.rotor_torque(state)
@@ -320,10 +359,15 @@ def _cmd_aero_torque(args):
 
 
 def _cmd_aero_betz(args):
+    from . import rotor
+
     _emit(args, [("cp_max", rotor.ducted_betz_limit(args.a0), None)])
 
 
 def _cmd_aero_sweep(args):
+    from . import presets, rotor
+    from .units import Quantity, convert
+
     rows = []
     for cp, rpm in presets.TORQUE_SWEEP:
         state = rotor.RotorState(
@@ -343,6 +387,8 @@ def _cmd_aero_sweep(args):
 
 
 def _cmd_bearing_life(args):
+    from . import bearing, presets
+
     doc = _read_config(args)
     try:
         geo_doc = doc["geometry"]
@@ -379,11 +425,15 @@ def _cmd_bearing_life(args):
 # weibull / system / schedule
 
 
-def _weibull_params(args) -> weibull.WeibullParams:
-    return weibull.WeibullParams(shape_beta=args.beta, scale_eta=args.eta)
+def _weibull_params(args):
+    from .weibull import WeibullParams
+
+    return WeibullParams(shape_beta=args.beta, scale_eta=args.eta)
 
 
 def _cmd_weibull_fit(args):
+    from . import weibull
+
     params = weibull.fit_two_quantiles(
         weibull.QuantilePoint(percent_p=args.p, life_Bp=args.bp),
         weibull.QuantilePoint(percent_p=args.q, life_Bp=args.bq),
@@ -392,14 +442,20 @@ def _cmd_weibull_fit(args):
 
 
 def _cmd_weibull_cdf(args):
+    from . import weibull
+
     _emit(args, [("probability", weibull.cdf(args.t, _weibull_params(args)), None)])
 
 
 def _cmd_weibull_quantile(args):
+    from . import weibull
+
     _emit(args, [("life", weibull.quantile_Bp(args.p, _weibull_params(args)), None)])
 
 
 def _cmd_weibull_hazard(args):
+    from . import weibull
+
     params = _weibull_params(args)
     rows = [
         ("hazard", weibull.hazard(args.t, params), None),
@@ -411,6 +467,8 @@ def _cmd_weibull_hazard(args):
 
 
 def _cmd_weibull_sample(args):
+    from . import weibull
+
     count = 1000 if args.samples is None else args.samples
     values = weibull.sample(_weibull_params(args), seed=args.seed, count=count)
     if args.json:
@@ -421,6 +479,8 @@ def _cmd_weibull_sample(args):
 
 
 def _cmd_system_mttf(args):
+    from . import system
+
     topo = system.topology_from_document(_read_config(args))
     samples = 100000 if args.samples is None else args.samples
     estimate, std_err = system.monte_carlo_mttf(topo, samples=samples, seed=args.seed)
@@ -433,6 +493,8 @@ def _cmd_system_mttf(args):
 
 
 def _cmd_system_reliability(args):
+    from . import system
+
     topo = system.topology_from_document(_read_config(args))
     rows = [("reliability", system.system_reliability_at(args.t, topo), None)]
     if args.repair_rate is not None:
@@ -444,6 +506,8 @@ def _cmd_system_reliability(args):
 
 
 def _cmd_system_life(args):
+    from . import system
+
     if getattr(args, "config", None):
         doc = _read_config(args)
         try:
@@ -451,12 +515,16 @@ def _cmd_system_life(args):
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed lives document: {exc}") from None
     else:
+        from . import presets
+
         lives = presets.SERVICE_LIFE_SUMMARY_YEARS
     years, limiting = system.system_service_life(lives)
     _emit(args, [("system_life_years", years, None), ("limiting_component", limiting, None)])
 
 
-def _load_registry_for(args) -> schedule.Registry:
+def _load_registry_for(args):
+    from . import schedule
+
     path = getattr(args, "registry", None) or os.environ.get("DWT_REGISTRY")
     if path:
         with open(path, "r", encoding="utf-8") as handle:
@@ -465,6 +533,10 @@ def _load_registry_for(args) -> schedule.Registry:
 
 
 def _installation_and_usage(args):
+    from datetime import date
+
+    from . import presets, schedule
+
     usage = presets.DEFAULT_USAGE
     install = None
     if getattr(args, "config", None):
@@ -485,6 +557,8 @@ def _installation_and_usage(args):
 
 
 def _cmd_schedule_generate(args):
+    from . import schedule
+
     registry = _load_registry_for(args)
     install, usage = _installation_and_usage(args)
     entries = schedule.generate_schedule(registry, install, usage, args.horizon)
@@ -506,11 +580,15 @@ def _cmd_schedule_generate(args):
 
 
 def _cmd_schedule_report(args):
+    from . import schedule
+
     registry = _load_registry_for(args)
     sys.stdout.write(schedule.emit_report(registry, args.format or schedule.MARKDOWN))
 
 
 def _cmd_schedule_rul(args):
+    from . import presets, schedule
+
     registry = _load_registry_for(args)
     usage = presets.DEFAULT_USAGE
     if getattr(args, "config", None):
@@ -566,7 +644,7 @@ def _build_parser() -> _Parser:
 
     blade = top.add_parser("blade").add_subparsers(dest="subcommand", required=True)
     p = leaf(blade, "bending", _cmd_blade_bending)
-    p.add_argument("--mass", type=float, default=presets.BLADE_MASS_KG)
+    p.add_argument("--mass", type=float, default=None)
     p.add_argument("--mount-angle", type=float, default=0.0)
     p = leaf(blade, "torsion", _cmd_blade_torsion)
     p.add_argument("--torque", required=True)
@@ -575,9 +653,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--cycles-per-day", type=float, default=144000.0)
     for sub in blade.choices.values():
         if sub.get_default("handler") in (_cmd_blade_bending, _cmd_blade_torsion):
-            sub.add_argument("--width", default=f"{presets.BLADE_SECTION.width_b} m")
-            sub.add_argument("--thickness", default=f"{presets.BLADE_SECTION.thickness_t} m")
-            sub.add_argument("--span", default=f"{presets.BLADE_SECTION.span_L} m")
+            sub.add_argument("--width", default=None)
+            sub.add_argument("--thickness", default=None)
+            sub.add_argument("--span", default=None)
 
     tower = top.add_parser("tower").add_subparsers(dest="subcommand", required=True)
     p = leaf(tower, "column", _cmd_tower_column)

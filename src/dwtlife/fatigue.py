@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import Material
-
-DAYS_PER_YEAR = 365.0
+from .model import DAYS_PER_YEAR, Material
 
 
 @dataclass(frozen=True)

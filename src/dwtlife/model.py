@@ -1,4 +1,8 @@
-"""Shared domain types for the lifing engine. All fields are SI."""
+"""Shared domain types for the lifing engine.
+
+Structural fields are SI; usage rates are per day, and calendar
+conversions use the one 365-day year below.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
+
+DAYS_PER_YEAR = 365
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -87,3 +93,16 @@ class ColumnSpec:
     def eccentricity_ratio(self) -> float:
         """Eccentricity ratio ec/k², the dimensionless stress amplification."""
         return self.eccentricity_e * self.centroid_c / self.gyration_k**2
+
+
+@dataclass(frozen=True)
+class UsageProfile:
+    """Daily rates per cycle counter; a zero rate marks a log-driven counter."""
+
+    counters: dict
+
+    def __post_init__(self):
+        for counter, rate in self.counters.items():
+            _require_finite(f"usage rate for {counter!r}", rate)
+            if not rate >= 0:
+                raise ValidationError(f"usage rate for {counter!r} must be >= 0, got {rate}")

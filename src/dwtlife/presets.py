@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from .bearing import LifeModFactors
 from .fatigue import MarinFactors
-from .model import Material, RectSection
+from .model import Material, RectSection, UsageProfile
 from .rotor import RotorState
-from .schedule import UsageProfile
 from .units import Quantity, convert
 
 _KSI = 6.894757e6  # Pa

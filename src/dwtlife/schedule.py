@@ -34,8 +34,7 @@ from datetime import date, timedelta
 from typing import Optional, Union
 
 from .errors import ValidationError
-
-DAYS_PER_YEAR = 365
+from .model import DAYS_PER_YEAR, UsageProfile, _require_finite
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -157,18 +156,6 @@ class Registry:
 
 
 @dataclass(frozen=True)
-class UsageProfile:
-    """Daily rates per cycle counter; a zero rate marks a log-driven counter."""
-
-    counters: dict
-
-    def __post_init__(self):
-        for counter, rate in self.counters.items():
-            if rate < 0:
-                raise ValidationError(f"usage rate for {counter!r} must be >= 0, got {rate}")
-
-
-@dataclass(frozen=True)
 class InstallationRecord:
     install_date: date
     event_log: tuple = ()  # (date, kind) pairs
@@ -189,7 +176,8 @@ class InstallationRecord:
         for counter, entries in self.cycle_log.items():
             prev_date, prev_count = self.install_date, 0.0
             for when, count in entries:
-                if when < prev_date or count < prev_count:
+                _require_finite(f"cycle log count for {counter!r}", count)
+                if when < prev_date or not count >= prev_count:
                     raise ValidationError(
                         f"cycle log for {counter!r} must be nondecreasing in date and count"
                     )
@@ -303,8 +291,12 @@ def default_registry() -> Registry:
 
 
 def usage_from_document(document: dict) -> UsageProfile:
-    counters = document.get("counters", document)
-    return UsageProfile(counters={str(k): float(v) for k, v in counters.items()})
+    try:
+        counters = document.get("counters", document)
+        rates = {str(k): float(v) for k, v in counters.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed usage document: {exc}") from None
+    return UsageProfile(counters=rates)
 
 
 def installation_from_document(document: dict) -> InstallationRecord:

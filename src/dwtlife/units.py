@@ -86,6 +86,14 @@ class Quantity:
         return self.value * _UNITS[self.unit][1]
 
 
+def from_si(value: float, unit: str) -> float:
+    """Express value, given in the SI base unit of unit's dimension, in unit.
+
+    The inverse of Quantity.si_value.
+    """
+    return value / _UNITS[canonical_unit(unit)][1]
+
+
 def convert(q: Quantity, target_unit: str) -> Quantity:
     """Convert a quantity to another unit of the same physical dimension."""
     target = canonical_unit(target_unit)

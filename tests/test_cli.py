@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dwtlife import cli
+from dwtlife.presets import DEFAULT_USAGE
 
 SUBCOMMANDS = {
     "fatigue endurance", "fatigue sn", "fatigue life",
@@ -387,6 +388,19 @@ class TestScheduleCommands:
 
 
 SINGLE_LEAF_TOPOLOGY = {"component": {"id": "a", "model": {"exponential": {"rate": 0.1}}}}
+BEARING_DOC = {
+    "geometry": {
+        "fcm": 1.0, "balls": 30, "ball_diameter_mm": 25.0,
+        "contact_angle_deg": 60.0, "raceway_center_diameter_mm": 1000.0,
+    },
+    "loads": {"axial_n": 1000.0, "moment_nm": 100.0},
+}
+
+# Followed by a dict in test_bad_values_are_validation_errors: the --config document.
+GENERATE_WITH_CONFIG = [
+    "schedule", "generate", "--install-date", "2025-01-01", "--horizon", "1", "--config",
+]
+RUL_WITH_CONFIG = ["schedule", "rul", "--component", "Generator", "--elapsed", "5", "--config"]
 
 
 class TestInputFileErrors:
@@ -433,9 +447,22 @@ class TestInputFileErrors:
         ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "8000"],
         ["weibull", "hazard", "--beta", "2", "--eta", "5", "--t", "1", "--t2", "inf"],
         ["fatigue", "endurance", "--sut", "1e999 ksi"],
+        [*GENERATE_WITH_CONFIG, {"usage": {"jack_cycles": "x"}}],
+        [*GENERATE_WITH_CONFIG, {"usage": [1, 2]}],
+        [*GENERATE_WITH_CONFIG, {"usage": {**DEFAULT_USAGE.counters, "yaw_oscillations": "nan"}}],
+        [*RUL_WITH_CONFIG, {"usage": {"counters": {"rotor_cycles": "inf"}}}],
+        [*GENERATE_WITH_CONFIG, {"install": {
+            "install_date": "2024-01-01",
+            "cycles": {"jack_cycles": [{"date": "2024-02-01", "count": "nan"}]},
+        }}],
     ], ids=["cdf_nan", "hazard_nan", "average_nan", "install_month_13", "horizon_inf",
-            "horizon_8000", "average_inf", "sut_inf"])
-    def test_bad_values_are_validation_errors(self, capsys, argv):
+            "horizon_8000", "average_inf", "sut_inf", "usage_text", "usage_list", "usage_nan",
+            "rul_usage_inf", "cycle_count_nan"])
+    def test_bad_values_are_validation_errors(self, capsys, tmp_path, argv):
+        if isinstance(argv[-1], dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], str(path)]
         self.assert_one_line_error(capsys, argv)
 
     @pytest.mark.parametrize("doc", [
@@ -481,13 +508,7 @@ class TestLazyNumpy:
         topology = tmp_path / "topology.json"
         topology.write_text(json.dumps(SINGLE_LEAF_TOPOLOGY))
         bearing = tmp_path / "bearing.json"
-        bearing.write_text(json.dumps({
-            "geometry": {
-                "fcm": 1.0, "balls": 30, "ball_diameter_mm": 25.0,
-                "contact_angle_deg": 60.0, "raceway_center_diameter_mm": 1000.0,
-            },
-            "loads": {"axial_n": 1000.0, "moment_nm": 100.0},
-        }))
+        bearing.write_text(json.dumps(BEARING_DOC))
         cheap = [
             ["fatigue", "endurance", "--sut", "58ksi", "--preset", "tower"],
             ["blade", "torsion", "--torque", "300 Nm"],
@@ -513,3 +534,56 @@ class TestLazyNumpy:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# Runs one cold command the way `python -m dwtlife.cli` does, then prints its
+# exit code and the dwtlife modules loaded by then.
+COLD_IMPORTS_CHILD = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["dwtlife", *json.loads(sys.argv[1])]
+code = 0
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_module("dwtlife.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("dwtlife."))]))
+"""
+
+
+class TestColdImports:
+    @staticmethod
+    def cold_modules(tmp_path, argv):
+        (tmp_path / "topology.json").write_text(json.dumps(SINGLE_LEAF_TOPOLOGY))
+        (tmp_path / "bearing.json").write_text(json.dumps(BEARING_DOC))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_IMPORTS_CHILD, json.dumps(argv)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, (argv, proc.stderr)
+        return set(modules)
+
+    @pytest.mark.parametrize("argv", [
+        ["fatigue", "endurance", "--sut", "58ksi", "--preset", "tower"],
+        ["blade", "bending"],
+        ["tower", "life"],
+        ["ballast", "--thrust", "6035", "--nacelle-diameter", "2",
+         "--base-diameter", "3", "--base-area", "4"],
+        ["aero", "torque"],
+        ["bearing", "life", "--config", "bearing.json"],
+        ["weibull", "hazard", "--beta", "2", "--eta", "5", "--t", "1"],
+        ["system", "reliability", "--config", "topology.json", "--t", "1"],
+        ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_only_schedule_commands_load_schedule(self, tmp_path, argv):
+        loaded = self.cold_modules(tmp_path, argv)
+        assert ("dwtlife.schedule" in loaded) == (argv[0] == "schedule"), loaded
+
+    def test_weibull_cdf_loads_only_what_it_runs(self, tmp_path):
+        argv = ["weibull", "cdf", "--beta", "2", "--eta", "5", "--t", "1"]
+        assert self.cold_modules(tmp_path, argv) == {
+            "dwtlife.errors", "dwtlife.model", "dwtlife.weibull",
+        }

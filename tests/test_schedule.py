@@ -317,6 +317,16 @@ class TestGenerateSchedule:
                 event_log=((date(2025, 2, 1), "earthquake"),),
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_usage_rate_and_logged_count_rejected(self, value):
+        with pytest.raises(ValidationError):
+            UsageProfile(counters={"jack_cycles": value})
+        with pytest.raises(ValidationError):
+            InstallationRecord(
+                install_date=date(2025, 1, 1),
+                cycle_log={"jack_cycles": [(date(2025, 3, 1), value)]},
+            )
+
 
 class TestRemainingLife:
     def test_generator_at_five_years(self):
