@@ -101,6 +101,8 @@ def oscillating_rating(ca: float, theta_deg: float, p: float = BALL_EXPONENT) ->
         raise ValidationError(
             f"oscillation half-arc must lie in (0, 180] deg, got {theta_deg}"
         )
+    if not 0 < p < math.inf:
+        raise ValidationError(f"load-life exponent must be positive and finite, got {p}")
     return ca * (180.0 / theta_deg) ** (1.0 / p)
 
 
@@ -115,6 +117,8 @@ def l10_life(ca_osc: float, pea: float) -> float:
     """L10 = (C_a,osc / P_ea)³, a cycle count on the rating's oscillation basis."""
     if not pea > 0:
         raise ValidationError(f"equivalent load must be positive, got {pea}")
+    if not ca_osc / pea < 1e100:  # so that the cube stays below the largest float
+        raise ValidationError(f"L10 overflows a float: C_a,osc / P_ea = {ca_osc / pea:g}")
     return (ca_osc / pea) ** 3
 
 

@@ -145,13 +145,20 @@ def _emit(args, rows):
             print(f"{key} = {value}")
 
 
-def _read_config(args) -> dict:
+def _read_json(path: str):
+    """The JSON document of --config, --registry or DWT_REGISTRY ('-' for stdin)."""
+    from .model import read_document
+
+    if path == "-":
+        return read_document("malformed JSON input", json.load, sys.stdin)
+    with open(path, "r", encoding="utf-8") as handle:
+        return read_document("malformed JSON input", json.load, handle)
+
+
+def _read_config(args):
     if not getattr(args, "config", None):
         raise ValidationError("this subcommand needs --config <path> (or '-' for stdin)")
-    if args.config == "-":
-        return json.load(sys.stdin)
-    with open(args.config, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return _read_json(args.config)
 
 
 # ---------------------------------------------------------------------------
@@ -388,36 +395,33 @@ def _cmd_aero_sweep(args):
 
 def _cmd_bearing_life(args):
     from . import bearing, presets
+    from .model import read_document
 
-    doc = _read_config(args)
-    try:
-        geo_doc = doc["geometry"]
-        loads_doc = doc["loads"]
-        geometry = bearing.SlewingBearingGeometry(
-            groove_factor_fcm=float(geo_doc["fcm"]),
-            rows_i=int(geo_doc.get("rows", 1)),
-            ball_count_Z=int(geo_doc["balls"]),
-            ball_diameter_Dr=float(geo_doc["ball_diameter_mm"]),
-            contact_angle_alpha=float(geo_doc["contact_angle_deg"]),
-            raceway_center_diameter_dm=float(geo_doc["raceway_center_diameter_mm"]),
+    def build(doc):
+        geo, loads, factors = doc["geometry"], doc["loads"], doc.get("factors")
+        return bearing.life_summary(
+            bearing.SlewingBearingGeometry(
+                groove_factor_fcm=float(geo["fcm"]),
+                rows_i=int(geo.get("rows", 1)),
+                ball_count_Z=int(geo["balls"]),
+                ball_diameter_Dr=float(geo["ball_diameter_mm"]),
+                contact_angle_alpha=float(geo["contact_angle_deg"]),
+                raceway_center_diameter_dm=float(geo["raceway_center_diameter_mm"]),
+            ),
+            bearing.BearingLoads(
+                radial_Fr=float(loads.get("radial_n", 0.0)),
+                axial_Fa=float(loads.get("axial_n", 0.0)),
+                moment_M=float(loads.get("moment_nm", 0.0)),
+            ),
+            float(doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG)),
+            bearing.LifeModFactors(**{k: float(v) for k, v in factors.items()})
+            if factors
+            else presets.BEARING_LIFE_FACTORS,
+            float(doc.get("oscillations_per_day", 1500.0)),
+            float(doc.get("exponent", bearing.BALL_EXPONENT)),
         )
-        loads = bearing.BearingLoads(
-            radial_Fr=float(loads_doc.get("radial_n", 0.0)),
-            axial_Fa=float(loads_doc.get("axial_n", 0.0)),
-            moment_M=float(loads_doc.get("moment_nm", 0.0)),
-        )
-        factors_doc = doc.get("factors")
-        factors = (
-            bearing.LifeModFactors(**{k: float(v) for k, v in factors_doc.items()})
-            if factors_doc
-            else presets.BEARING_LIFE_FACTORS
-        )
-        theta = float(doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG))
-        exponent = float(doc.get("exponent", bearing.BALL_EXPONENT))
-        rate = float(doc.get("oscillations_per_day", 1500.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed bearing document: {exc}") from None
-    summary = bearing.life_summary(geometry, loads, theta, factors, rate, exponent)
+
+    summary = read_document("bearing document", build, _read_config(args))
     _emit(args, [(key, value, None) for key, value in summary.items()])
 
 
@@ -509,11 +513,12 @@ def _cmd_system_life(args):
     from . import system
 
     if getattr(args, "config", None):
-        doc = _read_config(args)
-        try:
-            lives = {str(k): float(v) for k, v in doc.get("lives", doc).items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed lives document: {exc}") from None
+        from .model import read_document
+
+        def build(doc):
+            return {str(k): float(v) for k, v in doc.get("lives", doc).items()}
+
+        lives = read_document("lives document", build, _read_config(args))
     else:
         from . import presets
 
@@ -526,34 +531,34 @@ def _load_registry_for(args):
     from . import schedule
 
     path = getattr(args, "registry", None) or os.environ.get("DWT_REGISTRY")
-    if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            return schedule.load_registry(json.load(handle))
-    return schedule.default_registry()
+    return schedule.load_registry(_read_json(path)) if path else schedule.default_registry()
+
+
+def _site_and_usage(args):
+    """The schedule commands' --config object ({} without one) and its usage rates."""
+    from . import presets, schedule
+
+    site = _read_config(args) if getattr(args, "config", None) else {}
+    if not isinstance(site, dict):
+        raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
+    return site, schedule.usage_from_document(site["usage"]) if "usage" in site else presets.DEFAULT_USAGE
 
 
 def _installation_and_usage(args):
     from datetime import date
 
-    from . import presets, schedule
+    from . import schedule
+    from .model import read_document
 
-    usage = presets.DEFAULT_USAGE
-    install = None
-    if getattr(args, "config", None):
-        doc = _read_config(args)
-        if "usage" in doc:
-            usage = schedule.usage_from_document(doc["usage"])
-        if "install" in doc:
-            install = schedule.installation_from_document(doc["install"])
-    if install is None:
-        if not getattr(args, "install_date", None):
-            raise ValidationError("need --install-date or a --config with an 'install' record")
-        try:
-            install_date = date.fromisoformat(args.install_date)
-        except ValueError as exc:
-            raise ValidationError(f"--install-date {args.install_date!r}: {exc}") from None
-        install = schedule.InstallationRecord(install_date=install_date)
-    return install, usage
+    site, usage = _site_and_usage(args)
+    if "install" in site:
+        return schedule.installation_from_document(site["install"]), usage
+    if not getattr(args, "install_date", None):
+        raise ValidationError("need --install-date or a --config with an 'install' record")
+    install_date = read_document(
+        f"--install-date {args.install_date!r}", date.fromisoformat, args.install_date
+    )
+    return schedule.InstallationRecord(install_date=install_date), usage
 
 
 def _cmd_schedule_generate(args):
@@ -587,14 +592,10 @@ def _cmd_schedule_report(args):
 
 
 def _cmd_schedule_rul(args):
-    from . import presets, schedule
+    from . import schedule
 
     registry = _load_registry_for(args)
-    usage = presets.DEFAULT_USAGE
-    if getattr(args, "config", None):
-        doc = _read_config(args)
-        if "usage" in doc:
-            usage = schedule.usage_from_document(doc["usage"])
+    _, usage = _site_and_usage(args)
     result = schedule.remaining_service_life(registry.get(args.component), usage, args.elapsed)
     _emit(args, [
         ("remaining", result.remaining, None),
@@ -753,9 +754,6 @@ def run(argv=None) -> int:
         return 1
     except (ValidationError, OSError) as exc:  # OSError: unreadable input file
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

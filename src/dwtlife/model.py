@@ -1,4 +1,4 @@
-"""Shared domain types for the lifing engine.
+"""Shared domain types, and the one JSON document reader (read_document, tagged).
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -23,6 +23,31 @@ def _require_positive(name: str, value: float) -> None:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def read_document(what: str, build, doc):
+    """build(doc), with a malformed doc raised as one ValidationError("<what>: ...").
+
+    A malformed JSON document fails while being built: a missing key, a
+    wrong type, text or a too-large number where a float belongs, nesting
+    past the recursion limit. A nested reader's ValidationError gets the
+    prefix too, so nested readers report a path.
+    """
+    try:
+        return build(doc)
+    except (AttributeError, LookupError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{what}: {detail}") from None
+
+
+def tagged(doc, what: str, builders: dict):
+    """builders[tag](body) for the single-key tagged object {tag: body}."""
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise ValidationError(f"{what} must be a single-key tagged object, got {doc!r}")
+    ((tag, body),) = doc.items()
+    if tag not in builders:
+        raise ValidationError(f"unknown {what} tag {tag!r} (expected one of {', '.join(builders)})")
+    return builders[tag](body)
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,19 @@ from .model import Material, RectSection, UsageProfile
 from .rotor import RotorState
 from .units import Quantity, convert
 
-_KSI = 6.894757e6  # Pa
-
 # Tower material: ASTM A36, minimum ultimate strength 58 ksi. Yield and
 # modulus are the standard A36 values (36 ksi, 200 GPa).
 TOWER_STEEL = Material(
     name="ASTM A36 steel",
-    ultimate_tensile_strength=58.0 * _KSI,
-    yield_strength_compressive=36.0 * _KSI,
+    ultimate_tensile_strength=convert(Quantity(58.0, "ksi"), "Pa").value,
+    yield_strength_compressive=convert(Quantity(36.0, "ksi"), "Pa").value,
     elastic_modulus=200e9,
 )
 
 # Blade material: pressed aluminum 6061-T6, 45 ksi ultimate, 2.7 g/cc.
 BLADE_ALUMINUM = Material(
     name="Aluminum 6061-T6",
-    ultimate_tensile_strength=45.0 * _KSI,
+    ultimate_tensile_strength=convert(Quantity(45.0, "ksi"), "Pa").value,
     mass_density=2700.0,
 )
 

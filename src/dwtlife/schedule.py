@@ -18,10 +18,12 @@ Registry document (JSON-shaped):
          ]}
     ]}
 
-Trigger tags are calendar_interval / cycle_interval / whichever_first /
-event. A cycles-based service life names the usage counter it is measured
-against. Calendar arithmetic is whole days with a 365-day year; recurring
-intervals anchor to the install date.
+A trigger is a single-key tagged object, calendar_interval /
+cycle_interval / whichever_first / event, read like a topology node. Any
+malformed row is one ValidationError prefixed "registry: component #i
+('id'):". A cycles-based service life names the usage counter it is
+measured against. Calendar arithmetic is whole days with a 365-day
+year; recurring intervals anchor to the install date.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from datetime import date, timedelta
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, UsageProfile, _require_finite
+from .model import DAYS_PER_YEAR, UsageProfile, _require_finite, read_document, tagged
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -60,6 +62,7 @@ class CalendarInterval:
     def __post_init__(self):
         if not self.years > 0:
             raise ValidationError(f"calendar interval must be positive, got {self.years}")
+        _require_finite("calendar interval", self.years)
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ class CycleInterval:
     def __post_init__(self):
         if not self.cycles > 0:
             raise ValidationError(f"cycle interval must be positive, got {self.cycles}")
+        _require_finite("cycle interval", self.cycles)
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,8 @@ class WhicheverFirst:
     def __post_init__(self):
         if not self.years > 0 or not self.cycles > 0:
             raise ValidationError("whichever_first intervals must be positive")
+        _require_finite("whichever_first years", self.years)
+        _require_finite("whichever_first cycles", self.cycles)
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,7 @@ class ServiceLife:
             raise ValidationError(f"service life unit must be years or cycles, got {self.unit!r}")
         if not self.value > 0:
             raise ValidationError(f"service life must be positive, got {self.value}")
+        _require_finite("service life", self.value)
         if self.unit == CYCLES and not self.counter:
             raise ValidationError("cycles-based service life needs a counter id")
 
@@ -204,84 +211,54 @@ class RemainingLife:
 # ---------------------------------------------------------------------------
 # document parsing
 
-
-def _context(msg: str, where: str) -> ValidationError:
-    return ValidationError(f"{where}: {msg}")
+_TRIGGERS = {
+    "calendar_interval": lambda body: CalendarInterval(years=float(body["years"])),
+    "cycle_interval": lambda body: CycleInterval(
+        cycles=float(body["cycles"]), counter=str(body["counter"])
+    ),
+    "whichever_first": lambda body: WhicheverFirst(
+        years=float(body["years"]), cycles=float(body["cycles"]), counter=str(body["counter"])
+    ),
+    "event": lambda body: EventTrigger(kind=str(body["kind"])),
+}
 
 
 def parse_trigger(doc: dict) -> Trigger:
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValidationError(f"trigger must be a single-key tagged object, got {doc!r}")
-    tag, body = next(iter(doc.items()))
-    if tag == "calendar_interval":
-        return CalendarInterval(years=float(body["years"]))
-    if tag == "cycle_interval":
-        return CycleInterval(cycles=float(body["cycles"]), counter=str(body["counter"]))
-    if tag == "whichever_first":
-        return WhicheverFirst(
-            years=float(body["years"]),
-            cycles=float(body["cycles"]),
-            counter=str(body["counter"]),
-        )
-    if tag == "event":
-        return EventTrigger(kind=str(body["kind"]))
-    raise ValidationError(f"unknown trigger tag {tag!r}")
+    """Build a trigger from its tagged form; load_registry reports a malformed body."""
+    return tagged(doc, "trigger", _TRIGGERS)
 
 
-def trigger_to_doc(trigger: Trigger) -> dict:
-    if isinstance(trigger, CalendarInterval):
-        return {"calendar_interval": {"years": trigger.years}}
-    if isinstance(trigger, CycleInterval):
-        return {"cycle_interval": {"cycles": trigger.cycles, "counter": trigger.counter}}
-    if isinstance(trigger, WhicheverFirst):
-        return {
-            "whichever_first": {
-                "years": trigger.years,
-                "cycles": trigger.cycles,
-                "counter": trigger.counter,
-            }
-        }
-    return {"event": {"kind": trigger.kind}}
+def _component_record(row: dict) -> ComponentRecord:
+    life = row.get("service_life")
+    return ComponentRecord(
+        id=str(row["id"]),
+        group=str(row["group"]),
+        failure_modes=tuple(row.get("failure_modes", ())),
+        service_life=None if life is None else ServiceLife(
+            value=float(life["value"]), unit=str(life["unit"]), counter=life.get("counter")
+        ),
+        manufacturer_specified=bool(row.get("manufacturer_specified", False)),
+        specifications=tuple(row.get("specifications", ())),
+        tasks=tuple(
+            MaintenanceTask(str(t["description"]), parse_trigger(t["trigger"]))
+            for t in row.get("tasks", ())
+        ),
+    )
 
 
 def load_registry(document: dict) -> Registry:
     """Validate a registry document; errors carry the offending row."""
-    if "components" not in document:
-        raise ValidationError("registry document must have a 'components' list")
-    records = []
-    for index, row in enumerate(document["components"]):
-        where = f"component #{index} ({row.get('id', '?')!r})"
-        try:
-            life_doc = row.get("service_life")
-            life = None
-            if life_doc is not None:
-                life = ServiceLife(
-                    value=float(life_doc["value"]),
-                    unit=str(life_doc["unit"]),
-                    counter=life_doc.get("counter"),
-                )
-            tasks = tuple(
-                MaintenanceTask(
-                    description=str(t["description"]), trigger=parse_trigger(t["trigger"])
-                )
-                for t in row.get("tasks", ())
-            )
-            records.append(
-                ComponentRecord(
-                    id=str(row["id"]),
-                    group=str(row["group"]),
-                    failure_modes=tuple(row.get("failure_modes", ())),
-                    service_life=life,
-                    manufacturer_specified=bool(row.get("manufacturer_specified", False)),
-                    specifications=tuple(row.get("specifications", ())),
-                    tasks=tasks,
-                )
-            )
-        except ValidationError as exc:
-            raise _context(str(exc), where) from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _context(f"malformed field: {exc}", where) from None
-    return Registry(components=tuple(records))
+
+    def build(doc):
+        if "components" not in doc:
+            raise ValidationError("document must have a 'components' list")
+        records = []
+        for index, row in enumerate(doc["components"]):
+            ident = row.get("id", "?") if isinstance(row, dict) else "?"
+            records.append(read_document(f"component #{index} ({ident!r})", _component_record, row))
+        return Registry(components=tuple(records))
+
+    return read_document("registry", build, document)
 
 
 def default_registry() -> Registry:
@@ -291,30 +268,25 @@ def default_registry() -> Registry:
 
 
 def usage_from_document(document: dict) -> UsageProfile:
-    try:
-        counters = document.get("counters", document)
-        rates = {str(k): float(v) for k, v in counters.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed usage document: {exc}") from None
-    return UsageProfile(counters=rates)
+    def build(doc):
+        counters = doc.get("counters", doc)
+        return UsageProfile(counters={str(k): float(v) for k, v in counters.items()})
+
+    return read_document("usage document", build, document)
 
 
 def installation_from_document(document: dict) -> InstallationRecord:
-    try:
-        install = date.fromisoformat(document["install_date"])
-        events = tuple(
-            (date.fromisoformat(e["date"]), str(e["kind"]))
-            for e in document.get("events", ())
+    def build(doc):
+        return InstallationRecord(
+            install_date=date.fromisoformat(doc["install_date"]),
+            event_log=[(date.fromisoformat(e["date"]), str(e["kind"])) for e in doc.get("events", ())],
+            cycle_log={
+                str(counter): [(date.fromisoformat(e["date"]), float(e["count"])) for e in entries]
+                for counter, entries in doc.get("cycles", {}).items()
+            },
         )
-        cycles = {
-            str(counter): tuple(
-                (date.fromisoformat(e["date"]), float(e["count"])) for e in entries
-            )
-            for counter, entries in document.get("cycles", {}).items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed installation document: {exc}") from None
-    return InstallationRecord(install_date=install, event_log=events, cycle_log=cycles)
+
+    return read_document("installation document", build, document)
 
 
 # ---------------------------------------------------------------------------

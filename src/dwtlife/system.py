@@ -2,6 +2,9 @@
 
 Component failures are independent. A series group fails with its first
 child, a parallel group (non-repairable hot standby) with its last.
+topology_from_document reads a topology through the shared tagged-object
+reader (model.tagged, model.read_document): any malformed node is one
+ValidationError, prefixed "topology:" and the component id when known.
 
 The Monte Carlo sampler addresses one Philox stream keyed by the seed: leaf
 i of the depth-first leaf order owns draws [i * samples, (i + 1) * samples).
@@ -38,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
-from .model import _require_finite
-from .weibull import WeibullParams, inverse_transform
+from .model import _require_finite, read_document, tagged
+from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
 EXPONENTIAL = "exponential"
 WEIBULL = "weibull"
@@ -91,7 +94,7 @@ class LifeModel:
         if self.kind == EXPONENTIAL:
             return math.exp(-self.rate * t)
         if self.kind == WEIBULL:
-            return math.exp(-((t / self.params.scale_eta) ** self.params.shape_beta))
+            return math.exp(-cumulative_hazard(t, self.params))
         return 1.0 if t < self.life else 0.0
 
     def failure_times(self, u: np.ndarray) -> np.ndarray:
@@ -316,6 +319,35 @@ def monte_carlo_mttf(
     return mean, std_err
 
 
+_LIFE_MODELS = {
+    EXPONENTIAL: lambda body: LifeModel.exponential(float(body["rate"])),
+    WEIBULL: lambda body: LifeModel.weibull(
+        WeibullParams(shape_beta=float(body["beta"]), scale_eta=float(body["eta"]))
+    ),
+    FIXED_LIFE: lambda body: LifeModel.fixed_life(float(body["life"])),
+}
+
+
+def _life_model(doc: dict) -> LifeModel:
+    return tagged(doc, "life model", _LIFE_MODELS)
+
+
+def _component(body: dict) -> Component:
+    cid = str(body["id"])
+    return Component(cid, read_document(f"component {cid!r}", lambda b: _life_model(b["model"]), body))
+
+
+def _node(doc: dict) -> SystemTopology:
+    return tagged(doc, "node", _NODES)
+
+
+_NODES = {
+    "series": lambda body: Series(children=tuple(map(_node, body))),
+    "parallel": lambda body: Parallel(children=tuple(map(_node, body))),
+    "component": _component,
+}
+
+
 def topology_from_document(doc: dict) -> SystemTopology:
     """Build a topology from its JSON tree form.
 
@@ -324,34 +356,7 @@ def topology_from_document(doc: dict) -> SystemTopology:
     {"exponential": {"rate": r}} | {"weibull": {"beta": b, "eta": e}} |
     {"fixed_life": {"life": t}}}}.
     """
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValidationError(f"topology node must be a single-key tagged object, got {doc!r}")
-    tag, body = next(iter(doc.items()))
-    if tag == "series":
-        return Series(children=tuple(topology_from_document(c) for c in body))
-    if tag == "parallel":
-        return Parallel(children=tuple(topology_from_document(c) for c in body))
-    if tag == "component":
-        try:
-            model_doc = body["model"]
-            model_tag, model_body = next(iter(model_doc.items()))
-            if model_tag == EXPONENTIAL:
-                model = LifeModel.exponential(float(model_body["rate"]))
-            elif model_tag == WEIBULL:
-                model = LifeModel.weibull(
-                    WeibullParams(
-                        shape_beta=float(model_body["beta"]),
-                        scale_eta=float(model_body["eta"]),
-                    )
-                )
-            elif model_tag == FIXED_LIFE:
-                model = LifeModel.fixed_life(float(model_body["life"]))
-            else:
-                raise ValidationError(f"unknown life model tag {model_tag!r}")
-            return Component(component_id=str(body["id"]), model=model)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed component node: {exc}") from None
-    raise ValidationError(f"unknown topology tag {tag!r}")
+    return read_document("topology", _node, doc)
 
 
 def expected_repairs(rate: float, horizon: float) -> float:

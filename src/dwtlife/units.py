@@ -112,12 +112,9 @@ _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([^\s0-9].*?)?\s*$")
 def parse_quantity(text: str, default_unit: str) -> Quantity:
     """Parse "58 ksi", "58ksi", or a bare number (given the default unit)."""
     m = _QUANTITY_RE.match(text)
-    if not m:
+    if not m or not re.fullmatch(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", m.group(1)):
         raise ValidationError(f"cannot parse quantity {text!r}")
-    try:
-        value = float(m.group(1))
-    except ValueError:
-        raise ValidationError(f"cannot parse quantity {text!r}") from None
+    value = float(m.group(1))
     _require_finite(f"quantity {text!r}", value)
     unit = m.group(2) or default_unit
     return Quantity(value, canonical_unit(unit))

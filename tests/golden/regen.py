@@ -1,0 +1,241 @@
+"""Golden corpus of the document-driven CLI commands.
+
+Each case runs ``dwtlife.cli.run`` in-process with ``inputs/`` as the
+working directory and records its exact stdout, stderr and exit code in
+``expected/<name>.txt``; ``tests/test_golden.py`` diffs every file byte for
+byte. Rewrite the files after a deliberate output change with
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+and list each rewritten file in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shlex
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+INPUTS = HERE / "inputs"
+EXPECTED = HERE / "expected"
+
+GENERATE = ["schedule", "generate", "--install-date", "2025-01-01"]
+RUL = ["schedule", "rul", "--component"]
+
+
+def _argv(text: str) -> list[str]:
+    return text.split()
+
+
+# name -> (argv, {"env": {...}, "stdin": <input file>})
+CASES = {
+    # system
+    "system_mttf": (_argv("system mttf --config topology.json --samples 5000 --seed 7"), {}),
+    "system_mttf_default_samples_json": (_argv("system mttf --config topology.json --json"), {}),
+    "system_mttf_stdin": (
+        _argv("system mttf --config - --samples 1000"), {"stdin": "topology_single.json"}
+    ),
+    "system_reliability": (_argv("system reliability --config topology.json --t 5"), {}),
+    "system_reliability_repairs_json": (
+        _argv("system reliability --config topology.json --t 2 --repair-rate 0.5 --events 1 --json"),
+        {},
+    ),
+    "system_life_default": (_argv("system life"), {}),
+    "system_life_config": (_argv("system life --config lives.json"), {}),
+    "system_life_config_flat_json": (_argv("system life --config lives_flat.json --json"), {}),
+    "error_system_mttf_no_config": (_argv("system mttf"), {}),
+    "error_system_mttf_missing_file": (_argv("system mttf --config missing.json"), {}),
+    "error_system_mttf_broken_json": (_argv("system mttf --config broken.json"), {}),
+    "error_system_mttf_too_few_samples": (
+        _argv("system mttf --config topology.json --samples 0"), {}
+    ),
+    "error_topology_unknown_tag": (_argv("system mttf --config topology_unknown_tag.json"), {}),
+    "error_topology_two_tags": (_argv("system mttf --config topology_two_tags.json"), {}),
+    "error_topology_empty_series": (_argv("system mttf --config topology_empty_series.json"), {}),
+    "error_topology_unknown_model": (
+        _argv("system mttf --config topology_unknown_model.json"), {}
+    ),
+    "error_topology_missing_rate": (_argv("system mttf --config topology_missing_rate.json"), {}),
+    "error_topology_missing_id": (_argv("system mttf --config topology_missing_id.json"), {}),
+    "error_topology_negative_rate": (
+        _argv("system reliability --config topology_negative_rate.json --t 1"), {}
+    ),
+    "error_topology_duplicate_ids": (
+        _argv("system reliability --config topology_duplicate_ids.json --t 1"), {}
+    ),
+    "error_topology_weibull_zero_shape": (
+        _argv("system mttf --config topology_weibull_zero_shape.json"), {}
+    ),
+    "error_reliability_nan_time": (
+        _argv("system reliability --config topology.json --t nan"), {}
+    ),
+    "error_lives_text": (_argv("system life --config lives_text.json"), {}),
+    "error_lives_list": (_argv("system life --config lives_list.json"), {}),
+    "error_lives_empty": (_argv("system life --config lives_empty.json"), {}),
+    "error_lives_negative": (_argv("system life --config lives_negative.json"), {}),
+    # bearing
+    "bearing_life": (_argv("bearing life --config bearing.json"), {}),
+    "bearing_life_minimal_json": (_argv("bearing life --config bearing_minimal.json --json"), {}),
+    "bearing_life_stdin": (_argv("bearing life --config -"), {"stdin": "bearing.json"}),
+    "error_bearing_no_config": (_argv("bearing life"), {}),
+    "error_bearing_broken_json": (_argv("bearing life --config broken.json"), {}),
+    "error_bearing_missing_geometry": (
+        _argv("bearing life --config bearing_missing_geometry.json"), {}
+    ),
+    "error_bearing_bad_balls": (_argv("bearing life --config bearing_bad_balls.json"), {}),
+    "error_bearing_bad_angle": (_argv("bearing life --config bearing_bad_angle.json"), {}),
+    "error_bearing_unknown_factor": (
+        _argv("bearing life --config bearing_unknown_factor.json"), {}
+    ),
+    # schedule generate
+    "schedule_generate_csv": ([*GENERATE, "--horizon", "2"], {}),
+    "schedule_generate_markdown": ([*GENERATE, "--format", "markdown"], {}),
+    "schedule_generate_json": ([*GENERATE, "--json"], {}),
+    "schedule_generate_full_config": (
+        _argv("schedule generate --config site.json --horizon 3"), {}
+    ),
+    "schedule_generate_config_stdin_markdown": (
+        _argv("schedule generate --config - --format markdown"), {"stdin": "site.json"}
+    ),
+    "schedule_generate_usage_config": (
+        [*GENERATE, "--config", "usage_flat.json", "--horizon", "1.5"], {}
+    ),
+    "schedule_generate_registry": ([*GENERATE, "--registry", "registry.json", "--horizon", "6"], {}),
+    "schedule_generate_registry_config_json": (
+        _argv("schedule generate --registry registry.json --config site.json --horizon 2 --json"),
+        {},
+    ),
+    "schedule_generate_registry_env": (
+        [*GENERATE, "--horizon", "3", "--format", "markdown"],
+        {"env": {"DWT_REGISTRY": "registry.json"}},
+    ),
+    "error_generate_no_install": (_argv("schedule generate"), {}),
+    "error_generate_bad_install_date": (_argv("schedule generate --install-date 2025-13-01"), {}),
+    "error_generate_horizon_inf": ([*GENERATE, "--horizon", "inf"], {}),
+    "error_generate_horizon_8000": ([*GENERATE, "--horizon", "8000"], {}),
+    "error_generate_config_missing_file": ([*GENERATE, "--config", "missing.json"], {}),
+    "error_generate_config_broken_json": ([*GENERATE, "--config", "broken.json"], {}),
+    "error_usage_text": ([*GENERATE, "--config", "usage_text.json"], {}),
+    "error_usage_list": ([*GENERATE, "--config", "usage_list.json"], {}),
+    "error_usage_negative": ([*GENERATE, "--config", "usage_negative.json"], {}),
+    "error_install_missing_date": (
+        _argv("schedule generate --config install_missing_date.json"), {}
+    ),
+    "error_install_bad_date": (_argv("schedule generate --config install_bad_date.json"), {}),
+    "error_install_bad_event": (_argv("schedule generate --config install_bad_event.json"), {}),
+    "error_install_decreasing_log": (
+        _argv("schedule generate --config install_decreasing_log.json"), {}
+    ),
+    "error_registry_missing_file": ([*GENERATE, "--registry", "missing.json"], {}),
+    "error_registry_broken_json": ([*GENERATE, "--registry", "broken.json"], {}),
+    "error_registry_no_components": ([*GENERATE, "--registry", "registry_no_components.json"], {}),
+    "error_registry_unknown_group": ([*GENERATE, "--registry", "registry_unknown_group.json"], {}),
+    "error_registry_unknown_trigger": (
+        [*GENERATE, "--registry", "registry_unknown_trigger.json"], {}
+    ),
+    "error_registry_two_tag_trigger": (
+        [*GENERATE, "--registry", "registry_two_tag_trigger.json"], {}
+    ),
+    "error_registry_zero_interval": ([*GENERATE, "--registry", "registry_zero_interval.json"], {}),
+    "error_registry_missing_description": (
+        [*GENERATE, "--registry", "registry_missing_description.json"], {}
+    ),
+    "error_registry_missing_years": ([*GENERATE, "--registry", "registry_missing_years.json"], {}),
+    "error_registry_bad_event": ([*GENERATE, "--registry", "registry_bad_event.json"], {}),
+    "error_registry_duplicate_id": ([*GENERATE, "--registry", "registry_duplicate_id.json"], {}),
+    "error_registry_bad_life_unit": ([*GENERATE, "--registry", "registry_bad_life_unit.json"], {}),
+    "error_registry_cycles_life_no_counter": (
+        [*GENERATE, "--registry", "registry_cycles_life_no_counter.json"], {}
+    ),
+    "error_registry_unknown_counter": (
+        [*GENERATE, "--registry", "registry_unknown_counter.json"], {}
+    ),
+    "error_registry_missing_id": ([*GENERATE, "--registry", "registry_missing_id.json"], {}),
+    "error_registry_env_missing_file": (
+        [*GENERATE], {"env": {"DWT_REGISTRY": "missing.json"}}
+    ),
+    # schedule report
+    "schedule_report_markdown": (_argv("schedule report"), {}),
+    "schedule_report_csv": (_argv("schedule report --format csv"), {}),
+    "schedule_report_registry": (_argv("schedule report --registry registry.json"), {}),
+    "schedule_report_registry_env_csv": (
+        _argv("schedule report --format csv"), {"env": {"DWT_REGISTRY": "registry.json"}}
+    ),
+    "error_report_registry_unknown_group": (
+        _argv("schedule report --registry registry_unknown_group.json"), {}
+    ),
+    # schedule rul
+    "schedule_rul_generator": ([*RUL, "Generator", "--elapsed", "5"], {}),
+    "schedule_rul_slip_ring_json": ([*RUL, "Slip Ring", "--elapsed", "3", "--json"], {}),
+    "schedule_rul_usage_config": (
+        _argv("schedule rul --registry registry.json --component jack --elapsed 0.001 "
+              "--config usage_flat.json"),
+        {},
+    ),
+    "schedule_rul_overconsumed": (
+        _argv("schedule rul --registry registry.json --component jack --elapsed 1"), {}
+    ),
+    "error_rul_unknown_component": ([*RUL, "Flux Capacitor", "--elapsed", "1"], {}),
+    "error_rul_not_lifed": ([*RUL, "Voltsys Controller", "--elapsed", "1"], {}),
+    "error_rul_negative_elapsed": ([*RUL, "Generator", "--elapsed", "-1"], {}),
+    "error_rul_usage_text": ([*RUL, "Generator", "--elapsed", "1", "--config", "usage_text.json"], {}),
+    "error_rul_registry_unknown_counter": (
+        _argv("schedule rul --registry registry_unknown_counter.json --component a --elapsed 1"),
+        {},
+    ),
+}
+
+
+@contextlib.contextmanager
+def _environment(env: dict, stdin: str | None):
+    """Run with inputs/ as cwd, only the given dwtlife env vars, and stdin from a file."""
+    saved_cwd, saved_stdin = os.getcwd(), sys.stdin
+    saved_env = {key: os.environ.get(key) for key in ("DWT_REGISTRY", "COLUMNS", *env)}
+    os.environ.pop("DWT_REGISTRY", None)
+    os.environ.update({"COLUMNS": "80", **env})
+    try:
+        os.chdir(INPUTS)
+        if stdin is not None:
+            sys.stdin = io.StringIO((INPUTS / stdin).read_text(encoding="utf-8"))
+        yield
+    finally:
+        sys.stdin = saved_stdin
+        os.chdir(saved_cwd)
+        for key, value in saved_env.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+def render(name: str) -> bytes:
+    """The golden file text of one case: command, exit code, stdout, stderr."""
+    from dwtlife import cli
+
+    argv, options = CASES[name]
+    out, err = io.StringIO(), io.StringIO()
+    with _environment(options.get("env", {}), options.get("stdin")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    header = [f"$ dwtlife {shlex.join(argv)}"]
+    header += [f"env {key}={value}" for key, value in options.get("env", {}).items()]
+    if "stdin" in options:
+        header.append(f"stdin {options['stdin']}")
+    text = "\n".join([*header, f"exit {code}", "--- stdout", out.getvalue() + "--- stderr",
+                      err.getvalue()])
+    return text.encode("utf-8")
+
+
+def main() -> None:
+    EXPECTED.mkdir(exist_ok=True)
+    for name in CASES:
+        (EXPECTED / f"{name}.txt").write_bytes(render(name))
+    print(f"wrote {len(CASES)} files to {EXPECTED}")
+
+
+if __name__ == "__main__":
+    main()

@@ -83,6 +83,11 @@ class TestOscillatingRating:
         with pytest.raises(ValidationError):
             oscillating_rating(1.0, 181.0, 3.0)
 
+    @pytest.mark.parametrize("p", [0.0, -3.0, math.inf, math.nan])
+    def test_exponent_must_be_positive_and_finite(self, p):
+        with pytest.raises(ValidationError, match="exponent"):
+            oscillating_rating(1.0, 45.0, p)
+
 
 class TestEquivalentLoad:
     def test_pure_axial(self):
@@ -105,6 +110,12 @@ class TestLifePipeline:
     def test_l10_cube_law(self):
         assert l10_life(10.0, 1.0) == pytest.approx(1000.0, rel=1e-12)
         assert l10_life(2.5, 1.0) == pytest.approx(15.625, rel=1e-12)
+
+    def test_l10_overflow_rejected(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            l10_life(1e200, 1.0)
+        with pytest.raises(ValidationError, match="overflows"):
+            l10_life(math.inf, 1.0)
 
     def test_modification_product(self):
         assert TABLE_FACTORS.product() == 0.085

@@ -401,6 +401,11 @@ GENERATE_WITH_CONFIG = [
     "schedule", "generate", "--install-date", "2025-01-01", "--horizon", "1", "--config",
 ]
 RUL_WITH_CONFIG = ["schedule", "rul", "--component", "Generator", "--elapsed", "5", "--config"]
+MTTF_WITH_CONFIG = ["system", "mttf", "--samples", "1000", "--config"]
+REPORT_WITH_REGISTRY = ["schedule", "report", "--registry"]
+INF_LIFE_REGISTRY = {"components": [
+    {"id": "a", "group": "Control", "service_life": {"value": "inf", "unit": "years"}},
+]}
 
 
 class TestInputFileErrors:
@@ -455,9 +460,24 @@ class TestInputFileErrors:
             "install_date": "2024-01-01",
             "cycles": {"jack_cycles": [{"date": "2024-02-01", "count": "nan"}]},
         }}],
+        [*MTTF_WITH_CONFIG, {"component": {"id": "a", "model": {"exponential": {"rate": "x"}}}}],
+        [*MTTF_WITH_CONFIG, {"series": 5}],
+        [*MTTF_WITH_CONFIG, {"component": {"id": "a", "model": {}}}],
+        [*MTTF_WITH_CONFIG, {"component": {"id": "a", "model": {
+            "exponential": {"rate": 1}, "fixed_life": {"life": 2},
+        }}}],
+        [*REPORT_WITH_REGISTRY, {"components": 5}],
+        [*REPORT_WITH_REGISTRY, {"components": [5]}],
+        ["schedule", "generate", "--install-date", "2025-01-01", "--registry", INF_LIFE_REGISTRY],
+        ["schedule", "rul", "--component", "a", "--elapsed", "1", "--registry", INF_LIFE_REGISTRY],
+        [*REPORT_WITH_REGISTRY, {"components": [{"id": "a", "group": "Control", "tasks": [
+            {"description": "x", "trigger": {"calendar_interval": {"years": 1e999}}},
+        ]}]}],
     ], ids=["cdf_nan", "hazard_nan", "average_nan", "install_month_13", "horizon_inf",
             "horizon_8000", "average_inf", "sut_inf", "usage_text", "usage_list", "usage_nan",
-            "rul_usage_inf", "cycle_count_nan"])
+            "rul_usage_inf", "cycle_count_nan", "rate_text", "series_number", "model_empty",
+            "model_two_tags", "components_number", "component_number", "generate_life_inf",
+            "rul_life_inf", "interval_inf"])
     def test_bad_values_are_validation_errors(self, capsys, tmp_path, argv):
         if isinstance(argv[-1], dict):
             path = tmp_path / "config.json"

@@ -1,0 +1,164 @@
+"""Fuzzing of the JSON document readers.
+
+Every reader must return a value or raise ValidationError, and every
+document-driven command must end with exit code 0, 1 or 2 and at most one
+line on stderr. Documents are either free-form JSON over the readers' own
+vocabulary or a valid document from the golden corpus with one node replaced.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from functools import partial
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dwtlife import cli
+from dwtlife.errors import ValidationError
+from dwtlife.schedule import installation_from_document, load_registry, usage_from_document
+from dwtlife.system import topology_from_document
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+WORDS = [
+    "series", "parallel", "component", "id", "model", "exponential", "weibull", "fixed_life",
+    "rate", "beta", "eta", "life", "components", "group", "Control", "tasks", "description",
+    "trigger", "calendar_interval", "cycle_interval", "whichever_first", "event", "years",
+    "cycles", "counter", "kind", "high_load", "service_life", "value", "unit", "counters",
+    "jack_cycles", "install_date", "2025-01-01", "events", "date", "count", "lives",
+    "geometry", "loads", "factors", "fcm", "balls", "ball_diameter_mm", "contact_angle_deg",
+    "raceway_center_diameter_mm", "a1", "theta_deg",
+]
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(WORDS)
+    | st.text(max_size=4) | st.sampled_from([10**400, "inf", "nan", "1e999", -1])
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, (*prefix, key))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replace(doc[path[0]], path[1:], value)
+    return copy
+
+
+def documents(input_name):
+    """Free-form JSON, or the named golden input with one node replaced."""
+    base = json.loads((INPUTS / input_name).read_text(encoding="utf-8"))
+    return JSON | st.builds(partial(_replace, base), st.sampled_from(list(_paths(base))), JSON)
+
+
+FUZZ = settings(
+    max_examples=75, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def assert_reads_or_rejects(reader, doc):
+    try:
+        reader(doc)
+    except ValidationError as exc:
+        assert "\n" not in str(exc)
+
+
+class TestLibraryReaders:
+    @FUZZ
+    @given(documents("topology.json"))
+    def test_topology(self, doc):
+        assert_reads_or_rejects(topology_from_document, doc)
+
+    @FUZZ
+    @given(documents("registry.json"))
+    def test_registry(self, doc):
+        assert_reads_or_rejects(load_registry, doc)
+
+    @FUZZ
+    @given(documents("site.json"))
+    def test_usage(self, doc):
+        assert_reads_or_rejects(usage_from_document, doc)
+        if isinstance(doc, dict) and "usage" in doc:
+            assert_reads_or_rejects(usage_from_document, doc["usage"])
+
+    @FUZZ
+    @given(documents("site.json"))
+    def test_installation(self, doc):
+        assert_reads_or_rejects(installation_from_document, doc)
+        if isinstance(doc, dict) and "install" in doc:
+            assert_reads_or_rejects(installation_from_document, doc["install"])
+
+
+def bearing_with(**changes):
+    """The golden bearing document as JSON text, with top-level or geometry keys changed."""
+    doc = json.loads((INPUTS / "bearing.json").read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        (doc["geometry"] if key in doc["geometry"] else doc)[key] = value
+    return json.dumps(doc)
+
+
+def run_with_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCommands:
+    @FUZZ
+    @given(documents("bearing.json"))
+    def test_bearing_life(self, doc):
+        code, _, err = run_with_stdin(["bearing", "life", "--config", "-"], json.dumps(doc))
+        assert code in (0, 1, 2)
+        assert err.count("\n") == (code != 0), err
+
+    @FUZZ
+    @given(documents("lives.json"))
+    def test_system_life(self, doc):
+        code, _, err = run_with_stdin(["system", "life", "--config", "-"], json.dumps(doc))
+        assert code in (0, 1)
+        assert err.count("\n") == (code != 0), err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["system", "mttf", "--config"], "[" * 5000 + "]" * 5000),
+        (["schedule", "report", "--registry"], '{"components": ' * 3000 + "0" + "}" * 3000),
+        (["schedule", "generate", "--config"], '"install"'),
+        (["schedule", "rul", "--component", "Generator", "--elapsed", "1", "--config"],
+         '["usage"]'),
+        (["system", "life", "--config"], '{"lives": {"a": 1' + "0" * 5000 + "}}"),
+        (["system", "life", "--config"], '{"lives": {"\xe9": 1}}'.encode("latin-1")),
+        (["bearing", "life", "--config"], bearing_with(exponent=0)),
+        (["bearing", "life", "--config"], bearing_with(exponent=False)),
+        (["bearing", "life", "--config"], bearing_with(fcm=1e200)),
+        (["bearing", "life", "--config"], bearing_with(balls=10**400)),
+    ], ids=["deep_config", "deep_registry", "config_string", "config_list", "long_integer",
+            "not_utf8", "bearing_zero_exponent", "bearing_false_exponent", "bearing_overflow",
+            "bearing_huge_ball_count"])
+    def test_malformed_json_file(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code = cli.run([*argv, str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -10,11 +10,14 @@ from dwtlife.schedule import (
     EVENT,
     INTERVAL_ELAPSED,
     LIFE_EXPIRED,
+    CalendarInterval,
     ComponentRecord,
+    CycleInterval,
     InstallationRecord,
     Registry,
     ServiceLife,
     UsageProfile,
+    WhicheverFirst,
     default_registry,
     emit_report,
     generate_schedule,
@@ -112,6 +115,19 @@ class TestLoadRegistry:
     def test_trigger_parse_rejects_unknown_tag(self):
         with pytest.raises(ValidationError):
             parse_trigger({"lunar_phase": {}})
+
+    @pytest.mark.parametrize("make", [
+        lambda value: CalendarInterval(years=value),
+        lambda value: CycleInterval(cycles=value, counter="jack_cycles"),
+        lambda value: WhicheverFirst(years=value, cycles=1, counter="jack_cycles"),
+        lambda value: WhicheverFirst(years=1, cycles=value, counter="jack_cycles"),
+        lambda value: ServiceLife(value=value, unit="years"),
+        lambda value: ServiceLife(value=value, unit="cycles", counter="jack_cycles"),
+    ], ids=["calendar", "cycle", "whichever_years", "whichever_cycles", "life_years",
+            "life_cycles"])
+    def test_infinite_schedule_values_rejected(self, make):
+        with pytest.raises(ValidationError, match="finite"):
+            make(math.inf)
 
 
 class TestGenerateSchedule:

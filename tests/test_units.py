@@ -70,6 +70,13 @@ def test_parse_quantity_forms():
         parse_quantity("not-a-number", "MPa")
 
 
+@pytest.mark.parametrize("text", ["ee", "1e Nm", ".", "1.2.3 MPa", "--1"])
+def test_parse_quantity_rejects_malformed_number(text):
+    with pytest.raises(ValidationError) as info:
+        parse_quantity(text, "MPa")
+    assert str(info.value) == f"cannot parse quantity {text!r}"
+
+
 @pytest.mark.parametrize("text", ["1e999 ksi", "-1e999", "1e400MPa"])
 def test_parse_quantity_rejects_non_finite(text):
     with pytest.raises(ValidationError, match="finite"):
