@@ -1,4 +1,4 @@
-"""Golden corpus of the document-driven CLI commands.
+"""Golden corpus of the CLI: every subcommand, every --help and usage errors.
 
 Each case runs ``dwtlife.cli.run`` in-process with ``inputs/`` as the
 working directory and records its exact stdout, stderr and exit code in
@@ -31,8 +31,108 @@ def _argv(text: str) -> list[str]:
     return text.split()
 
 
+# Every --help page: the top level, each family, and each subcommand.
+FAMILIES = "fatigue blade tower aero bearing weibull system schedule".split()
+SUBCOMMANDS = [
+    "fatigue endurance", "fatigue sn", "fatigue life", "blade bending", "blade torsion",
+    "blade life", "tower column", "tower life", "ballast", "aero torque", "aero betz",
+    "aero sweep", "bearing life", "weibull fit", "weibull cdf", "weibull quantile",
+    "weibull hazard", "weibull sample", "system mttf", "system reliability", "system life",
+    "schedule generate", "schedule report", "schedule rul",
+]
+HELP = {
+    "help": (["--help"], {}),
+    **{f"help_{family}": ([family, "--help"], {}) for family in FAMILIES},
+    **{f"help_{path.replace(' ', '_')}": ([*path.split(), "--help"], {}) for path in SUBCOMMANDS},
+}
+
+COLUMN = "tower column --load 1e4 --eccentricity 0.01 --centroid 0.05 --gyration 0.05 --inertia 1e-5"
+BALLAST = "ballast --thrust 6035 --nacelle-diameter 2 --base-diameter 3"
+
 # name -> (argv, {"env": {...}, "stdin": <input file>})
 CASES = {
+    **HELP,
+    # one usage error per family: a required flag left out
+    "usage_fatigue_endurance_no_sut": (_argv("fatigue endurance --preset tower"), {}),
+    "usage_blade_torsion_no_torque": (_argv("blade torsion"), {}),
+    "usage_tower_column_no_area": (_argv(f"{COLUMN} --height 6"), {}),
+    "usage_ballast_no_base_area": (_argv(BALLAST), {}),
+    "usage_aero_betz_no_a0": (_argv("aero betz"), {}),
+    "usage_weibull_cdf_no_t": (_argv("weibull cdf --beta 2 --eta 5"), {}),
+    "usage_system_reliability_no_t": (_argv("system reliability --config topology.json"), {}),
+    "usage_schedule_rul_no_component": (_argv("schedule rul --elapsed 1"), {}),
+    # fatigue
+    "fatigue_endurance": (_argv("fatigue endurance --sut 58ksi --preset tower"), {}),
+    "fatigue_endurance_json": (_argv("fatigue endurance --sut 400MPa --kb 0.85 --json"), {}),
+    "fatigue_endurance_imperial": (
+        _argv("fatigue endurance --sut 58 --preset blade --units imperial"), {}
+    ),
+    "fatigue_sn": (_argv("fatigue sn --sut 310MPa --se 120MPa"), {}),
+    "fatigue_sn_json": (_argv("fatigue sn --sut 310MPa --se 120MPa --f 0.85 --json"), {}),
+    "fatigue_sn_imperial": (_argv("fatigue sn --sut 45 --se 17.6 --units imperial"), {}),
+    "fatigue_life": (
+        _argv("fatigue life --stress 6.48ksi --a 93.196ksi --b -0.1206 --cycles-per-day 144000"),
+        {},
+    ),
+    "fatigue_life_json": (_argv("fatigue life --stress 200MPa --a 1000MPa --b -0.1 --json"), {}),
+    "fatigue_life_imperial": (
+        _argv("fatigue life --stress 6.48 --a 93.196 --b -0.1206 --units imperial"), {}
+    ),
+    # blade
+    "blade_bending": (_argv("blade bending"), {}),
+    "blade_bending_json": (_argv("blade bending --mass 5 --mount-angle 20 --json"), {}),
+    "blade_bending_imperial": (
+        _argv("blade bending --width 4 --thickness 0.5 --span 30 --units imperial"), {}
+    ),
+    "blade_torsion": (_argv("blade torsion --torque 300Nm"), {}),
+    "blade_torsion_json": (
+        _argv("blade torsion --torque 300Nm --width 0.12m --thickness 0.01m --json"), {}
+    ),
+    "blade_torsion_imperial": (_argv("blade torsion --torque 200 --units imperial"), {}),
+    "blade_life": (_argv("blade life"), {}),
+    "blade_life_json": (_argv("blade life --stress 40MPa --cycles-per-day 100000 --json"), {}),
+    "blade_life_imperial": (_argv("blade life --stress 6 --units imperial"), {}),
+    # tower
+    "tower_column": (_argv(f"{COLUMN} --height 6 --area 0.01"), {}),
+    "tower_column_json": (_argv(f"{COLUMN} --height 4 --area 0.02 --json"), {}),
+    "tower_column_imperial": (
+        _argv("tower column --load 2000 --eccentricity 0.4 --centroid 2 --gyration 2 "
+              "--height 240 --area 0.01 --inertia 1e-5 --units imperial"),
+        {},
+    ),
+    "tower_life": (_argv("tower life"), {}),
+    "tower_life_json": (_argv("tower life --stress 60MPa --cycles-per-day 2000 --json"), {}),
+    "tower_life_imperial": (_argv("tower life --units imperial"), {}),
+    # ballast
+    "ballast": (_argv(f"{BALLAST} --base-area 4 --safety-factor 1.5"), {}),
+    "ballast_json": (_argv(f"{BALLAST} --base-area 4 --density 2000kg/m³ --json"), {}),
+    "ballast_imperial": (
+        _argv("ballast --thrust 1357 --nacelle-diameter 79 --base-diameter 118 --base-area 4 "
+              "--density 1.6 --units imperial"),
+        {},
+    ),
+    # aero
+    "aero_torque": (_argv("aero torque"), {}),
+    "aero_torque_json": (_argv("aero torque --cp 0.5 --rpm 900 --json"), {}),
+    "aero_torque_imperial": (_argv("aero torque --wind 109 --radius 59 --units imperial"), {}),
+    "aero_betz": (_argv("aero betz --a0 0.1"), {}),
+    "aero_betz_json": (_argv("aero betz --a0 0 --json"), {}),
+    "aero_sweep": (_argv("aero sweep"), {}),
+    "aero_sweep_json": (_argv("aero sweep --wind 40m/s --json"), {}),
+    "aero_sweep_imperial": (_argv("aero sweep --wind 100 --units imperial"), {}),
+    # weibull
+    "weibull_fit": (_argv("weibull fit --p 10 --bp 10 --q 50 --bq 20"), {}),
+    "weibull_fit_json": (_argv("weibull fit --p 5 --bp 3 --q 63.2 --bq 12 --json"), {}),
+    "weibull_cdf": (_argv("weibull cdf --beta 2 --eta 5 --t 3"), {}),
+    "weibull_cdf_json": (_argv("weibull cdf --beta 0.7 --eta 40 --t 10 --json"), {}),
+    "weibull_quantile": (_argv("weibull quantile --beta 1 --eta 1 --p 10"), {}),
+    "weibull_quantile_json": (_argv("weibull quantile --beta 3.2 --eta 38 --p 1 --json"), {}),
+    "weibull_hazard": (_argv("weibull hazard --beta 2 --eta 5 --t 1 --t2 4"), {}),
+    "weibull_hazard_json": (_argv("weibull hazard --beta 1 --eta 5 --t 0 --json"), {}),
+    "weibull_sample": (_argv("weibull sample --beta 2 --eta 5 --seed 3 --samples 5"), {}),
+    "weibull_sample_json": (
+        _argv("weibull sample --beta 0.8 --eta 20 --seed 11 --samples 4 --json"), {}
+    ),
     # system
     "system_mttf": (_argv("system mttf --config topology.json --samples 5000 --seed 7"), {}),
     "system_mttf_default_samples_json": (_argv("system mttf --config topology.json --json"), {}),
