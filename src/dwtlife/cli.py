@@ -8,10 +8,19 @@ Subcommand map:
     weibull fit|cdf|quantile|hazard|sample
     system mttf|reliability|life   schedule generate|report|rul
 
-Quantity-valued flags accept a unit suffix ("58 ksi", "300Nm"); bare
-numbers take the active unit mode's default for that flag. Results go to
-stdout (6 significant digits, or --json); diagnostics go to stderr. Exit
-codes: 0 success, 1 validation/usage error, 2 numeric failure.
+One table, COMMANDS, holds a row per subcommand: its handler, the shared
+flags it reads (--units, --json, --seed, --samples, --config, --format),
+its own flags and the library operations it surfaces. One loop builds the
+parser from the table, so a subcommand accepts only the flags it reads and
+any other flag is a usage error.
+
+Quantity-valued flags (a "dim" key in their row) accept a unit suffix
+("58 ksi", "300Nm"); bare numbers take the --units mode's unit for that
+dimension. ``run`` converts every quantity flag to SI before the handler
+runs, then prints what the handler returns through ``_emit``: 6
+significant digits, or --json, and never a non-finite number. Diagnostics
+go to stderr. Exit codes: 0 success, 1 validation/usage error, 2 numeric
+failure (an overflow or a division by zero included).
 
 At module level this file imports only the standard library and
 ``.errors``; each handler imports the library modules it uses, and
@@ -24,58 +33,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .errors import NumericError, ValidationError
-
-# Where each library operation surfaces on the command line. The test
-# suite checks this map covers the whole public API exactly once.
-OPERATION_COMMANDS = {
-    "units.convert": "fatigue endurance",
-    "fatigue.endurance_limit_unmodified": "fatigue endurance",
-    "fatigue.marin_modified_endurance": "fatigue endurance",
-    "fatigue.sn_constants": "fatigue sn",
-    "fatigue.cycles_to_failure": "fatigue life",
-    "fatigue.cycles_to_calendar": "fatigue life",
-    "structural.ballast_required_weight": "ballast",
-    "structural.ballast_height_for_weight": "ballast",
-    "structural.secant_deflection": "tower column",
-    "structural.secant_allowable_load": "tower column",
-    "structural.blade_root_bending_moment": "blade bending",
-    "structural.rect_bending_stress": "blade bending",
-    "structural.rect_torsion_max_shear": "blade torsion",
-    "rotor.tip_speed_ratio": "aero torque",
-    "rotor.torque_coefficient": "aero torque",
-    "rotor.rotor_torque": "aero torque",
-    "rotor.rotor_power": "aero torque",
-    "rotor.ducted_betz_limit": "aero betz",
-    "bearing.basic_dynamic_axial_rating": "bearing life",
-    "bearing.oscillating_rating": "bearing life",
-    "bearing.equivalent_axial_load": "bearing life",
-    "bearing.l10_life": "bearing life",
-    "bearing.modified_life": "bearing life",
-    "bearing.raceway_stress_cycles": "bearing life",
-    "bearing.bearing_calendar_life": "bearing life",
-    "weibull.cdf": "weibull cdf",
-    "weibull.quantile_Bp": "weibull quantile",
-    "weibull.fit_two_quantiles": "weibull fit",
-    "weibull.hazard": "weibull hazard",
-    "weibull.average_failure_rate": "weibull hazard",
-    "weibull.failure_regime": "weibull hazard",
-    "weibull.sample": "weibull sample",
-    "system.series_reliability": "system reliability",
-    "system.parallel_reliability": "system reliability",
-    "system.system_reliability_at": "system reliability",
-    "system.monte_carlo_mttf": "system mttf",
-    "system.expected_repairs": "system reliability",
-    "system.poisson_pmf": "system reliability",
-    "system.system_service_life": "system life",
-    "schedule.load_registry": "schedule generate",
-    "schedule.generate_schedule": "schedule generate",
-    "schedule.remaining_service_life": "schedule rul",
-    "schedule.emit_report": "schedule report",
-}
 
 _DISPLAY_UNITS = {
     "si": {
@@ -108,41 +70,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise NumericError(f"result is not finite ({value})")
     return f"{value:.6g}"
 
 
-def _qty_in(args, text: str, dimension: str) -> float:
-    """Parse a flag value into SI, defaulting to the unit mode's unit."""
-    from .units import parse_quantity
-
-    return parse_quantity(str(text), _DISPLAY_UNITS[args.units][dimension]).si_value
-
-
-def _display(args, si_value: float, dimension: str) -> tuple[float, str]:
+def _display(args, value, dim) -> tuple:
+    """value in the --units mode's unit for dim, and that unit ("" for none)."""
+    if dim is None or not isinstance(value, (int, float)):
+        return value, ""
     from .units import from_si
 
-    unit = _DISPLAY_UNITS[args.units][dimension]
-    return from_si(si_value, unit), unit
+    unit = _DISPLAY_UNITS[args.units][dim]
+    return from_si(value, unit), unit
 
 
-def _emit(args, rows):
-    """rows: (key, value, dimension-or-None). Prints text or JSON."""
-    if args.json:
-        payload = {}
-        for key, value, dim in rows:
-            if dim is not None and isinstance(value, (int, float)):
-                value = _display(args, value, dim)[0]
-            payload[key] = value
-        print(json.dumps(payload))
-        return
-    for key, value, dim in rows:
-        if dim is not None and isinstance(value, (int, float)):
-            shown, unit = _display(args, value, dim)
-            print(f"{key} = {_fmt(shown)} {unit}")
-        elif isinstance(value, float):
-            print(f"{key} = {_fmt(value)}")
+def _emit(args, result) -> None:
+    """Print a handler's result; every number printed must be finite.
+
+    result is a list of (key, value, dimension-or-None) rows, printed as one
+    JSON object or as ``key = value [unit]`` lines; or, for the list-shaped
+    outputs, a JSON object (under --json) or text. Text numbers go through
+    _fmt.
+    """
+    if isinstance(result, list):
+        shown = [(key, *_display(args, value, dim)) for key, value, dim in result]
+        if args.json:
+            result = {key: value for key, value, _ in shown}
         else:
-            print(f"{key} = {value}")
+            result = "".join(
+                f"{key} = {_fmt(value) if isinstance(value, float) else value}"
+                + (f" {unit}\n" if unit else "\n")
+                for key, value, unit in shown
+            )
+    if isinstance(result, dict):
+        try:
+            result = json.dumps(result, allow_nan=False) + "\n"
+        except ValueError:
+            raise NumericError("result is not finite") from None
+    sys.stdout.write(result)
 
 
 def _read_json(path: str):
@@ -156,7 +122,7 @@ def _read_json(path: str):
 
 
 def _read_config(args):
-    if not getattr(args, "config", None):
+    if not args.config:
         raise ValidationError("this subcommand needs --config <path> (or '-' for stdin)")
     return _read_json(args.config)
 
@@ -185,34 +151,31 @@ def _cmd_fatigue_endurance(args):
     from . import fatigue
     from .model import Material
 
-    sut = _qty_in(args, args.sut, "stress")
-    material = Material(name="cli", ultimate_tensile_strength=sut)
+    material = Material(name="cli", ultimate_tensile_strength=args.sut)
     se_prime = fatigue.endurance_limit_unmodified(material)
     se = fatigue.marin_modified_endurance(se_prime, _marin_from_args(args))
-    _emit(args, [("se_prime", se_prime, "stress"), ("se", se, "stress")])
+    return [("se_prime", se_prime, "stress"), ("se", se, "stress")]
 
 
 def _cmd_fatigue_sn(args):
     from . import fatigue
 
-    constants = fatigue.sn_constants(
-        _qty_in(args, args.sut, "stress"), _qty_in(args, args.se, "stress"), args.f
-    )
-    _emit(args, [("a", constants.a, "stress"), ("b", constants.b, None), ("f", constants.f, None)])
+    constants = fatigue.sn_constants(args.sut, args.se, args.f)
+    return [("a", constants.a, "stress"), ("b", constants.b, None), ("f", constants.f, None)]
 
 
 def _cmd_fatigue_life(args):
     from . import fatigue
 
-    constants = fatigue.SnConstants(a=_qty_in(args, args.a, "stress"), b=args.b, f=args.f)
-    life = fatigue.cycles_to_failure(_qty_in(args, args.stress, "stress"), constants)
+    constants = fatigue.SnConstants(a=args.a, b=args.b, f=args.f)
+    life = fatigue.cycles_to_failure(args.stress, constants)
     rows = [("cycles", life.cycles, None), ("flags", ",".join(life.flags) or "none", None)]
     if args.cycles_per_day:
         rows.append(("years", fatigue.cycles_to_calendar(life.cycles, args.cycles_per_day), None))
-    _emit(args, rows)
+    return rows
 
 
-def _life_chain(args, material, marin, stress_si, cycles_per_day):
+def _life_chain(material, marin, stress_si, cycles_per_day):
     from . import fatigue, presets
 
     se_prime = fatigue.endurance_limit_unmodified(material)
@@ -221,7 +184,7 @@ def _life_chain(args, material, marin, stress_si, cycles_per_day):
         material.ultimate_tensile_strength, se, presets.FATIGUE_STRENGTH_FRACTION
     )
     life = fatigue.cycles_to_failure(stress_si, constants)
-    _emit(args, [
+    return [
         ("se", se, "stress"),
         ("a", constants.a, "stress"),
         ("b", constants.b, None),
@@ -229,21 +192,21 @@ def _life_chain(args, material, marin, stress_si, cycles_per_day):
         ("cycles", life.cycles, None),
         ("flags", ",".join(life.flags) or "none", None),
         ("years", fatigue.cycles_to_calendar(life.cycles, cycles_per_day), None),
-    ])
+    ]
 
 
 def _cmd_tower_life(args):
     from . import presets
 
-    stress = _qty_in(args, args.stress, "stress") if args.stress else presets.TOWER_GUST_STRESS
-    _life_chain(args, presets.TOWER_STEEL, presets.TOWER_MARIN, stress, args.cycles_per_day)
+    stress = presets.TOWER_GUST_STRESS if args.stress is None else args.stress
+    return _life_chain(presets.TOWER_STEEL, presets.TOWER_MARIN, stress, args.cycles_per_day)
 
 
 def _cmd_blade_life(args):
     from . import presets
 
-    stress = _qty_in(args, args.stress, "stress") if args.stress else presets.BLADE_BENDING_STRESS
-    _life_chain(args, presets.BLADE_ALUMINUM, presets.BLADE_MARIN, stress, args.cycles_per_day)
+    stress = presets.BLADE_BENDING_STRESS if args.stress is None else args.stress
+    return _life_chain(presets.BLADE_ALUMINUM, presets.BLADE_MARIN, stress, args.cycles_per_day)
 
 
 def _cmd_tower_column(args):
@@ -251,42 +214,42 @@ def _cmd_tower_column(args):
     from .model import ColumnSpec, Material
 
     col = ColumnSpec(
-        load_P=_qty_in(args, args.load, "force"),
-        eccentricity_e=_qty_in(args, args.eccentricity, "length"),
-        centroid_c=_qty_in(args, args.centroid, "length"),
-        gyration_k=_qty_in(args, args.gyration, "length"),
-        height_l=_qty_in(args, args.height, "length"),
+        load_P=args.load,
+        eccentricity_e=args.eccentricity,
+        centroid_c=args.centroid,
+        gyration_k=args.gyration,
+        height_l=args.height,
         area_A=args.area,
         moment_I=args.inertia,
     )
     material = Material(
         name="cli",
         ultimate_tensile_strength=presets.TOWER_STEEL.ultimate_tensile_strength,
-        yield_strength_compressive=_qty_in(args, args.syc, "stress"),
-        elastic_modulus=_qty_in(args, args.modulus, "stress"),
+        yield_strength_compressive=args.syc,
+        elastic_modulus=args.modulus,
     )
-    _emit(args, [
+    return [
         ("deflection", structural.secant_deflection(col, material.elastic_modulus), "length"),
         ("allowable_load", structural.secant_allowable_load(col, material), "force"),
-    ])
+    ]
 
 
 def _cmd_ballast(args):
     from . import structural
 
     spec = structural.BallastSpec(
-        turbine_thrust=_qty_in(args, args.thrust, "force"),
-        nacelle_diameter=_qty_in(args, args.nacelle_diameter, "length"),
+        turbine_thrust=args.thrust,
+        nacelle_diameter=args.nacelle_diameter,
         safety_factor=args.safety_factor,
-        base_diameter=_qty_in(args, args.base_diameter, "length"),
+        base_diameter=args.base_diameter,
         base_area=args.base_area,
-        ballast_mass_density=_qty_in(args, args.density, "density"),
+        ballast_mass_density=args.density,
     )
     weight = structural.ballast_required_weight(spec)
-    _emit(args, [
+    return [
         ("weight", weight, "force"),
         ("height", structural.ballast_height_for_weight(weight, spec), "length"),
-    ])
+    ]
 
 
 def _blade_section(args):
@@ -294,14 +257,11 @@ def _blade_section(args):
     from . import presets
     from .model import RectSection
 
-    def length(text, preset_m):
-        return preset_m if text is None else _qty_in(args, text, "length")
-
     preset = presets.BLADE_SECTION
     return RectSection(
-        width_b=length(args.width, preset.width_b),
-        thickness_t=length(args.thickness, preset.thickness_t),
-        span_L=length(args.span, preset.span_L),
+        width_b=preset.width_b if args.width is None else args.width,
+        thickness_t=preset.thickness_t if args.thickness is None else args.thickness,
+        span_L=preset.span_L if args.span is None else args.span,
     )
 
 
@@ -316,81 +276,76 @@ def _cmd_blade_bending(args):
         mass=presets.BLADE_MASS_KG if args.mass is None else args.mass,
     )
     moment = structural.blade_root_bending_moment(blade)
-    _emit(args, [
+    return [
         ("moment", moment, "torque"),
         ("stress_flat", structural.rect_bending_stress(moment, section, structural.FLAT), "stress"),
-        ("stress_upright", structural.rect_bending_stress(moment, section, structural.UPRIGHT), "stress"),
-    ])
+        ("stress_upright", structural.rect_bending_stress(moment, section, structural.UPRIGHT),
+         "stress"),
+    ]
 
 
 def _cmd_blade_torsion(args):
     from . import structural
 
-    section = _blade_section(args)
-    torque = _qty_in(args, args.torque, "torque")
-    _emit(args, [
-        ("max_shear", structural.rect_torsion_max_shear(torque, section), "stress"),
-    ])
+    max_shear = structural.rect_torsion_max_shear(args.torque, _blade_section(args))
+    return [("max_shear", max_shear, "stress")]
 
 
 # ---------------------------------------------------------------------------
 # aero / bearing
 
 
-def _rotor_state(args):
+def _rotor_state(args, cp: float, rpm: float):
     from .rotor import RotorState
     from .units import Quantity, convert
 
-    omega = convert(Quantity(args.rpm, "rpm"), "rad/s").value
     return RotorState(
-        radius_R=_qty_in(args, args.radius, "length"),
-        rotor_speed_omega=omega,
-        wind_speed_V=_qty_in(args, args.wind, "speed"),
-        air_density_rho=_qty_in(args, args.air_density, "density"),
-        power_coefficient_Cp=args.cp,
+        radius_R=args.radius,
+        rotor_speed_omega=convert(Quantity(rpm, "rpm"), "rad/s").value,
+        wind_speed_V=args.wind,
+        air_density_rho=args.air_density,
+        power_coefficient_Cp=cp,
     )
 
 
 def _cmd_aero_torque(args):
     from . import rotor
 
-    state = _rotor_state(args)
+    state = _rotor_state(args, args.cp, args.rpm)
     lam = rotor.tip_speed_ratio(state)
     torque = rotor.rotor_torque(state)
-    _emit(args, [
+    return [
         ("tip_speed_ratio", lam, None),
         ("cq", rotor.torque_coefficient(state.power_coefficient_Cp, lam), None),
         ("torque", torque, "torque"),
         ("power", rotor.rotor_power(torque, state.rotor_speed_omega), None),
-    ])
+    ]
 
 
 def _cmd_aero_betz(args):
     from . import rotor
 
-    _emit(args, [("cp_max", rotor.ducted_betz_limit(args.a0), None)])
+    return [("cp_max", rotor.ducted_betz_limit(args.a0), None)]
 
 
 def _cmd_aero_sweep(args):
     from . import presets, rotor
-    from .units import Quantity, convert
 
-    rows = []
-    for cp, rpm in presets.TORQUE_SWEEP:
-        state = rotor.RotorState(
-            radius_R=_qty_in(args, args.radius, "length"),
-            rotor_speed_omega=convert(Quantity(rpm, "rpm"), "rad/s").value,
-            wind_speed_V=_qty_in(args, args.wind, "speed"),
-            air_density_rho=_qty_in(args, args.air_density, "density"),
-            power_coefficient_Cp=cp,
-        )
-        rows.append({"cp": cp, "rpm": rpm, "torque": rotor.rotor_torque(state)})
+    rows = [
+        {"cp": cp, "rpm": rpm, "torque": rotor.rotor_torque(_rotor_state(args, cp, rpm))}
+        for cp, rpm in presets.TORQUE_SWEEP
+    ]
     if args.json:
-        print(json.dumps({"rows": rows}))
-        return
-    print("cp,rpm,torque_nm")
-    for row in rows:
-        print(f"{row['cp']:g},{row['rpm']:g},{_fmt(row['torque'])}")
+        return {"rows": rows}
+    lines = (f"{_fmt(row['cp'])},{_fmt(row['rpm'])},{_fmt(row['torque'])}\n" for row in rows)
+    return "cp,rpm,torque_nm\n" + "".join(lines)
+
+
+def _whole(name: str, value) -> int:
+    """A JSON number with an integral value, as an int; not a bool or a digit string."""
+    if isinstance(value, bool) or value != int(value):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _cmd_bearing_life(args):
@@ -402,8 +357,8 @@ def _cmd_bearing_life(args):
         return bearing.life_summary(
             bearing.SlewingBearingGeometry(
                 groove_factor_fcm=float(geo["fcm"]),
-                rows_i=int(geo.get("rows", 1)),
-                ball_count_Z=int(geo["balls"]),
+                rows_i=_whole("rows", geo.get("rows", 1)),
+                ball_count_Z=_whole("balls", geo["balls"]),
                 ball_diameter_Dr=float(geo["ball_diameter_mm"]),
                 contact_angle_alpha=float(geo["contact_angle_deg"]),
                 raceway_center_diameter_dm=float(geo["raceway_center_diameter_mm"]),
@@ -422,7 +377,7 @@ def _cmd_bearing_life(args):
         )
 
     summary = read_document("bearing document", build, _read_config(args))
-    _emit(args, [(key, value, None) for key, value in summary.items()])
+    return [(key, value, None) for key, value in summary.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +397,19 @@ def _cmd_weibull_fit(args):
         weibull.QuantilePoint(percent_p=args.p, life_Bp=args.bp),
         weibull.QuantilePoint(percent_p=args.q, life_Bp=args.bq),
     )
-    _emit(args, [("beta", params.shape_beta, None), ("eta", params.scale_eta, None)])
+    return [("beta", params.shape_beta, None), ("eta", params.scale_eta, None)]
 
 
 def _cmd_weibull_cdf(args):
     from . import weibull
 
-    _emit(args, [("probability", weibull.cdf(args.t, _weibull_params(args)), None)])
+    return [("probability", weibull.cdf(args.t, _weibull_params(args)), None)]
 
 
 def _cmd_weibull_quantile(args):
     from . import weibull
 
-    _emit(args, [("life", weibull.quantile_Bp(args.p, _weibull_params(args)), None)])
+    return [("life", weibull.quantile_Bp(args.p, _weibull_params(args)), None)]
 
 
 def _cmd_weibull_hazard(args):
@@ -467,7 +422,7 @@ def _cmd_weibull_hazard(args):
     ]
     if args.t2 is not None:
         rows.append(("average_rate", weibull.average_failure_rate(args.t, args.t2, params), None))
-    _emit(args, rows)
+    return rows
 
 
 def _cmd_weibull_sample(args):
@@ -476,10 +431,8 @@ def _cmd_weibull_sample(args):
     count = 1000 if args.samples is None else args.samples
     values = weibull.sample(_weibull_params(args), seed=args.seed, count=count)
     if args.json:
-        print(json.dumps({"samples": [float(v) for v in values]}))
-        return
-    for v in values:
-        print(_fmt(v))
+        return {"samples": [float(v) for v in values]}
+    return "".join(f"{_fmt(v)}\n" for v in values)
 
 
 def _cmd_system_mttf(args):
@@ -488,12 +441,12 @@ def _cmd_system_mttf(args):
     topo = system.topology_from_document(_read_config(args))
     samples = 100000 if args.samples is None else args.samples
     estimate, std_err = system.monte_carlo_mttf(topo, samples=samples, seed=args.seed)
-    _emit(args, [
+    return [
         ("mttf", estimate, None),
         ("standard_error", std_err, None),
         ("samples", samples, None),
         ("seed", args.seed, None),
-    ])
+    ]
 
 
 def _cmd_system_reliability(args):
@@ -506,13 +459,13 @@ def _cmd_system_reliability(args):
         rows.append(("expected_repairs", mean, None))
         if args.events is not None:
             rows.append(("poisson_probability", system.poisson_pmf(args.events, mean), None))
-    _emit(args, rows)
+    return rows
 
 
 def _cmd_system_life(args):
     from . import system
 
-    if getattr(args, "config", None):
+    if args.config:
         from .model import read_document
 
         def build(doc):
@@ -524,13 +477,13 @@ def _cmd_system_life(args):
 
         lives = presets.SERVICE_LIFE_SUMMARY_YEARS
     years, limiting = system.system_service_life(lives)
-    _emit(args, [("system_life_years", years, None), ("limiting_component", limiting, None)])
+    return [("system_life_years", years, None), ("limiting_component", limiting, None)]
 
 
 def _load_registry_for(args):
     from . import schedule
 
-    path = getattr(args, "registry", None) or os.environ.get("DWT_REGISTRY")
+    path = args.registry or os.environ.get("DWT_REGISTRY")
     return schedule.load_registry(_read_json(path)) if path else schedule.default_registry()
 
 
@@ -538,10 +491,12 @@ def _site_and_usage(args):
     """The schedule commands' --config object ({} without one) and its usage rates."""
     from . import presets, schedule
 
-    site = _read_config(args) if getattr(args, "config", None) else {}
+    site = _read_config(args) if args.config else {}
     if not isinstance(site, dict):
         raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
-    return site, schedule.usage_from_document(site["usage"]) if "usage" in site else presets.DEFAULT_USAGE
+    if "usage" not in site:
+        return site, presets.DEFAULT_USAGE
+    return site, schedule.usage_from_document(site["usage"])
 
 
 def _installation_and_usage(args):
@@ -553,7 +508,7 @@ def _installation_and_usage(args):
     site, usage = _site_and_usage(args)
     if "install" in site:
         return schedule.installation_from_document(site["install"]), usage
-    if not getattr(args, "install_date", None):
+    if not args.install_date:
         raise ValidationError("need --install-date or a --config with an 'install' record")
     install_date = read_document(
         f"--install-date {args.install_date!r}", date.fromisoformat, args.install_date
@@ -567,28 +522,26 @@ def _cmd_schedule_generate(args):
     registry = _load_registry_for(args)
     install, usage = _installation_and_usage(args)
     entries = schedule.generate_schedule(registry, install, usage, args.horizon)
-    if args.json:
-        print(json.dumps({
-            "entries": [
-                {
-                    "due_date": e.due_date.isoformat(),
-                    "component_id": e.component_id,
-                    "task": e.task,
-                    "reason": e.reason,
-                    **({"due_count": e.due_count} if e.due_count is not None else {}),
-                }
-                for e in entries
-            ]
-        }))
-        return
-    sys.stdout.write(schedule.emit_report(entries, args.format or schedule.CSV))
+    if not args.json:
+        return schedule.emit_report(entries, args.format or schedule.CSV)
+    return {
+        "entries": [
+            {
+                "due_date": e.due_date.isoformat(),
+                "component_id": e.component_id,
+                "task": e.task,
+                "reason": e.reason,
+                **({"due_count": e.due_count} if e.due_count is not None else {}),
+            }
+            for e in entries
+        ]
+    }
 
 
 def _cmd_schedule_report(args):
     from . import schedule
 
-    registry = _load_registry_for(args)
-    sys.stdout.write(schedule.emit_report(registry, args.format or schedule.MARKDOWN))
+    return schedule.emit_report(_load_registry_for(args), args.format or schedule.MARKDOWN)
 
 
 def _cmd_schedule_rul(args):
@@ -597,166 +550,194 @@ def _cmd_schedule_rul(args):
     registry = _load_registry_for(args)
     _, usage = _site_and_usage(args)
     result = schedule.remaining_service_life(registry.get(args.component), usage, args.elapsed)
-    _emit(args, [
+    return [
         ("remaining", result.remaining, None),
         ("unit", result.unit, None),
         ("fraction_consumed", result.fraction_consumed, None),
         ("overconsumed", result.overconsumed, None),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table and the parser it builds
+
+# The shared flags, in --help order; each COMMANDS row names those it reads.
+_SHARED = {
+    "units": {"choices": ("si", "imperial"), "default": "si"},
+    "json": {"action": "store_true"},
+    "seed": {"type": int, "default": 0},
+    "samples": {"type": int},
+    "config": {"help": "JSON input document ('-' for stdin)"},
+    "format": {"choices": ("csv", "markdown")},
+}
+_QUANTITIES = ("units", "json")
+_JSON = ("json",)
+_DOCUMENT = ("json", "config")
+
+# Own flags several rows share: argparse keywords, plus "dim" on a quantity flag.
+_FLOAT = {"type": float}
+_REQUIRED = {"type": float, "required": True}
+_MARIN = {f"--{factor}": _FLOAT for factor in ("ka", "kb", "kc", "kd", "ke", "kf")}
+_SECTION = {flag: {"dim": "length"} for flag in ("--width", "--thickness", "--span")}
+_FLOW = {
+    "--wind": {"default": "48.72 m/s", "dim": "speed"},
+    "--air-density": {"default": "1.24 kg/m³", "dim": "density"},
+    "--radius": {"default": "1.5 m", "dim": "length"},
+}
+_SHAPE = {"--beta": _REQUIRED, "--eta": _REQUIRED}
+_STRESS = {"required": True, "dim": "stress"}
+_LENGTH = {"required": True, "dim": "length"}
+
+# path -> (handler, shared flags read, own flags, library operations surfaced)
+COMMANDS = {
+    "fatigue endurance": (_cmd_fatigue_endurance, _QUANTITIES, {
+        "--sut": {**_STRESS, "help": "ultimate tensile strength"},
+        "--preset": {"choices": ("tower", "blade", "none"), "default": "none"},
+        **_MARIN,
+    }, ("units.convert", "fatigue.endurance_limit_unmodified", "fatigue.marin_modified_endurance")),
+    "fatigue sn": (_cmd_fatigue_sn, _QUANTITIES, {
+        "--sut": _STRESS, "--se": _STRESS, "--f": {"type": float, "default": 0.9},
+    }, ("fatigue.sn_constants",)),
+    "fatigue life": (_cmd_fatigue_life, _QUANTITIES, {
+        "--stress": _STRESS,
+        "--a": _STRESS,
+        "--b": _REQUIRED,
+        "--f": {"type": float, "default": 0.9},
+        "--cycles-per-day": _FLOAT,
+    }, ("fatigue.cycles_to_failure", "fatigue.cycles_to_calendar")),
+    "blade bending": (_cmd_blade_bending, _QUANTITIES, {
+        "--mass": _FLOAT, "--mount-angle": {"type": float, "default": 0.0}, **_SECTION,
+    }, ("structural.blade_root_bending_moment", "structural.rect_bending_stress")),
+    "blade torsion": (_cmd_blade_torsion, _QUANTITIES, {
+        "--torque": {"required": True, "dim": "torque"}, **_SECTION,
+    }, ("structural.rect_torsion_max_shear",)),
+    "blade life": (_cmd_blade_life, _QUANTITIES, {
+        "--stress": {"dim": "stress"}, "--cycles-per-day": {"type": float, "default": 144000.0},
+    }, ()),
+    "tower column": (_cmd_tower_column, _QUANTITIES, {
+        "--load": {"required": True, "dim": "force"},
+        "--eccentricity": _LENGTH,
+        "--centroid": _LENGTH,
+        "--gyration": _LENGTH,
+        "--height": _LENGTH,
+        "--area": {**_REQUIRED, "help": "cross-section area, m²"},
+        "--inertia": {**_REQUIRED, "help": "second moment, m⁴"},
+        "--syc": {"default": "248.21 MPa", "dim": "stress"},
+        "--modulus": {"default": "200000 MPa", "dim": "stress"},
+    }, ("structural.secant_deflection", "structural.secant_allowable_load")),
+    "tower life": (_cmd_tower_life, _QUANTITIES, {
+        "--stress": {"dim": "stress"}, "--cycles-per-day": {"type": float, "default": 1000.0},
+    }, ()),
+    "ballast": (_cmd_ballast, _QUANTITIES, {
+        "--thrust": {"required": True, "dim": "force"},
+        "--nacelle-diameter": _LENGTH,
+        "--safety-factor": {"type": float, "default": 1.0},
+        "--base-diameter": _LENGTH,
+        "--base-area": {**_REQUIRED, "help": "base area, m²"},
+        "--density": {"default": "1600 kg/m³", "dim": "density"},
+    }, ("structural.ballast_required_weight", "structural.ballast_height_for_weight")),
+    "aero torque": (_cmd_aero_torque, _QUANTITIES, {
+        "--cp": {"type": float, "default": 0.40},
+        "--rpm": {"type": float, "default": 600.0},
+        **_FLOW,
+    }, ("rotor.tip_speed_ratio", "rotor.torque_coefficient", "rotor.rotor_torque",
+        "rotor.rotor_power")),
+    "aero betz": (_cmd_aero_betz, _JSON, {"--a0": _REQUIRED}, ("rotor.ducted_betz_limit",)),
+    "aero sweep": (_cmd_aero_sweep, _QUANTITIES, _FLOW, ()),
+    "bearing life": (_cmd_bearing_life, _DOCUMENT, {}, (
+        "bearing.basic_dynamic_axial_rating", "bearing.oscillating_rating",
+        "bearing.equivalent_axial_load", "bearing.l10_life", "bearing.modified_life",
+        "bearing.raceway_stress_cycles", "bearing.bearing_calendar_life",
+    )),
+    "weibull fit": (_cmd_weibull_fit, _JSON, {
+        "--p": _REQUIRED, "--bp": _REQUIRED, "--q": _REQUIRED, "--bq": _REQUIRED,
+    }, ("weibull.fit_two_quantiles",)),
+    "weibull cdf": (_cmd_weibull_cdf, _JSON, {**_SHAPE, "--t": _REQUIRED}, ("weibull.cdf",)),
+    "weibull quantile": (_cmd_weibull_quantile, _JSON, {**_SHAPE, "--p": _REQUIRED}, (
+        "weibull.quantile_Bp",
+    )),
+    "weibull hazard": (_cmd_weibull_hazard, _JSON, {**_SHAPE, "--t": _REQUIRED, "--t2": _FLOAT}, (
+        "weibull.hazard", "weibull.average_failure_rate", "weibull.failure_regime",
+    )),
+    "weibull sample": (_cmd_weibull_sample, ("json", "seed", "samples"), _SHAPE, (
+        "weibull.sample",
+    )),
+    "system mttf": (_cmd_system_mttf, ("json", "seed", "samples", "config"), {}, (
+        "system.monte_carlo_mttf",
+    )),
+    "system reliability": (_cmd_system_reliability, _DOCUMENT, {
+        "--t": _REQUIRED, "--repair-rate": _FLOAT, "--events": {"type": int},
+    }, ("system.series_reliability", "system.parallel_reliability",
+        "system.system_reliability_at", "system.expected_repairs", "system.poisson_pmf")),
+    "system life": (_cmd_system_life, _DOCUMENT, {}, ("system.system_service_life",)),
+    "schedule generate": (_cmd_schedule_generate, ("json", "config", "format"), {
+        "--install-date": {"help": "ISO date, e.g. 2025-01-01"},
+        "--horizon": {"type": float, "default": 1.0, "help": "years"},
+        "--registry": {},
+    }, ("schedule.load_registry", "schedule.generate_schedule")),
+    "schedule report": (_cmd_schedule_report, ("format",), {"--registry": {}}, (
+        "schedule.emit_report",
+    )),
+    "schedule rul": (_cmd_schedule_rul, _DOCUMENT, {
+        "--component": {"required": True},
+        "--elapsed": {**_REQUIRED, "help": "years in service"},
+        "--registry": {},
+    }, ("schedule.remaining_service_life",)),
+}
+
+# Where each library operation surfaces on the command line. The test
+# suite checks this map covers the whole public API exactly once.
+OPERATION_COMMANDS = {
+    operation: path for path, (*_, operations) in COMMANDS.items() for operation in operations
+}
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--units", choices=("si", "imperial"), default="si")
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--config", default=None, help="JSON input document ('-' for stdin)")
-    common.add_argument("--format", choices=("csv", "markdown"), default=None)
-
-    parser = _Parser(prog="dwtlife", description="Ducted wind turbine lifing and maintenance engine")
+    parser = _Parser(
+        prog="dwtlife", description="Ducted wind turbine lifing and maintenance engine"
+    )
     top = parser.add_subparsers(dest="command", required=True)
-
-    def leaf(group, name, handler, **kwargs):
-        sub = group.add_parser(name, parents=[common], **kwargs)
-        sub.set_defaults(handler=handler)
-        return sub
-
-    fat = top.add_parser("fatigue").add_subparsers(dest="subcommand", required=True)
-    p = leaf(fat, "endurance", _cmd_fatigue_endurance)
-    p.add_argument("--sut", required=True, help="ultimate tensile strength")
-    p.add_argument("--preset", choices=("tower", "blade", "none"), default="none")
-    for factor in ("ka", "kb", "kc", "kd", "ke", "kf"):
-        p.add_argument(f"--{factor}", type=float, default=None)
-    p = leaf(fat, "sn", _cmd_fatigue_sn)
-    p.add_argument("--sut", required=True)
-    p.add_argument("--se", required=True)
-    p.add_argument("--f", type=float, default=0.9)
-    p = leaf(fat, "life", _cmd_fatigue_life)
-    p.add_argument("--stress", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--f", type=float, default=0.9)
-    p.add_argument("--cycles-per-day", type=float, default=None)
-
-    blade = top.add_parser("blade").add_subparsers(dest="subcommand", required=True)
-    p = leaf(blade, "bending", _cmd_blade_bending)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--mount-angle", type=float, default=0.0)
-    p = leaf(blade, "torsion", _cmd_blade_torsion)
-    p.add_argument("--torque", required=True)
-    p = leaf(blade, "life", _cmd_blade_life)
-    p.add_argument("--stress", default=None)
-    p.add_argument("--cycles-per-day", type=float, default=144000.0)
-    for sub in blade.choices.values():
-        if sub.get_default("handler") in (_cmd_blade_bending, _cmd_blade_torsion):
-            sub.add_argument("--width", default=None)
-            sub.add_argument("--thickness", default=None)
-            sub.add_argument("--span", default=None)
-
-    tower = top.add_parser("tower").add_subparsers(dest="subcommand", required=True)
-    p = leaf(tower, "column", _cmd_tower_column)
-    p.add_argument("--load", required=True)
-    p.add_argument("--eccentricity", required=True)
-    p.add_argument("--centroid", required=True)
-    p.add_argument("--gyration", required=True)
-    p.add_argument("--height", required=True)
-    p.add_argument("--area", type=float, required=True, help="cross-section area, m²")
-    p.add_argument("--inertia", type=float, required=True, help="second moment, m⁴")
-    p.add_argument("--syc", default="248.21 MPa")
-    p.add_argument("--modulus", default="200000 MPa")
-    p = leaf(tower, "life", _cmd_tower_life)
-    p.add_argument("--stress", default=None)
-    p.add_argument("--cycles-per-day", type=float, default=1000.0)
-
-    p = leaf(top, "ballast", _cmd_ballast)
-    p.add_argument("--thrust", required=True)
-    p.add_argument("--nacelle-diameter", required=True)
-    p.add_argument("--safety-factor", type=float, default=1.0)
-    p.add_argument("--base-diameter", required=True)
-    p.add_argument("--base-area", type=float, required=True, help="base area, m²")
-    p.add_argument("--density", default="1600 kg/m³")
-
-    aero = top.add_parser("aero").add_subparsers(dest="subcommand", required=True)
-    p = leaf(aero, "torque", _cmd_aero_torque)
-    p.add_argument("--cp", type=float, default=0.40)
-    p.add_argument("--rpm", type=float, default=600.0)
-    p = leaf(aero, "betz", _cmd_aero_betz)
-    p.add_argument("--a0", type=float, required=True)
-    p = leaf(aero, "sweep", _cmd_aero_sweep)
-    for sub in aero.choices.values():
-        if sub.get_default("handler") in (_cmd_aero_torque, _cmd_aero_sweep):
-            sub.add_argument("--wind", default="48.72 m/s")
-            sub.add_argument("--air-density", default="1.24 kg/m³")
-            sub.add_argument("--radius", default="1.5 m")
-
-    brg = top.add_parser("bearing").add_subparsers(dest="subcommand", required=True)
-    leaf(brg, "life", _cmd_bearing_life)
-
-    wb = top.add_parser("weibull").add_subparsers(dest="subcommand", required=True)
-    p = leaf(wb, "fit", _cmd_weibull_fit)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--bp", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--bq", type=float, required=True)
-    for name, handler in (
-        ("cdf", _cmd_weibull_cdf),
-        ("quantile", _cmd_weibull_quantile),
-        ("hazard", _cmd_weibull_hazard),
-        ("sample", _cmd_weibull_sample),
-    ):
-        p = leaf(wb, name, handler)
-        p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--eta", type=float, required=True)
-        if name in ("cdf", "hazard"):
-            p.add_argument("--t", type=float, required=True)
-        if name == "hazard":
-            p.add_argument("--t2", type=float, default=None)
-        if name == "quantile":
-            p.add_argument("--p", type=float, required=True)
-
-    sysgrp = top.add_parser("system").add_subparsers(dest="subcommand", required=True)
-    leaf(sysgrp, "mttf", _cmd_system_mttf)
-    p = leaf(sysgrp, "reliability", _cmd_system_reliability)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--repair-rate", type=float, default=None)
-    p.add_argument("--events", type=int, default=None)
-    leaf(sysgrp, "life", _cmd_system_life)
-
-    sched = top.add_parser("schedule").add_subparsers(dest="subcommand", required=True)
-    p = leaf(sched, "generate", _cmd_schedule_generate)
-    p.add_argument("--install-date", default=None, help="ISO date, e.g. 2025-01-01")
-    p.add_argument("--horizon", type=float, default=1.0, help="years")
-    p.add_argument("--registry", default=None)
-    p = leaf(sched, "report", _cmd_schedule_report)
-    p.add_argument("--registry", default=None)
-    p = leaf(sched, "rul", _cmd_schedule_rul)
-    p.add_argument("--component", required=True)
-    p.add_argument("--elapsed", type=float, required=True, help="years in service")
-    p.add_argument("--registry", default=None)
-
+    families = {}
+    for path, (_, shared, flags, _) in COMMANDS.items():
+        family, _, name = path.partition(" ")
+        if name and family not in families:
+            family_parser = top.add_parser(family)
+            families[family] = family_parser.add_subparsers(dest="subcommand", required=True)
+        sub = families[family].add_parser(name) if name else top.add_parser(family)
+        for flag, spec in _SHARED.items():
+            if flag in shared:
+                sub.add_argument(f"--{flag}", **spec)
+        for flag, spec in flags.items():
+            sub.add_argument(flag, **{key: value for key, value in spec.items() if key != "dim"})
+        sub.set_defaults(path=path)
     return parser
+
+
+def _to_si(args, flags: dict) -> None:
+    """Replace each quantity flag's text by its SI value; a bare number takes the --units unit."""
+    for flag, spec in flags.items():
+        dest = flag[2:].replace("-", "_")
+        if "dim" in spec and getattr(args, dest) is not None:
+            from .units import parse_quantity
+
+            unit = _DISPLAY_UNITS[args.units][spec["dim"]]
+            setattr(args, dest, parse_quantity(getattr(args, dest), unit).si_value)
 
 
 def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.handler(args)
+        args = _build_parser().parse_args(argv)
+        handler, _, flags, _ = COMMANDS[args.path]
+        _to_si(args, flags)
+        _emit(args, handler(args))
         return 0
-    except _UsageError as exc:
+    except (_UsageError, ValidationError, OSError) as exc:  # OSError: unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, OSError) as exc:  # OSError: unreadable input file
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (NumericError, OverflowError, ZeroDivisionError) as exc:
+        # a float ** overflow carries (errno, text) as its args
+        print(f"numeric failure: {exc.args[-1] if exc.args else exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

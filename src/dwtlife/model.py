@@ -7,7 +7,7 @@ conversions use the one 365-day year below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ValidationError
@@ -107,6 +107,8 @@ class ColumnSpec:
     moment_I: float  # m⁴
 
     def __post_init__(self):
+        for field in fields(self):
+            _require_finite(field.name, getattr(self, field.name))
         if self.eccentricity_e < 0:
             raise ValidationError(
                 f"eccentricity_e must be >= 0, got {self.eccentricity_e}"

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .model import _require_finite
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,7 @@ class RotorState:
 
     def __post_init__(self):
         for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho"):
+            _require_finite(name, getattr(self, name))
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
         if not 0 < self.power_coefficient_Cp < 1:

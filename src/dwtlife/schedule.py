@@ -228,17 +228,27 @@ def parse_trigger(doc: dict) -> Trigger:
     return tagged(doc, "trigger", _TRIGGERS)
 
 
+def _strings(row: dict, key: str) -> tuple:
+    values = row.get(key, [])
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise ValidationError(f"{key} must be a list of strings, got {values!r}")
+    return tuple(values)
+
+
 def _component_record(row: dict) -> ComponentRecord:
     life = row.get("service_life")
+    specified = row.get("manufacturer_specified", False)
+    if not isinstance(specified, bool):
+        raise ValidationError(f"manufacturer_specified must be true or false, got {specified!r}")
     return ComponentRecord(
         id=str(row["id"]),
         group=str(row["group"]),
-        failure_modes=tuple(row.get("failure_modes", ())),
+        failure_modes=_strings(row, "failure_modes"),
         service_life=None if life is None else ServiceLife(
             value=float(life["value"]), unit=str(life["unit"]), counter=life.get("counter")
         ),
-        manufacturer_specified=bool(row.get("manufacturer_specified", False)),
-        specifications=tuple(row.get("specifications", ())),
+        manufacturer_specified=specified,
+        specifications=_strings(row, "specifications"),
         tasks=tuple(
             MaintenanceTask(str(t["description"]), parse_trigger(t["trigger"]))
             for t in row.get("tasks", ())
@@ -442,6 +452,7 @@ def remaining_service_life(
     Cycle-based lives consume at elapsed * 365 * daily rate of their
     counter. Overconsumption clamps the fraction to 1 and sets the flag.
     """
+    _require_finite("elapsed_years", elapsed_years)
     if elapsed_years < 0:
         raise ValidationError(f"elapsed_years must be >= 0, got {elapsed_years}")
     life = component.service_life

@@ -9,10 +9,10 @@ bisection below the elastic stability bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BucklingError, NumericError, ValidationError
-from .model import ColumnSpec, Material, RectSection
+from .model import ColumnSpec, Material, RectSection, _require_finite
 from .units import GRAVITY
 
 FLAT = "flat"  # bending about the wide axis: I = b t³/12, y = t/2
@@ -31,6 +31,8 @@ class BallastSpec:
     ballast_mass_density: float  # kg/m³
 
     def __post_init__(self):
+        for field in fields(self):
+            _require_finite(field.name, getattr(self, field.name))
         for name in (
             "turbine_thrust",
             "nacelle_diameter",
@@ -124,6 +126,8 @@ def secant_allowable_load(col: ColumnSpec, material: Material) -> float:
 
     # Secant argument (l/2k)*sqrt(P/AE) reaches pi/2 at the Euler load.
     p_buckle = col.area_A * modulus * (math.pi * col.gyration_k / col.height_l) ** 2
+    if not math.isfinite(p_buckle):
+        raise NumericError(f"buckling load is not finite ({p_buckle} N)")
 
     def residual(load: float) -> float:
         arg = (col.height_l / (2 * col.gyration_k)) * math.sqrt(

@@ -288,6 +288,8 @@ def monte_carlo_mttf(
     """
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
+    if not 0 <= seed < 2**128:  # the Philox key is two 64-bit words
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     validate_topology(topo)
     chunks = -(-samples // _CHUNK)
     workers = min(_worker_count(), chunks)
@@ -361,6 +363,8 @@ def topology_from_document(doc: dict) -> SystemTopology:
 
 def expected_repairs(rate: float, horizon: float) -> float:
     """Expected Poisson repair-event count over the horizon: rate * horizon."""
+    _require_finite("repair rate", rate)
+    _require_finite("horizon", horizon)
     if rate < 0 or horizon < 0:
         raise ValidationError("rate and horizon must be >= 0")
     return rate * horizon

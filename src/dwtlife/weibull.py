@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SingularityError, ValidationError
+from .errors import NumericError, SingularityError, ValidationError
 from .model import _require_finite
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
@@ -54,6 +54,7 @@ class QuantilePoint:
             )
         if not self.life_Bp > 0:
             raise ValidationError(f"life must be positive, got {self.life_Bp}")
+        _require_finite("life", self.life_Bp)
 
 
 def cdf(t: float, w: WeibullParams) -> float:
@@ -150,12 +151,21 @@ def inverse_transform(u: np.ndarray, w: WeibullParams) -> np.ndarray:
 
 
 def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
-    """Inverse-transform samples eta*(-ln(1-u))^(1/beta), deterministic per seed."""
+    """Inverse-transform samples eta*(-ln(1-u))^(1/beta), deterministic per seed.
+
+    Raises NumericError when a sample overflows double precision.
+    """
     import numpy as np
 
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    return inverse_transform(np.random.default_rng(seed).random(count), w)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    with np.errstate(all="ignore"):
+        values = inverse_transform(np.random.default_rng(seed).random(count), w)
+    if not np.isfinite(values).all():
+        raise NumericError("Weibull samples overflow double precision")
+    return values
 
 
 def failure_regime(beta: float) -> str:

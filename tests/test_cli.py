@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from dwtlife import cli
 from dwtlife.presets import DEFAULT_USAGE
 
+COLUMN = ["tower", "column", "--load", "1e4", "--eccentricity", "0.01", "--centroid", "0.05",
+          "--gyration", "0.05", "--inertia", "1e-5"]
 SUBCOMMANDS = {
     "fatigue endurance", "fatigue sn", "fatigue life",
     "blade bending", "blade torsion", "blade life",
@@ -108,6 +111,25 @@ class TestExitCodes:
         )
         assert code == 2
         assert "numeric" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["weibull", "hazard", "--beta", "1e300", "--eta", "2.5", "--t", "37"],
+        ["system", "reliability", "--config", "topology.json", "--t", "1e308"],
+        [*COLUMN, "--area", "0.01", "--height", "1e-300"],
+        ["blade", "torsion", "--torque", "1e308"],
+        ["blade", "torsion", "--torque", "1e308", "--json"],
+        [*COLUMN, "--area", "1e300", "--height", "6"],
+        ["weibull", "sample", "--beta", "0.01", "--eta", "1e300", "--seed", "1", "--samples", "3"],
+        [*COLUMN, "--area", "1e200", "--height", "1e-60"],
+    ], ids=["hazard_pow", "reliability_pow", "column_pow", "shear_inf", "shear_inf_json",
+            "column_inf", "sample_inf", "column_buckling_inf"])
+    def test_overflow_is_one_line_numeric_failure(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(Path(__file__).resolve().parent / "golden" / "inputs")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_lines(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
 
 
 class TestAeroCommands:
@@ -473,11 +495,25 @@ class TestInputFileErrors:
         [*REPORT_WITH_REGISTRY, {"components": [{"id": "a", "group": "Control", "tasks": [
             {"description": "x", "trigger": {"calendar_interval": {"years": 1e999}}},
         ]}]}],
+        ["aero", "torque", "--rpm", "inf"],
+        ["ballast", "--thrust", "6035", "--nacelle-diameter", "2", "--base-diameter", "3",
+         "--base-area", "inf"],
+        ["tower", "column", "--load", "1e4", "--eccentricity", "0.01", "--centroid", "0.05",
+         "--gyration", "0.05", "--inertia", "inf", "--area", "0.01", "--height", "6"],
+        ["system", "reliability", "--t", "1", "--repair-rate", "nan", "--config",
+         SINGLE_LEAF_TOPOLOGY],
+        ["schedule", "rul", "--component", "Generator", "--elapsed", "nan"],
+        ["weibull", "fit", "--p", "10", "--bp", "10", "--q", "50", "--bq", "inf"],
+        ["system", "mttf", "--seed", "-1", *MTTF_WITH_CONFIG[2:], SINGLE_LEAF_TOPOLOGY],
+        ["system", "mttf", "--seed", str(2**128), *MTTF_WITH_CONFIG[2:], SINGLE_LEAF_TOPOLOGY],
+        ["weibull", "sample", "--beta", "2", "--eta", "5", "--seed", "-1"],
     ], ids=["cdf_nan", "hazard_nan", "average_nan", "install_month_13", "horizon_inf",
             "horizon_8000", "average_inf", "sut_inf", "usage_text", "usage_list", "usage_nan",
             "rul_usage_inf", "cycle_count_nan", "rate_text", "series_number", "model_empty",
             "model_two_tags", "components_number", "component_number", "generate_life_inf",
-            "rul_life_inf", "interval_inf"])
+            "rul_life_inf", "interval_inf", "rpm_inf", "base_area_inf", "column_inertia_inf",
+            "repair_rate_nan", "elapsed_nan", "quantile_life_inf", "mttf_seed_negative",
+            "mttf_seed_2_128", "sample_seed_negative"])
     def test_bad_values_are_validation_errors(self, capsys, tmp_path, argv):
         if isinstance(argv[-1], dict):
             path = tmp_path / "config.json"

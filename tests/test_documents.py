@@ -111,6 +111,11 @@ def bearing_with(**changes):
     return json.dumps(doc)
 
 
+def registry_row(**fields):
+    """A one-row registry as JSON text, with the given fields."""
+    return json.dumps({"components": [{"id": "a", "group": "Control", **fields}]})
+
+
 def run_with_stdin(argv, text):
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(text)
@@ -149,9 +154,17 @@ class TestCommands:
         (["bearing", "life", "--config"], bearing_with(exponent=False)),
         (["bearing", "life", "--config"], bearing_with(fcm=1e200)),
         (["bearing", "life", "--config"], bearing_with(balls=10**400)),
+        (["bearing", "life", "--config"], bearing_with(balls=30.9)),
+        (["bearing", "life", "--config"], bearing_with(balls=True)),
+        (["bearing", "life", "--config"], bearing_with(rows="1")),
+        (["schedule", "report", "--registry"], registry_row(manufacturer_specified="false")),
+        (["schedule", "report", "--registry"], registry_row(failure_modes="wear")),
+        (["schedule", "report", "--registry"], registry_row(specifications=["a", 5])),
     ], ids=["deep_config", "deep_registry", "config_string", "config_list", "long_integer",
             "not_utf8", "bearing_zero_exponent", "bearing_false_exponent", "bearing_overflow",
-            "bearing_huge_ball_count"])
+            "bearing_huge_ball_count", "bearing_fractional_balls", "bearing_bool_balls",
+            "bearing_text_rows", "registry_text_flag", "registry_text_failure_modes",
+            "registry_number_specification"])
     def test_malformed_json_file(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"
         if isinstance(text, bytes):
