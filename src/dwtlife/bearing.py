@@ -13,10 +13,9 @@ rating tables, not from this module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR
+from .model import DAYS_PER_YEAR, Record, _require_finite_fields
 
 BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
 ROLLER_EXPONENT = 10.0 / 3.0
@@ -25,8 +24,7 @@ OSCILLATIONS = "oscillations"
 RACEWAY_CYCLES = "raceway_cycles"
 
 
-@dataclass(frozen=True)
-class SlewingBearingGeometry:
+class SlewingBearingGeometry(Record):
     groove_factor_fcm: float
     rows_i: int
     ball_count_Z: int
@@ -35,6 +33,7 @@ class SlewingBearingGeometry:
     raceway_center_diameter_dm: float  # mm
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not self.groove_factor_fcm > 0:
             raise ValidationError("groove_factor_fcm must be positive")
         if self.rows_i < 1 or self.ball_count_Z < 1:
@@ -50,20 +49,19 @@ class SlewingBearingGeometry:
             )
 
 
-@dataclass(frozen=True)
-class BearingLoads:
+class BearingLoads(Record):
     radial_Fr: float  # N
     axial_Fa: float  # N
     moment_M: float  # N·m
 
     def __post_init__(self):
+        _require_finite_fields(self)
         for name in ("radial_Fr", "axial_Fa", "moment_M"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class LifeModFactors:
+class LifeModFactors(Record):
     """Rating-life corrections: a1 reliability, a2 material, a3 lubrication,
     a4 supporting-structure flexibility."""
 
@@ -73,6 +71,7 @@ class LifeModFactors:
     a4: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         for name in ("a1", "a2", "a3", "a4"):
             value = getattr(self, name)
             if not 0 < value <= 2:

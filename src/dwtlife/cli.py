@@ -22,16 +22,22 @@ significant digits, or --json, and never a non-finite number. Diagnostics
 go to stderr. Exit codes: 0 success, 1 validation/usage error, 2 numeric
 failure (an overflow or a division by zero included).
 
-At module level this file imports only the standard library and
-``.errors``; each handler imports the library modules it uses, and
-building the parser reads none of them. A cold command therefore loads
-only what its subcommand runs: ``weibull cdf`` loads ``errors``, ``model``
+A cold command pays only for its own work. At module level this file
+imports only the standard library and ``.errors``; each handler imports
+the library modules it uses, so ``weibull cdf`` loads ``errors``, ``model``
 and ``weibull``, and only the ``schedule`` commands load ``schedule``.
+``_build_parser`` names every family but builds only the subcommands of
+the family in argv and the flags of the subcommand in argv. ``main`` ends
+the process with ``os._exit`` once the output is flushed, skipping
+interpreter teardown; ``run`` has no such side effect, for in-process
+callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import json
 import math
 import os
@@ -108,6 +114,8 @@ def _emit(args, result) -> None:
             result = json.dumps(result, allow_nan=False) + "\n"
         except ValueError:
             raise NumericError("result is not finite") from None
+    if sys.stdout is None:  # the process was started with stdout closed
+        raise OSError("stdout is closed")
     sys.stdout.write(result)
 
 
@@ -170,7 +178,7 @@ def _cmd_fatigue_life(args):
     constants = fatigue.SnConstants(a=args.a, b=args.b, f=args.f)
     life = fatigue.cycles_to_failure(args.stress, constants)
     rows = [("cycles", life.cycles, None), ("flags", ",".join(life.flags) or "none", None)]
-    if args.cycles_per_day:
+    if args.cycles_per_day is not None:
         rows.append(("years", fatigue.cycles_to_calendar(life.cycles, args.cycles_per_day), None))
     return rows
 
@@ -473,9 +481,7 @@ def _cmd_system_life(args):
 
         lives = read_document("lives document", build, _read_config(args))
     else:
-        from . import presets
-
-        lives = presets.SERVICE_LIFE_SUMMARY_YEARS
+        lives = system.SERVICE_LIFE_SUMMARY_YEARS
     years, limiting = system.system_service_life(lives)
     return [("system_life_years", years, None), ("limiting_component", limiting, None)]
 
@@ -489,13 +495,15 @@ def _load_registry_for(args):
 
 def _site_and_usage(args):
     """The schedule commands' --config object ({} without one) and its usage rates."""
-    from . import presets, schedule
-
     site = _read_config(args) if args.config else {}
     if not isinstance(site, dict):
         raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
     if "usage" not in site:
+        from . import presets
+
         return site, presets.DEFAULT_USAGE
+    from . import schedule
+
     return site, schedule.usage_from_document(site["usage"])
 
 
@@ -692,7 +700,16 @@ OPERATION_COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list) -> _Parser:
+    """The parser argparse needs for argv, built from COMMANDS.
+
+    Every family is named, for the top-level usage and --help. Only the
+    family that argv names gets its subcommands, and only the subcommand it
+    names gets its flags. The names are argv's first two words that do not
+    start with "-", the two positionals argparse itself reads; any other
+    word in their place is an invalid choice before a flag is read.
+    """
+    words = [word for word in argv if not word.startswith("-")][:2]
     parser = _Parser(
         prog="dwtlife", description="Ducted wind turbine lifing and maintenance engine"
     )
@@ -703,13 +720,17 @@ def _build_parser() -> _Parser:
         if name and family not in families:
             family_parser = top.add_parser(family)
             families[family] = family_parser.add_subparsers(dest="subcommand", required=True)
+        if name and words[:1] != [family]:
+            continue
         sub = families[family].add_parser(name) if name else top.add_parser(family)
+        sub.set_defaults(path=path)
+        if path.split() != words[: len(path.split())]:
+            continue
         for flag, spec in _SHARED.items():
             if flag in shared:
                 sub.add_argument(f"--{flag}", **spec)
         for flag, spec in flags.items():
             sub.add_argument(flag, **{key: value for key, value in spec.items() if key != "dim"})
-        sub.set_defaults(path=path)
     return parser
 
 
@@ -726,8 +747,9 @@ def _to_si(args, flags: dict) -> None:
 
 def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         handler, _, flags, _ = COMMANDS[args.path]
         _to_si(args, flags)
         _emit(args, handler(args))
@@ -743,8 +765,35 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
 
+def _exit_now(code: int) -> None:
+    """Flush stdout and stderr, then end the process without interpreter teardown.
+
+    A failed flush (a closed pipe, a full disk) is one error line and exit 1,
+    unless the command already failed and said why.
+    """
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError) as exc:
+        if code == 0:
+            code = 1
+            with contextlib.suppress(OSError, ValueError):
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+    os._exit(code)
+
+
 def main() -> None:
-    sys.exit(run())
+    """The console entry point: run argv, then exit at once.
+
+    The exit happens in an atexit hook, after sys.exit has unwound: a caller
+    that catches SystemExit, such as runpy, still finishes its own work,
+    and the process then skips freeing every module, most of a cold
+    command's exit time.
+    """
+    code = run()
+    atexit.register(_exit_now, code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

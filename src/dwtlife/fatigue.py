@@ -14,14 +14,12 @@ All stresses are in Pa and refer to fully reversed loading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Material
+from .model import DAYS_PER_YEAR, Material, Record, _require_finite, _require_finite_fields
 
 
-@dataclass(frozen=True)
-class MarinFactors:
+class MarinFactors(Record):
     """Multiplicative endurance-limit corrections.
 
     ka surface, kb size, kc load, kd temperature, ke reliability,
@@ -36,6 +34,7 @@ class MarinFactors:
     kf: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         for name in ("ka", "kb", "kc", "kd", "ke", "kf"):
             value = getattr(self, name)
             if not 0 < value <= 1.5:
@@ -45,8 +44,7 @@ class MarinFactors:
         return self.ka * self.kb * self.kc * self.kd * self.ke * self.kf
 
 
-@dataclass(frozen=True)
-class SnConstants:
+class SnConstants(Record):
     """Fitted S-N curve sigma = a * N**b with fatigue strength fraction f."""
 
     a: float  # Pa
@@ -54,6 +52,7 @@ class SnConstants:
     f: float  # fatigue strength fraction in (0, 1]
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not self.a > 0:
             raise ValidationError(f"S-N intercept a must be positive, got {self.a}")
         if not self.b < 0:
@@ -72,8 +71,7 @@ class SnConstants:
         return self.a * 10 ** (6 * self.b)
 
 
-@dataclass(frozen=True)
-class CycleLife:
+class CycleLife(Record):
     """Cycle count plus advisory validity flags for the S-N evaluation."""
 
     cycles: float
@@ -133,4 +131,5 @@ def cycles_to_calendar(n_cycles: float, cycles_per_day: float) -> float:
     """Convert a cycle count to years at a constant daily usage rate."""
     if not cycles_per_day > 0:
         raise ValidationError(f"cycles_per_day must be positive, got {cycles_per_day}")
+    _require_finite("cycles_per_day", cycles_per_day)
     return n_cycles / (cycles_per_day * DAYS_PER_YEAR)

@@ -1,4 +1,5 @@
-"""Shared domain types, and the one JSON document reader (read_document, tagged).
+"""Shared domain types, the Record base of every value type, and the one
+JSON document reader (read_document, tagged).
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -7,7 +8,7 @@ conversions use the one 365-day year below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 from .errors import ValidationError
@@ -23,6 +24,95 @@ def _require_positive(name: str, value: float) -> None:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def _require_finite_fields(record: Record, names=None) -> None:
+    """_require_finite on each named field of record (default: all) that is not None."""
+    for name in record._fields if names is None else names:
+        value = getattr(record, name)
+        if value is not None:
+            _require_finite(name, value)
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value type: the package's frozen dataclass, without generated code.
+
+    A subclass declares its fields as class annotations, in order, and a
+    default as a class attribute. The constructor binds them positionally
+    or by keyword, as a dataclass __init__ would, then runs __post_init__,
+    which may normalise a field with object.__setattr__. == and hash compare
+    the field values, repr shows them, and assignment raises AttributeError.
+    Defining a subclass only records its field names, so a cold command
+    pays nothing per class.
+    """
+
+    _fields = ()
+    _names = frozenset()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__
+        cls._fields = cls._fields + tuple(name for name in own if name not in cls._fields)
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__ in field order keeps the instance's values inline
+        # (no per-instance dict), so reading a field stays as fast as on a dataclass
+        any(map(_set, repeat(self), self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict):
+        """One value per field, defaults filled in; a bad call raises TypeError as Python would."""
+        fields = cls._fields
+        values = {**cls._defaults, **kwargs}
+        values.update(zip(fields, args))
+        if len(args) <= len(fields) and values.keys() == cls._names:
+            if not (args and kwargs) or kwargs.keys().isdisjoint(fields[: len(args)]):
+                return map(values.__getitem__, fields)
+        call = f"{cls.__qualname__}.__init__()"
+        if len(args) > len(fields):
+            raise TypeError(f"{call} takes {len(fields) + 1} positional arguments "
+                            f"but {len(args) + 1} were given")
+        for name in kwargs:
+            if name not in cls._names:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+            if fields.index(name) < len(args):
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+        missing = [repr(name) for name in fields if name not in values]
+        plural = "s" if len(missing) > 1 else ""
+        raise TypeError(f"{call} missing required argument{plural}: {', '.join(missing)}")
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(getattr, repeat(self), self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def read_document(what: str, build, doc):
@@ -50,8 +140,7 @@ def tagged(doc, what: str, builders: dict):
     return builders[tag](body)
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(Record):
     """Strength, stiffness, and density properties of a structural material."""
 
     name: str
@@ -61,6 +150,7 @@ class Material:
     mass_density: Optional[float] = None  # kg/m³
 
     def __post_init__(self):
+        _require_finite_fields(self, self._fields[1:])  # all but the name
         _require_positive("ultimate_tensile_strength", self.ultimate_tensile_strength)
         for field in ("yield_strength_compressive", "elastic_modulus", "mass_density"):
             value = getattr(self, field)
@@ -77,8 +167,7 @@ class Material:
             )
 
 
-@dataclass(frozen=True)
-class RectSection:
+class RectSection(Record):
     """Rectangular cross section, width >= thickness."""
 
     width_b: float  # m
@@ -86,6 +175,7 @@ class RectSection:
     span_L: float  # m
 
     def __post_init__(self):
+        _require_finite_fields(self)
         _require_positive("thickness_t", self.thickness_t)
         _require_positive("span_L", self.span_L)
         if self.width_b < self.thickness_t:
@@ -94,8 +184,7 @@ class RectSection:
             )
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(Record):
     """Eccentrically loaded column: load, geometry, and section properties."""
 
     load_P: float  # N
@@ -107,8 +196,7 @@ class ColumnSpec:
     moment_I: float  # m⁴
 
     def __post_init__(self):
-        for field in fields(self):
-            _require_finite(field.name, getattr(self, field.name))
+        _require_finite_fields(self)
         if self.eccentricity_e < 0:
             raise ValidationError(
                 f"eccentricity_e must be >= 0, got {self.eccentricity_e}"
@@ -122,8 +210,7 @@ class ColumnSpec:
         return self.eccentricity_e * self.centroid_c / self.gyration_k**2
 
 
-@dataclass(frozen=True)
-class UsageProfile:
+class UsageProfile(Record):
     """Daily rates per cycle counter; a zero rate marks a log-driven counter."""
 
     counters: dict

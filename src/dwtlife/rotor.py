@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import _require_finite
+from .model import Record, _require_finite
 
 
-@dataclass(frozen=True)
-class RotorState:
+class RotorState(Record):
     """Operating point of the rotor."""
 
     radius_R: float  # m

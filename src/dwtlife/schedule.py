@@ -31,12 +31,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from datetime import date, timedelta
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, UsageProfile, _require_finite, read_document, tagged
+from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, read_document, tagged
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -55,8 +55,7 @@ LIFE_EXPIRED = "life_expired"
 # triggers and registry types
 
 
-@dataclass(frozen=True)
-class CalendarInterval:
+class CalendarInterval(Record):
     years: float
 
     def __post_init__(self):
@@ -65,8 +64,7 @@ class CalendarInterval:
         _require_finite("calendar interval", self.years)
 
 
-@dataclass(frozen=True)
-class CycleInterval:
+class CycleInterval(Record):
     cycles: float
     counter: str
 
@@ -76,8 +74,7 @@ class CycleInterval:
         _require_finite("cycle interval", self.cycles)
 
 
-@dataclass(frozen=True)
-class WhicheverFirst:
+class WhicheverFirst(Record):
     years: float
     cycles: float
     counter: str
@@ -89,8 +86,7 @@ class WhicheverFirst:
         _require_finite("whichever_first cycles", self.cycles)
 
 
-@dataclass(frozen=True)
-class EventTrigger:
+class EventTrigger(Record):
     kind: str
 
     def __post_init__(self):
@@ -103,14 +99,12 @@ class EventTrigger:
 Trigger = Union[CalendarInterval, CycleInterval, WhicheverFirst, EventTrigger]
 
 
-@dataclass(frozen=True)
-class MaintenanceTask:
+class MaintenanceTask(Record):
     description: str
     trigger: Trigger
 
 
-@dataclass(frozen=True)
-class ServiceLife:
+class ServiceLife(Record):
     value: float
     unit: str  # "years" or "cycles"
     counter: Optional[str] = None  # required for cycles
@@ -125,8 +119,7 @@ class ServiceLife:
             raise ValidationError("cycles-based service life needs a counter id")
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(Record):
     id: str
     group: str
     failure_modes: tuple[str, ...] = ()
@@ -143,8 +136,7 @@ class ComponentRecord:
         object.__setattr__(self, "tasks", tuple(self.tasks))
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Record):
     components: tuple[ComponentRecord, ...]
 
     def __post_init__(self):
@@ -162,11 +154,10 @@ class Registry:
         raise ValidationError(f"no component {component_id!r} in registry")
 
 
-@dataclass(frozen=True)
-class InstallationRecord:
+class InstallationRecord(Record):
     install_date: date
     event_log: tuple = ()  # (date, kind) pairs
-    cycle_log: dict = field(default_factory=dict)  # counter -> ((date, count), ...)
+    cycle_log: dict = {}  # counter -> ((date, count), ...); __post_init__ copies it
 
     def __post_init__(self):
         object.__setattr__(self, "event_log", tuple(self.event_log))
@@ -191,8 +182,7 @@ class InstallationRecord:
                 prev_date, prev_count = when, count
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(Record):
     due_date: date
     component_id: str
     task: str
@@ -200,8 +190,7 @@ class ScheduleEntry:
     due_count: Optional[float] = None  # cumulative counter threshold, cycle triggers only
 
 
-@dataclass(frozen=True)
-class RemainingLife:
+class RemainingLife(Record):
     remaining: float
     unit: str
     fraction_consumed: float
@@ -370,12 +359,14 @@ def generate_schedule(
     def within(d: Optional[date]) -> bool:
         return d is not None and start <= d <= end
 
+    # Entries are built with every field positional, Record's fast path.
+
     for component in registry.components:
         for task in component.tasks:
             trig = task.trigger
             if isinstance(trig, CalendarInterval):
                 entries.extend(
-                    ScheduleEntry(due, component.id, task.description, INTERVAL_ELAPSED)
+                    ScheduleEntry(due, component.id, task.description, INTERVAL_ELAPSED, None)
                     for due in _calendar_recurrences(start, end, trig.years)
                 )
             elif isinstance(trig, CycleInterval):
@@ -387,8 +378,7 @@ def generate_schedule(
                         break
                     entries.append(
                         ScheduleEntry(
-                            due, component.id, task.description, CYCLES_ELAPSED,
-                            due_count=k * trig.cycles,
+                            due, component.id, task.description, CYCLES_ELAPSED, k * trig.cycles
                         )
                     )
                     k += 1
@@ -410,7 +400,7 @@ def generate_schedule(
                     k += 1
             else:  # EventTrigger
                 entries.extend(
-                    ScheduleEntry(when, component.id, task.description, EVENT)
+                    ScheduleEntry(when, component.id, task.description, EVENT, None)
                     for when, kind in install.event_log
                     if kind == trig.kind and within(when)
                 )
@@ -430,17 +420,15 @@ def generate_schedule(
                     )
                 )
 
-    entries.sort(key=lambda e: (e.due_date, e.component_id, e.task, e.reason))
+    entries.sort(key=attrgetter("due_date", "component_id", "task", "reason"))
     return entries
 
 
 def _calendar_recurrences(start: date, end: date, interval_years: float):
-    k = 1
-    while True:
-        due = _days_after(start, _years_to_days(k * interval_years))
-        if due is None or due > end:
-            return
-        yield due
+    """start + k intervals for k = 1, 2, ... up to end; the days round as _years_to_days does."""
+    first, last, k = start.toordinal(), end.toordinal(), 1
+    while (day := first + round(k * interval_years * DAYS_PER_YEAR)) <= last:
+        yield date.fromordinal(day)
         k += 1
 
 

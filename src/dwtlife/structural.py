@@ -9,18 +9,16 @@ bisection below the elastic stability bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import BucklingError, NumericError, ValidationError
-from .model import ColumnSpec, Material, RectSection, _require_finite
+from .model import ColumnSpec, Material, Record, RectSection, _require_finite_fields
 from .units import GRAVITY
 
 FLAT = "flat"  # bending about the wide axis: I = b t³/12, y = t/2
 UPRIGHT = "upright"  # bending about the narrow axis: I = t b³/12, y = b/2
 
 
-@dataclass(frozen=True)
-class BallastSpec:
+class BallastSpec(Record):
     """Gravity-base ballast parameters for the tower moment balance."""
 
     turbine_thrust: float  # N
@@ -31,8 +29,7 @@ class BallastSpec:
     ballast_mass_density: float  # kg/m³
 
     def __post_init__(self):
-        for field in fields(self):
-            _require_finite(field.name, getattr(self, field.name))
+        _require_finite_fields(self)
         for name in (
             "turbine_thrust",
             "nacelle_diameter",
@@ -48,8 +45,7 @@ class BallastSpec:
             )
 
 
-@dataclass(frozen=True)
-class BladeSpec:
+class BladeSpec(Record):
     """Blade idealized as a rectangular cantilever mounted at angle phi."""
 
     section: RectSection
@@ -58,6 +54,7 @@ class BladeSpec:
     mass: float  # kg
 
     def __post_init__(self):
+        _require_finite_fields(self, ("mount_angle_phi", "mass"))
         if not self.mass > 0:
             raise ValidationError(f"blade mass must be positive, got {self.mass}")
         if not 0 <= self.mount_angle_phi <= 90:

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
-from .model import _require_finite, read_document, tagged
+from .model import Record, _require_finite, read_document, tagged
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
 EXPONENTIAL = "exponential"
@@ -51,8 +50,7 @@ FIXED_LIFE = "fixed_life"
 _CHUNK = 1 << 16  # samples per streamed chunk
 
 
-@dataclass(frozen=True)
-class LifeModel:
+class LifeModel(Record):
     """Failure-time model of a single component."""
 
     kind: str
@@ -116,17 +114,15 @@ class LifeModel:
         return u
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """Leaf node: a named component with its life model."""
 
     component_id: str
     model: LifeModel
 
 
-@dataclass(frozen=True)
-class Series:
-    children: tuple = field(default=())
+class Series(Record):
+    children: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
@@ -134,9 +130,8 @@ class Series:
             raise ValidationError("series group needs at least one child")
 
 
-@dataclass(frozen=True)
-class Parallel:
-    children: tuple = field(default=())
+class Parallel(Record):
+    children: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
@@ -379,6 +374,17 @@ def poisson_pmf(k: int, mean: float) -> float:
     if mean == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+
+
+# Component service-life summary of the published study (years); the default
+# input of system_service_life on the command line.
+SERVICE_LIFE_SUMMARY_YEARS = {
+    "tower": 38.0,
+    "slew_bearing": 80.0,
+    "blades": 75.0,
+    "generator": 20.0,
+    "slip_ring": 80.0,
+}
 
 
 def system_service_life(lives: dict[str, float]) -> tuple[float, str]:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import _require_finite
+from .model import Record, _require_finite
 
 # Standard gravity, used wherever a weight is derived from a mass.
 GRAVITY = 9.80665  # m/s²
@@ -67,8 +66,7 @@ def dimension_of(unit: str) -> str:
     return _UNITS[canonical_unit(unit)][0]
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """A scalar with a unit tag."""
 
     value: float

@@ -14,10 +14,9 @@ loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NumericError, SingularityError, ValidationError
-from .model import _require_finite
+from .model import Record, _require_finite
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
 RANDOM = "random"  # beta = 1, constant hazard
@@ -26,8 +25,7 @@ WEAR_OUT = "wear_out"  # beta > 1, increasing hazard
 _REGIME_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WeibullParams:
+class WeibullParams(Record):
     shape_beta: float
     scale_eta: float
 
@@ -40,8 +38,7 @@ class WeibullParams:
         _require_finite("scale", self.scale_eta)
 
 
-@dataclass(frozen=True)
-class QuantilePoint:
+class QuantilePoint(Record):
     """A (percent, life) pair: life below which percent% of units fail."""
 
     percent_p: float

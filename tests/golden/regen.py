@@ -78,6 +78,12 @@ CASES = {
     "fatigue_life_imperial": (
         _argv("fatigue life --stress 6.48 --a 93.196 --b -0.1206 --units imperial"), {}
     ),
+    "error_fatigue_life_zero_rate": (
+        _argv("fatigue life --stress 200MPa --a 1000MPa --b -0.1 --cycles-per-day 0"), {}
+    ),
+    "error_fatigue_life_infinite_rate": (
+        _argv("fatigue life --stress 200MPa --a 1000MPa --b -0.1 --cycles-per-day inf"), {}
+    ),
     # blade
     "blade_bending": (_argv("blade bending"), {}),
     "blade_bending_json": (_argv("blade bending --mass 5 --mount-angle 20 --json"), {}),
@@ -92,6 +98,7 @@ CASES = {
     "blade_life": (_argv("blade life"), {}),
     "blade_life_json": (_argv("blade life --stress 40MPa --cycles-per-day 100000 --json"), {}),
     "blade_life_imperial": (_argv("blade life --stress 6 --units imperial"), {}),
+    "error_blade_bending_infinite_mass": (_argv("blade bending --mass inf"), {}),
     # tower
     "tower_column": (_argv(f"{COLUMN} --height 6 --area 0.01"), {}),
     "tower_column_json": (_argv(f"{COLUMN} --height 4 --area 0.02 --json"), {}),
@@ -103,6 +110,7 @@ CASES = {
     "tower_life": (_argv("tower life"), {}),
     "tower_life_json": (_argv("tower life --stress 60MPa --cycles-per-day 2000 --json"), {}),
     "tower_life_imperial": (_argv("tower life --units imperial"), {}),
+    "error_tower_life_infinite_rate": (_argv("tower life --cycles-per-day inf"), {}),
     # ballast
     "ballast": (_argv(f"{BALLAST} --base-area 4 --safety-factor 1.5"), {}),
     "ballast_json": (_argv(f"{BALLAST} --base-area 4 --density 2000kg/m³ --json"), {}),

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: the column
 deflection is solved as the governing boundary-value ODE by finite
 differences, the allowable load by a damped fixed-point iteration, and the
-Monte Carlo MTTF in one shot from the topology document.
+Monte Carlo MTTF in one shot from the topology document. The CLI's
+parser is built whole, every subcommand with every flag, as the reference
+for the parser the CLI builds for one argv.
 """
 
 import math
@@ -82,3 +84,27 @@ def one_shot_mttf(doc, samples, seed):
 
     times = failure_times(doc)
     return float(times.mean()), float(times.std(ddof=1) / math.sqrt(samples))
+
+
+def whole_parser():
+    """The CLI parser with every subcommand and every flag, from cli.COMMANDS in one loop."""
+    from dwtlife import cli
+
+    parser = cli._Parser(
+        prog="dwtlife", description="Ducted wind turbine lifing and maintenance engine"
+    )
+    top = parser.add_subparsers(dest="command", required=True)
+    families = {}
+    for path, (_, shared, flags, _) in cli.COMMANDS.items():
+        family, _, name = path.partition(" ")
+        if name and family not in families:
+            family_parser = top.add_parser(family)
+            families[family] = family_parser.add_subparsers(dest="subcommand", required=True)
+        sub = families[family].add_parser(name) if name else top.add_parser(family)
+        for flag, spec in cli._SHARED.items():
+            if flag in shared:
+                sub.add_argument(f"--{flag}", **spec)
+        for flag, spec in flags.items():
+            sub.add_argument(flag, **{key: value for key, value in spec.items() if key != "dim"})
+        sub.set_defaults(path=path)
+    return parser

@@ -9,10 +9,12 @@ import io
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from dwtlife import cli
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -121,3 +123,36 @@ def test_argv_fuzz(argv):
     assert "Traceback" not in err
     if code == 0:
         assert not NON_FINITE.search(out), (argv, out)
+
+
+# Words an argv is drawn from: every family, subcommand and flag name, help
+# flags, words argparse reads as positionals although they start with "-",
+# and flag values.
+_FLAGS = sorted({flag for _, _, flags, _ in cli.COMMANDS.values() for flag in flags}
+                | {f"--{name}" for name in cli._SHARED})
+_NAMES = sorted({word for path in cli.COMMANDS for word in path.split()})
+WORDS = [*_NAMES, *_FLAGS, "-h", "--help", "--he", "-", "--", "-5", "", "nope", "--nope",
+         "--sut=58ksi", "0.5", "37", "2025-01-01", "Generator",
+         str(INPUTS / "topology.json"), str(INPUTS / "bearing.json")]
+
+
+@st.composite
+def loose_argvs(draw):
+    """A subcommand path and any words, in order or shuffled, or the words alone."""
+    path = draw(st.sampled_from(sorted(cli.COMMANDS))).split()
+    words = draw(st.lists(st.sampled_from(WORDS), max_size=6))
+    shape = draw(st.sampled_from(("in order", "shuffled", "words alone")))
+    if shape == "words alone":
+        return words
+    return path + words if shape == "in order" else draw(st.permutations(path + words))
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(loose_argvs())
+def test_leaf_parser_answers_as_the_whole_parser(argv):
+    leaf = run(argv)
+    with mock.patch.object(cli, "_build_parser", lambda _argv: oracles.whole_parser()):
+        whole = run(argv)
+    assert leaf == whole, argv

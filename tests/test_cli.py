@@ -643,3 +643,121 @@ class TestColdImports:
         assert self.cold_modules(tmp_path, argv) == {
             "dwtlife.errors", "dwtlife.model", "dwtlife.weibull",
         }
+
+    def test_system_life_loads_at_most_four_modules(self, tmp_path):
+        loaded = self.cold_modules(tmp_path, ["system", "life"])
+        assert len(loaded) <= 4, loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "generate", "--install-date", "2025-01-01", "--config", "usage.json"],
+        ["schedule", "rul", "--component", "Generator", "--elapsed", "5", "--config", "usage.json"],
+    ], ids=lambda argv: argv[1])
+    def test_schedule_with_usage_config_loads_no_preset(self, tmp_path, argv):
+        (tmp_path / "usage.json").write_text(json.dumps({"usage": DEFAULT_USAGE.counters}))
+        loaded = self.cold_modules(tmp_path, argv)
+        for module in ("presets", "bearing", "fatigue", "rotor"):
+            assert f"dwtlife.{module}" not in loaded, loaded
+
+
+# A valid argv for every subcommand, run from a directory holding
+# topology.json and bearing.json.
+LEAF_ARGV = {
+    "fatigue endurance": "--sut 58ksi",
+    "fatigue sn": "--sut 310MPa --se 120MPa",
+    "fatigue life": "--stress 200MPa --a 1000MPa --b -0.1",
+    "blade bending": "",
+    "blade torsion": "--torque 300Nm",
+    "blade life": "",
+    "tower column": " ".join(COLUMN[2:]) + " --height 6 --area 0.01",
+    "tower life": "",
+    "ballast": "--thrust 6035 --nacelle-diameter 2 --base-diameter 3 --base-area 4",
+    "aero torque": "",
+    "aero betz": "--a0 0.1",
+    "aero sweep": "",
+    "bearing life": "--config bearing.json",
+    "weibull fit": "--p 10 --bp 10 --q 50 --bq 20",
+    "weibull cdf": "--beta 2 --eta 5 --t 1",
+    "weibull quantile": "--beta 2 --eta 5 --p 10",
+    "weibull hazard": "--beta 2 --eta 5 --t 1",
+    "weibull sample": "--beta 2 --eta 5 --samples 10",
+    "system mttf": "--config topology.json --samples 1000",
+    "system reliability": "--config topology.json --t 1",
+    "system life": "",
+    "schedule generate": "--install-date 2025-01-01",
+    "schedule report": "",
+    "schedule rul": "--component Generator --elapsed 5",
+}
+NUMPY_LEAVES = {"system mttf", "weibull sample"}
+
+
+def cold_env() -> dict:
+    """The environment of a cold CLI process: this checkout's src, stdout block-buffered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for name in ("DWT_REGISTRY", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return env
+
+
+def cold_cli(tmp_path, argv, **options):
+    """A fresh ``python -m dwtlife.cli ARGV`` process, run in tmp_path; bytes out."""
+    (tmp_path / "topology.json").write_text(json.dumps(SINGLE_LEAF_TOPOLOGY))
+    (tmp_path / "bearing.json").write_text(json.dumps(BEARING_DOC))
+    return subprocess.run([sys.executable, *options.pop("python", ()), "-m", "dwtlife.cli", *argv],
+                          cwd=tmp_path, env=cold_env(), capture_output=True, timeout=60, **options)
+
+
+class TestColdStart:
+    def test_every_subcommand_has_an_argv(self):
+        assert set(LEAF_ARGV) == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("path", sorted(LEAF_ARGV), ids=lambda path: path.replace(" ", "_"))
+    def test_no_dataclasses_and_no_inspect_without_numpy(self, tmp_path, path):
+        argv = [*path.split(), *LEAF_ARGV[path].split()]
+        proc = cold_cli(tmp_path, argv, python=["-X", "importtime"])
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.split("|")[-1].strip() for line in proc.stderr.decode().splitlines()}
+        assert "dataclasses" not in imported
+        assert ("numpy" in imported) == (path in NUMPY_LEAVES)
+        if path not in NUMPY_LEAVES:
+            assert "inspect" not in imported
+
+
+class TestFastExit:
+    """main() ends the process from an atexit hook with os._exit, after a flush."""
+
+    def test_stdout_bytes_match_in_process_run(self, tmp_path, capsys):
+        argv = ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "30"]
+        code, out, err = run_lines(capsys, argv)
+        proc = cold_cli(tmp_path, argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+        assert code == 0 and len(proc.stdout) > 100_000
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["aero", "betz", "--a0", "0.1"], 0),
+        (["aero", "betz", "--help"], 0),
+        (["aero", "betz", "--a0", "2"], 1),
+        (["aero", "betz"], 1),
+        (["blade", "torsion", "--torque", "1e308"], 2),
+    ], ids=["ok", "help", "validation", "usage", "numeric"])
+    def test_exit_code_and_output_survive(self, tmp_path, capsys, argv, expected):
+        code, out, err = run_lines(capsys, argv)
+        proc = cold_cli(tmp_path, argv)
+        assert code == expected
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+    def test_closed_stdout_is_one_error_line(self, tmp_path):
+        proc = cold_cli(tmp_path, ["aero", "betz", "--a0", "0.1"], stdout=None,
+                        preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (1, b"error: stdout is closed\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["aero", "betz", "--a0", "0.1"],
+        ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "30"],
+    ], ids=["flushed_at_exit", "written_by_run"])
+    def test_broken_pipe_is_one_error_line(self, tmp_path, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "dwtlife.cli", *argv], cwd=tmp_path,
+                                env=cold_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the command writes
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"error: [Errno 32] Broken pipe\n")
