@@ -23,7 +23,9 @@ cycle_interval / whichever_first / event, read like a topology node. Any
 malformed row is one ValidationError prefixed "registry: component #i
 ('id'):". A cycles-based service life names the usage counter it is
 measured against. Calendar arithmetic is whole days with a 365-day
-year; recurring intervals anchor to the install date.
+year; recurring intervals anchor to the install date. A cycle threshold's
+date is found by bisecting the counter's log, and a schedule holds at most
+MAX_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 from operator import attrgetter
 from typing import Optional, Union
@@ -49,6 +52,9 @@ INTERVAL_ELAPSED = "interval_elapsed"
 CYCLES_ELAPSED = "cycles_elapsed"
 EVENT = "event"
 LIFE_EXPIRED = "life_expired"
+
+# Most entries one schedule may hold; the default registry over 1000 years has 122,496.
+MAX_ENTRIES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -296,40 +302,38 @@ def _years_to_days(years: float) -> int:
     return round(years * DAYS_PER_YEAR)
 
 
-def _days_after(start: date, days: int) -> Optional[date]:
-    """start + days, or None past date.max (beyond every horizon)."""
+def _days_after(start: date, days: float) -> Optional[date]:
+    """start + ceil(days), or None past date.max (beyond every horizon)."""
     try:
-        return start + timedelta(days=days)
+        return start + timedelta(days=math.ceil(days))
     except OverflowError:
         return None
 
 
-class _CounterModel:
-    """Date at which a cumulative counter first reaches a threshold.
+def _counter(counter: str, install: InstallationRecord, usage: UsageProfile, end: date):
+    """(date_reaching, value at end) of a cumulative counter.
 
-    Logged (date, count) points are authoritative; beyond the last log
-    point the counter grows at the usage rate (zero rate: log-driven only).
+    date_reaching(threshold) bisects the logged (date, count) points, which are
+    authoritative; beyond the last one the counter grows at the usage rate (zero
+    rate: log-driven only). The value at end counts only log points dated by end.
     """
+    if counter not in usage.counters and counter not in install.cycle_log:
+        raise ValidationError(f"unknown cycle counter {counter!r}")
+    log = install.cycle_log.get(counter, ())
+    dates, counts = zip(*log) if log else ((), ())
+    rate = usage.counters.get(counter, 0.0)
+    last_date, last_count = log[-1] if log else (install.install_date, 0.0)
 
-    def __init__(self, counter: str, install: InstallationRecord, usage: UsageProfile):
-        known = counter in usage.counters or counter in install.cycle_log
-        if not known:
-            raise ValidationError(f"unknown cycle counter {counter!r}")
-        self.log = install.cycle_log.get(counter, ())
-        self.rate = usage.counters.get(counter, 0.0)
-        if self.log:
-            self.last_date, self.last_count = self.log[-1]
-        else:
-            self.last_date, self.last_count = install.install_date, 0.0
-
-    def date_reaching(self, threshold: float) -> Optional[date]:
-        for when, count in self.log:
-            if count >= threshold:
-                return when
-        if self.rate > 0:
-            days = math.ceil((threshold - self.last_count) / self.rate)
-            return _days_after(self.last_date, max(days, 0))
+    def date_reaching(threshold: float) -> Optional[date]:
+        if threshold <= last_count:
+            return dates[bisect_left(counts, threshold)]
+        if rate > 0:
+            return _days_after(last_date, max((threshold - last_count) / rate, 0))
         return None
+
+    if last_date > end:  # the value at end is the last count logged by end
+        return date_reaching, (0.0, *counts)[bisect_right(dates, end)]
+    return date_reaching, last_count + rate * (end - last_date).days
 
 
 def generate_schedule(
@@ -341,12 +345,13 @@ def generate_schedule(
     """Compile dated maintenance entries over the horizon.
 
     Calendar triggers recur from the install date; cycle triggers convert
-    thresholds to dates through the counter model (entries also carry the
-    threshold as due_count); whichever_first takes the earlier side at each
-    recurrence, calendar winning ties; event triggers emit one entry per
-    logged matching event; a lifed component gets a life_expired entry.
+    thresholds to dates by bisecting the counter's log (entries also carry
+    the threshold as due_count); whichever_first takes the earlier side at
+    each recurrence, calendar winning ties; event triggers emit one entry
+    per logged matching event; a lifed component gets a life_expired entry.
     Output is sorted by (due date, component id, task, reason). The horizon
-    must end by date.max; a recurrence that would pass it is never due.
+    must end by date.max; a recurrence that would pass it is never due. A
+    trigger that could take the schedule past MAX_ENTRIES is a ValidationError.
     """
     if not 0 < horizon_years < math.inf:
         raise ValidationError(f"horizon must be positive and finite, got {horizon_years}")
@@ -354,6 +359,7 @@ def generate_schedule(
     end = _days_after(start, _years_to_days(horizon_years))
     if end is None:
         raise ValidationError(f"horizon of {horizon_years} years from {start} ends after {date.max}")
+    horizon_days = (end - start).days
     entries: list[ScheduleEntry] = []
 
     def within(d: Optional[date]) -> bool:
@@ -364,53 +370,45 @@ def generate_schedule(
     for component in registry.components:
         for task in component.tasks:
             trig = task.trigger
-            if isinstance(trig, CalendarInterval):
-                entries.extend(
-                    ScheduleEntry(due, component.id, task.description, INTERVAL_ELAPSED, None)
-                    for due in _calendar_recurrences(start, end, trig.years)
-                )
-            elif isinstance(trig, CycleInterval):
-                model = _CounterModel(trig.counter, install, usage)
-                k = 1
-                while True:
-                    due = model.date_reaching(k * trig.cycles)
-                    if not within(due):
-                        break
-                    entries.append(
-                        ScheduleEntry(
-                            due, component.id, task.description, CYCLES_ELAPSED, k * trig.cycles
-                        )
-                    )
-                    k += 1
-            elif isinstance(trig, WhicheverFirst):
-                model = _CounterModel(trig.counter, install, usage)
-                k = 1
-                while True:
-                    cal_due = _days_after(start, _years_to_days(k * trig.years))
-                    cyc_due = model.date_reaching(k * trig.cycles)
-                    if cyc_due is not None and (cal_due is None or cyc_due < cal_due):
-                        due, reason, count = cyc_due, CYCLES_ELAPSED, k * trig.cycles
-                    else:
-                        due, reason, count = cal_due, INTERVAL_ELAPSED, None
-                    if not within(due):
-                        break
-                    entries.append(
-                        ScheduleEntry(due, component.id, task.description, reason, count)
-                    )
-                    k += 1
-            else:  # EventTrigger
+            if isinstance(trig, EventTrigger):
                 entries.extend(
                     ScheduleEntry(when, component.id, task.description, EVENT, None)
                     for when, kind in install.event_log
                     if kind == trig.kind and within(when)
                 )
+                continue
+            # A cycle interval is a whichever_first without a calendar side. Recurrence k is due
+            # only if k*years in days rounds to at most horizon_days or k*cycles <= count at end.
+            years = None if isinstance(trig, CycleInterval) else trig.years
+            bound = 0.0 if years is None else (horizon_days + 1) / (years * DAYS_PER_YEAR) + 1
+            if not isinstance(trig, CalendarInterval):
+                date_reaching, count_at_end = _counter(trig.counter, install, usage, end)
+                bound = max(bound, count_at_end / trig.cycles + 1)
+            if not bound <= MAX_ENTRIES - len(entries):
+                raise ValidationError(f"component {component.id!r} task {task.description!r} "
+                                      f"would take the schedule past {MAX_ENTRIES} entries")
+            if isinstance(trig, CalendarInterval):
+                entries.extend(
+                    ScheduleEntry(due, component.id, task.description, INTERVAL_ELAPSED, None)
+                    for due in _calendar_recurrences(start, end, trig.years)
+                )
+                continue
+            for k in range(1, int(bound) + 1):
+                cyc_due = date_reaching(k * trig.cycles)
+                cal_due = None if years is None else _days_after(start, _years_to_days(k * years))
+                if cyc_due is not None and (cal_due is None or cyc_due < cal_due):
+                    due, reason, count = cyc_due, CYCLES_ELAPSED, k * trig.cycles
+                else:
+                    due, reason, count = cal_due, INTERVAL_ELAPSED, None
+                if not within(due):
+                    break
+                entries.append(ScheduleEntry(due, component.id, task.description, reason, count))
         life = component.service_life
         if life is not None:
             if life.unit == YEARS:
                 due, count = _days_after(start, _years_to_days(life.value)), None
             else:
-                model = _CounterModel(life.counter, install, usage)
-                due, count = model.date_reaching(life.value), life.value
+                due, count = _counter(life.counter, install, usage, end)[0](life.value), life.value
             if within(due):
                 entries.append(
                     ScheduleEntry(

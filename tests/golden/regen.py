@@ -7,7 +7,8 @@ byte. Rewrite the files after a deliberate output change with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and list each rewritten file in CHANGES.md.
+which writes only the files whose bytes change and prints their names; list
+each rewritten file in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -238,6 +239,12 @@ CASES = {
     "error_install_decreasing_log": (
         _argv("schedule generate --config install_decreasing_log.json"), {}
     ),
+    "error_generate_huge_logged_count": (
+        _argv("schedule generate --config install_huge_count.json --horizon 1"), {}
+    ),
+    "error_generate_huge_usage_rate": (
+        _argv("schedule generate --config usage_huge_rate.json --horizon 1"), {}
+    ),
     "error_registry_missing_file": ([*GENERATE, "--registry", "missing.json"], {}),
     "error_registry_broken_json": ([*GENERATE, "--registry", "broken.json"], {}),
     "error_registry_no_components": ([*GENERATE, "--registry", "registry_no_components.json"], {}),
@@ -249,6 +256,9 @@ CASES = {
         [*GENERATE, "--registry", "registry_two_tag_trigger.json"], {}
     ),
     "error_registry_zero_interval": ([*GENERATE, "--registry", "registry_zero_interval.json"], {}),
+    "error_registry_vanishing_interval": (
+        [*GENERATE, "--horizon", "1", "--registry", "registry_vanishing_interval.json"], {}
+    ),
     "error_registry_missing_description": (
         [*GENERATE, "--registry", "registry_missing_description.json"], {}
     ),
@@ -340,9 +350,15 @@ def render(name: str) -> bytes:
 
 def main() -> None:
     EXPECTED.mkdir(exist_ok=True)
+    written = 0
     for name in CASES:
-        (EXPECTED / f"{name}.txt").write_bytes(render(name))
-    print(f"wrote {len(CASES)} files to {EXPECTED}")
+        path = EXPECTED / f"{name}.txt"
+        text = render(name)
+        if not path.exists() or path.read_bytes() != text:
+            path.write_bytes(text)
+            print(path.name)
+            written += 1
+    print(f"wrote {written} of {len(CASES)} files in {EXPECTED}")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,14 @@ deflection is solved as the governing boundary-value ODE by finite
 differences, the allowable load by a damped fixed-point iteration, and the
 Monte Carlo MTTF in one shot from the topology document. The CLI's
 parser is built whole, every subcommand with every flag, as the reference
-for the parser the CLI builds for one argv.
+for the parser the CLI builds for one argv. The maintenance schedule is
+compiled by scanning the whole cycle log for every threshold, with one
+unbounded loop per recurring trigger kind.
 """
 
 import math
+from datetime import date, timedelta
+from operator import attrgetter
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -108,3 +112,102 @@ def whole_parser():
             sub.add_argument(flag, **{key: value for key, value in spec.items() if key != "dim"})
         sub.set_defaults(path=path)
     return parser
+
+
+def threshold_scan_schedule(registry, install, usage, horizon_years):
+    """generate_schedule's entries, each cycle threshold found by a scan of the whole log."""
+    from dwtlife import schedule as S
+    from dwtlife.errors import ValidationError
+
+    def days_after(start, days):
+        try:
+            return start + timedelta(days=days)
+        except OverflowError:
+            return None
+
+    def whole_days(years):
+        return round(years * S.DAYS_PER_YEAR)
+
+    def counter_model(counter):
+        if counter not in usage.counters and counter not in install.cycle_log:
+            raise ValidationError(f"unknown cycle counter {counter!r}")
+        log = install.cycle_log.get(counter, ())
+        rate = usage.counters.get(counter, 0.0)
+        last_date, last_count = log[-1] if log else (install.install_date, 0.0)
+
+        def date_reaching(threshold):
+            for when, count in log:
+                if count >= threshold:
+                    return when
+            if rate > 0:  # a projection too far to count in days is never due
+                days = (threshold - last_count) / rate
+                return days_after(last_date, max(math.ceil(days), 0)) if days < math.inf else None
+            return None
+
+        return date_reaching
+
+    if not 0 < horizon_years < math.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {horizon_years}")
+    start = install.install_date
+    end = days_after(start, whole_days(horizon_years))
+    if end is None:
+        raise ValidationError(f"horizon of {horizon_years} years from {start} ends after {date.max}")
+    entries = []
+
+    def within(d):
+        return d is not None and start <= d <= end
+
+    for component in registry.components:
+        for task in component.tasks:
+            trig = task.trigger
+            if isinstance(trig, S.CalendarInterval):
+                first, last, k = start.toordinal(), end.toordinal(), 1
+                while (day := first + round(k * trig.years * S.DAYS_PER_YEAR)) <= last:
+                    entries.append(S.ScheduleEntry(
+                        date.fromordinal(day), component.id, task.description,
+                        S.INTERVAL_ELAPSED, None))
+                    k += 1
+            elif isinstance(trig, S.CycleInterval):
+                date_reaching = counter_model(trig.counter)
+                k = 1
+                while True:
+                    due = date_reaching(k * trig.cycles)
+                    if not within(due):
+                        break
+                    entries.append(S.ScheduleEntry(
+                        due, component.id, task.description, S.CYCLES_ELAPSED, k * trig.cycles))
+                    k += 1
+            elif isinstance(trig, S.WhicheverFirst):
+                date_reaching = counter_model(trig.counter)
+                k = 1
+                while True:
+                    cal_due = days_after(start, whole_days(k * trig.years))
+                    cyc_due = date_reaching(k * trig.cycles)
+                    if cyc_due is not None and (cal_due is None or cyc_due < cal_due):
+                        due, reason, count = cyc_due, S.CYCLES_ELAPSED, k * trig.cycles
+                    else:
+                        due, reason, count = cal_due, S.INTERVAL_ELAPSED, None
+                    if not within(due):
+                        break
+                    entries.append(
+                        S.ScheduleEntry(due, component.id, task.description, reason, count))
+                    k += 1
+            else:
+                entries.extend(
+                    S.ScheduleEntry(when, component.id, task.description, S.EVENT, None)
+                    for when, kind in install.event_log
+                    if kind == trig.kind and within(when)
+                )
+        life = component.service_life
+        if life is not None:
+            if life.unit == S.YEARS:
+                due, count = days_after(start, whole_days(life.value)), None
+            else:
+                due, count = counter_model(life.counter)(life.value), life.value
+            if within(due):
+                entries.append(S.ScheduleEntry(
+                    due, component.id, f"Service life reached ({S._life_text(life)})",
+                    S.LIFE_EXPIRED, count))
+
+    entries.sort(key=attrgetter("due_date", "component_id", "task", "reason"))
+    return entries

@@ -2,6 +2,7 @@ import math
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dwtlife.errors import ValidationError
 from dwtlife.presets import DEFAULT_USAGE
@@ -13,11 +14,14 @@ from dwtlife.schedule import (
     CalendarInterval,
     ComponentRecord,
     CycleInterval,
+    EventTrigger,
     InstallationRecord,
+    MaintenanceTask,
     Registry,
     ServiceLife,
     UsageProfile,
     WhicheverFirst,
+    _counter,
     default_registry,
     emit_report,
     generate_schedule,
@@ -26,6 +30,8 @@ from dwtlife.schedule import (
     parse_trigger,
     remaining_service_life,
 )
+
+import oracles
 
 INSTALL = InstallationRecord(install_date=date(2025, 1, 1))
 
@@ -342,6 +348,199 @@ class TestGenerateSchedule:
                 install_date=date(2025, 1, 1),
                 cycle_log={"jack_cycles": [(date(2025, 3, 1), value)]},
             )
+
+
+class TestCounter:
+    """_counter: the date a counter first reaches a threshold, and its value at end."""
+
+    LOG = {"jack_cycles": [(date(2025, 2, 1), 10.0), (date(2025, 3, 1), 10.0),
+                           (date(2025, 4, 1), 25.0)]}
+
+    def counter(self, rate=0.0, end=date(2026, 1, 1), log=LOG):
+        install = InstallationRecord(install_date=date(2025, 1, 1), cycle_log=log)
+        return _counter("jack_cycles", install, UsageProfile(counters={"jack_cycles": rate}), end)
+
+    def test_threshold_equal_to_a_logged_count(self):
+        date_reaching, _ = self.counter()
+        assert date_reaching(25.0) == date(2025, 4, 1)
+
+    def test_repeated_counts_give_the_first_point(self):
+        date_reaching, _ = self.counter()
+        assert date_reaching(10.0) == date(2025, 2, 1)
+
+    def test_threshold_between_two_points(self):
+        date_reaching, _ = self.counter()
+        assert date_reaching(0.5) == date(2025, 2, 1)
+        assert date_reaching(10.5) == date(2025, 4, 1)
+
+    def test_past_the_last_point_at_rate_zero_is_never_due(self):
+        date_reaching, at_end = self.counter(rate=0.0)
+        assert date_reaching(25.5) is None
+        assert at_end == 25.0
+
+    def test_past_the_last_point_projects_at_the_rate(self):
+        date_reaching, at_end = self.counter(rate=2.0)
+        # ceil((30 - 25) / 2) = 3 days after the last point
+        assert date_reaching(30.0) == date(2025, 4, 4)
+        assert at_end == 25.0 + 2.0 * (date(2026, 1, 1) - date(2025, 4, 1)).days
+
+    def test_value_at_end_counts_only_points_dated_by_end(self):
+        _, at_end = self.counter(rate=2.0, end=date(2025, 3, 15))
+        assert at_end == 10.0
+        _, at_end = self.counter(rate=2.0, end=date(2025, 1, 15))
+        assert at_end == 0.0
+        _, at_end = self.counter(rate=2.0, end=date(2025, 2, 1))  # a point dated on end counts
+        assert at_end == 10.0
+
+    def test_projection_past_every_date_is_never_due(self):
+        # 10 / 5e-324 overflows to inf days
+        date_reaching, _ = self.counter(rate=5e-324, log={})
+        assert date_reaching(10.0) is None
+
+    def test_no_log_projects_from_the_install_date(self):
+        date_reaching, at_end = self.counter(rate=4.0, log={})
+        assert date_reaching(10.0) == date(2025, 1, 4)
+        assert at_end == 4.0 * 365
+
+    def test_unknown_counter_rejected(self):
+        with pytest.raises(ValidationError, match="phantom"):
+            _counter("phantom", INSTALL, DEFAULT_USAGE, date(2026, 1, 1))
+
+
+COUNTERS = ("jack_cycles", "yaw_cycles", "phantom")  # phantom is in no log and no usage
+START = date(2025, 1, 1)
+
+
+@st.composite
+def triggers(draw):
+    kind = draw(st.sampled_from(("calendar", "cycle", "whichever", "event")))
+    years = draw(st.floats(0.05, 6.0))
+    cycles = draw(st.floats(1.0, 400.0))
+    counter = draw(st.sampled_from(COUNTERS[:2]) if draw(st.integers(0, 9)) else st.just("phantom"))
+    if kind == "calendar":
+        return CalendarInterval(years)
+    if kind == "cycle":
+        return CycleInterval(cycles, counter)
+    if kind == "whichever":
+        return WhicheverFirst(years, cycles, counter)
+    return EventTrigger(draw(st.sampled_from(("high_load", "post_install_inspection"))))
+
+
+@st.composite
+def lives(draw):
+    kind = draw(st.sampled_from(("none", "years", "cycles")))
+    if kind == "none":
+        return None
+    if kind == "years":
+        return ServiceLife(draw(st.floats(0.1, 25.0)), "years")
+    return ServiceLife(draw(st.floats(1.0, 5000.0)), "cycles", draw(st.sampled_from(COUNTERS[:2])))
+
+
+@st.composite
+def registries(draw):
+    components = []
+    for index in range(draw(st.integers(1, 4))):
+        tasks = draw(st.lists(triggers(), max_size=4))
+        components.append(ComponentRecord(
+            id=f"part {index}", group="Structural", service_life=draw(lives()),
+            tasks=tuple(MaintenanceTask(f"task {i}", t) for i, t in enumerate(tasks)),
+        ))
+    return Registry(components=tuple(components))
+
+
+@st.composite
+def cycle_logs(draw):
+    """Nondecreasing points with zero day and count steps, some past a 20 y horizon."""
+    when, count, log = START, 0.0, []
+    for _ in range(draw(st.integers(0, 12))):
+        when += timedelta(days=draw(st.sampled_from((0, 0, 1, 30)) | st.integers(0, 3000)))
+        count += draw(st.sampled_from((0.0, 0.0, 100.0)) | st.floats(0.0, 500.0))
+        log.append((when, count))
+    return log
+
+
+def _some_counters(draw):
+    """Each known counter, most of the time."""
+    return [c for c in COUNTERS[:2] if draw(st.integers(0, 3))]
+
+
+@st.composite
+def installations(draw):
+    counters = _some_counters(draw)
+    days = draw(st.lists(st.integers(0, 3000), max_size=5))
+    kinds = draw(st.lists(st.sampled_from(("high_load", "post_install_inspection")),
+                          min_size=len(days), max_size=len(days)))
+    return InstallationRecord(
+        install_date=START,
+        event_log=tuple((START + timedelta(days=d), k) for d, k in zip(sorted(days), kinds)),
+        cycle_log={counter: draw(cycle_logs()) for counter in counters},
+    )
+
+
+@st.composite
+def usages(draw):
+    counters = _some_counters(draw)
+    return UsageProfile(counters={
+        c: draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 3.0)) for c in counters
+    })
+
+
+def _compiled(compile_, *args):
+    try:
+        return compile_(*args)
+    except ValidationError as exc:
+        return repr(exc)
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(registries(), installations(), usages(), st.floats(0.01, 20.0))
+def test_schedule_matches_the_threshold_scan_reference(registry, install, usage, horizon):
+    new = _compiled(generate_schedule, registry, install, usage, horizon)
+    reference = _compiled(oracles.threshold_scan_schedule, registry, install, usage, horizon)
+    assert new == reference
+
+
+class TestRecurrenceBound:
+    """The bound on recurrences reaches the last due one; past MAX_ENTRIES it is an error."""
+
+    def test_threshold_equal_to_the_count_at_end_is_due(self):
+        cycles = 22.597  # 3 * cycles / cycles rounds to 2.9999999999999996
+        install = InstallationRecord(
+            install_date=START, cycle_log={"jack_cycles": [(date(2025, 2, 1), 3 * cycles)]}
+        )
+        trigger = {"cycle_interval": {"cycles": cycles, "counter": "jack_cycles"}}
+        reg = single_component_registry([{"description": "x", "trigger": trigger}])
+        entries = generate_schedule(reg, install, DEFAULT_USAGE, 1.0)
+        assert [e.due_count for e in entries] == [cycles, 2 * cycles, 3 * cycles]
+
+    def test_sub_day_whichever_first_matches_the_reference(self):
+        # 0.0365 days per recurrence: k is due while k * 0.0365 rounds to at most 36 days
+        trigger = {"whichever_first": {"years": 1e-4, "cycles": 100, "counter": "jack_cycles"}}
+        reg = single_component_registry([{"description": "x", "trigger": trigger}])
+        entries = generate_schedule(reg, INSTALL, DEFAULT_USAGE, 0.1)
+        assert len(entries) == 1000
+        assert entries == oracles.threshold_scan_schedule(reg, INSTALL, DEFAULT_USAGE, 0.1)
+
+    def test_vanishing_whichever_first_years_rejected(self):
+        # the calendar side rounds to day 0 for every k; the CLI cases pin the other repros
+        trigger = {"whichever_first": {"years": 1e-300, "cycles": 100, "counter": "jack_cycles"}}
+        reg = single_component_registry([{"description": "x", "trigger": trigger}])
+        with pytest.raises(ValidationError, match="'widget' task 'x' .* past 1000000 entries"):
+            generate_schedule(reg, INSTALL, DEFAULT_USAGE, 1.0)
+
+    def test_huge_count_past_the_horizon_is_not_counted(self):
+        log = {"jack_cycles": [(date(2025, 2, 1), 30.0), (date(2030, 1, 1), 1e300)]}
+        install = InstallationRecord(install_date=START, cycle_log=log)
+        trigger = {"cycle_interval": {"cycles": 15, "counter": "jack_cycles"}}
+        reg = single_component_registry([{"description": "x", "trigger": trigger}])
+        entries = generate_schedule(reg, install, DEFAULT_USAGE, 1.0)
+        assert [e.due_count for e in entries] == [15.0, 30.0]
+
+    def test_default_registry_over_a_thousand_years_fits(self):
+        entries = generate_schedule(default_registry(), INSTALL, DEFAULT_USAGE, 1000.0)
+        assert len(entries) == 122_496
 
 
 class TestRemainingLife:
