@@ -377,9 +377,9 @@ def _cmd_bearing_life(args):
                 moment_M=float(loads.get("moment_nm", 0.0)),
             ),
             float(doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG)),
-            bearing.LifeModFactors(**{k: float(v) for k, v in factors.items()})
-            if factors
-            else presets.BEARING_LIFE_FACTORS,
+            presets.BEARING_LIFE_FACTORS
+            if factors is None
+            else bearing.LifeModFactors(**{k: float(v) for k, v in factors.items()}),
             float(doc.get("oscillations_per_day", 1500.0)),
             float(doc.get("exponent", bearing.BALL_EXPONENT)),
         )
@@ -473,7 +473,7 @@ def _cmd_system_reliability(args):
 def _cmd_system_life(args):
     from . import system
 
-    if args.config:
+    if args.config is not None:
         from .model import read_document
 
         def build(doc):
@@ -489,13 +489,15 @@ def _cmd_system_life(args):
 def _load_registry_for(args):
     from . import schedule
 
-    path = args.registry or os.environ.get("DWT_REGISTRY")
-    return schedule.load_registry(_read_json(path)) if path else schedule.default_registry()
+    path = args.registry
+    if path is None:
+        path = os.environ.get("DWT_REGISTRY") or None  # an empty DWT_REGISTRY is unset
+    return schedule.default_registry() if path is None else schedule.load_registry(_read_json(path))
 
 
 def _site_and_usage(args):
     """The schedule commands' --config object ({} without one) and its usage rates."""
-    site = _read_config(args) if args.config else {}
+    site = {} if args.config is None else _read_config(args)
     if not isinstance(site, dict):
         raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
     if "usage" not in site:

@@ -6,8 +6,9 @@ rather than published says so in a comment.
 Plain numbers are module constants. A default that is an instance of a
 library type is built on first use (module ``__getattr__``), importing only
 what that one default needs, so reading one default loads no module for
-the others. The component service-life summary lives in ``system``, next
-to ``system_service_life``, and is read from there.
+the others. The component service-life summary is not served here: its one
+home is ``system.SERVICE_LIFE_SUMMARY_YEARS``, next to
+``system_service_life``.
 """
 
 from __future__ import annotations
@@ -106,12 +107,6 @@ def _default_usage():
     )
 
 
-def _service_life_summary():
-    from .system import SERVICE_LIFE_SUMMARY_YEARS
-
-    return SERVICE_LIFE_SUMMARY_YEARS
-
-
 _BUILT_ON_FIRST_USE = {
     "TOWER_STEEL": _tower_steel,
     "BLADE_ALUMINUM": _blade_aluminum,
@@ -129,7 +124,6 @@ _BUILT_ON_FIRST_USE = {
     "GUST_ROTOR_STATE": _gust_rotor_state,
     "BEARING_LIFE_FACTORS": _bearing_life_factors,
     "DEFAULT_USAGE": _default_usage,
-    "SERVICE_LIFE_SUMMARY_YEARS": _service_life_summary,
 }
 
 

@@ -13,12 +13,20 @@ counter-based; Salmon et al., SC'11), so each leaf's draws are fixed by the
 seed alone, whoever draws them and in what order. A fixed-life leaf needs no
 draws and gets none; skipping its block leaves every other leaf's unchanged.
 
-The samples are walked in fixed chunks of _CHUNK. Per chunk, each leaf draws
-into a preallocated buffer and LifeModel.failure_times turns the uniforms
-into failure times in place; a group's first child writes straight into the
-group's buffer and the later children are folded in with in-place
-minimum/maximum. The chunk's (count, mean, M2) is then computed in place too.
-Memory therefore stays flat as samples grow.
+The samples are walked in fixed chunks of _CHUNK, and each chunk is folded
+into one chunk buffer of failure times a tile of half a chunk at a time.
+Per tile, each drawn leaf draws into a preallocated tile buffer and
+LifeModel.failure_times turns the uniforms into failure times in place; a
+group's first child writes straight into the group's buffer and the later
+children are folded in with in-place minimum/maximum. A fixed life needs no
+buffer: it is folded in as a scalar, and fills the group's buffer only as
+its first child. Each group folds its hungriest child first, so a worker
+holds need - 1 scratch tiles, need being the Sethi-Ullman count of the
+tree, planned once per estimate. Min and max are exact and commutative, and
+split draws from a generator consume the same words as one draw, so neither
+the tiles nor the fold order change a bit. The chunk's (count, mean, M2) is
+then computed in place over the whole chunk buffer. Memory therefore stays
+flat as samples grow, at one chunk plus a few tiles per worker.
 
 The chunks are split into one contiguous run per CPU, each worked by a
 thread with its own positioned generators and buffers (numpy releases the
@@ -35,6 +43,7 @@ the closed-form reliability paths run without loading it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from typing import Optional, Union
@@ -210,57 +219,86 @@ def _positioned_stream(seed: int, offset: int) -> np.random.Generator:
     return rng
 
 
-def _fold_depth(topo: SystemTopology) -> int:
-    """Number of group levels, an upper bound on the scratch buffers _fold needs."""
-    if isinstance(topo, Component):
-        return 0
-    return 1 + max(_fold_depth(c) for c in topo.children)
+def _plan(topo: SystemTopology, index) -> tuple[int, object]:
+    """(need, plan) of topo's fold; index counts the leaves depth-first.
 
-
-def _fold(topo: SystemTopology, streams, out: np.ndarray, scratch: list[np.ndarray]) -> None:
-    """Write one chunk of topo's failure times into out, in place.
-
-    streams yields each leaf's positioned generator in depth-first order,
-    None for a fixed-life leaf. A group's first child writes straight into
-    out; each later child writes into scratch[0], which is folded into out
-    before the next child reuses it, and deeper groups use scratch[1:].
+    A drawn leaf's plan is (its depth-first index, its model); a fixed-life
+    leaf's plan is its life as a float, folded in as a scalar. A group's plan is (np.minimum or
+    np.maximum, its children's plans), hungriest child first. need counts
+    the buffers the fold holds at once, its own output included (Sethi &
+    Ullman, 1970): 1 for a drawn leaf, 0 for a fixed life, and for a group
+    the larger of the first child's need and 1 + the second child's.
     """
     import numpy as np
 
     if isinstance(topo, Component):
-        rng = next(streams)
-        if rng is not None:
-            rng.random(out=out)
-        topo.model.failure_times(out)
-        return
-    first, *later = topo.children
-    _fold(first, streams, out, scratch)
+        i = next(index)
+        if topo.model.kind == FIXED_LIFE:
+            return 0, float(topo.model.life)
+        return 1, (i, topo.model)
+    children = sorted((_plan(c, index) for c in topo.children), key=lambda c: -c[0])
+    needs = [need for need, _ in children]
     combine = np.minimum if isinstance(topo, Series) else np.maximum
+    need = max(needs[0], 1 + (needs[1] if len(needs) > 1 else 0))
+    return need, (combine, [plan for _, plan in children])
+
+
+def _fold(plan, streams, out: np.ndarray, scratch: list[np.ndarray]) -> None:
+    """Write one tile of a _plan's failure times into out, in place.
+
+    streams[i] is leaf i's positioned generator. A fixed life fills out
+    only as a group's first child (or the root); later it is folded in as
+    a scalar. A group's first child writes straight into out; each later
+    drawn child or group writes into scratch[0], which is folded into out
+    before the next child reuses it, and deeper groups use scratch[1:].
+    """
+    if isinstance(plan, float):
+        out.fill(plan)
+        return
+    head, rest = plan
+    if isinstance(head, int):
+        streams[head].random(out=out)
+        rest.failure_times(out)
+        return
+    first, *later = rest
+    _fold(first, streams, out, scratch)
     for child in later:
-        _fold(child, streams, scratch[0], scratch[1:])
-        combine(out, scratch[0], out=out)
+        if isinstance(child, float):
+            head(out, child, out=out)
+        else:
+            _fold(child, streams, scratch[0], scratch[1:])
+            head(out, scratch[0], out=out)
 
 
 def _chunk_moments(
-    topo: SystemTopology, samples: int, seed: int, lo: int, hi: int
+    topo: SystemTopology, plan: tuple[int, object], samples: int, seed: int, lo: int, hi: int
 ) -> list[tuple[int, float, float]]:
-    """(count, mean, M2) of each chunk of samples [lo, hi); lo is _CHUNK-aligned."""
+    """(count, mean, M2) of each chunk of samples [lo, hi); lo is _CHUNK-aligned.
+
+    plan is topo's (need, plan) from _plan. Each chunk is folded a tile of
+    half a chunk at a time into one chunk buffer of failure times, with
+    need - 1 tile buffers of scratch.
+    """
     import numpy as np
 
+    need, root = plan
     streams = [
         None if leaf.model.kind == FIXED_LIFE else _positioned_stream(seed, i * samples + lo)
         for i, leaf in enumerate(_leaves(topo))
     ]
-    buffers = [np.empty(min(_CHUNK, hi - lo)) for _ in range(1 + _fold_depth(topo))]
+    tile = (_CHUNK + 1) // 2
+    buffer = np.empty(min(_CHUNK, hi - lo))
+    scratch = [np.empty(min(tile, buffer.size)) for _ in range(need - 1)]
     moments = []
     with np.errstate(all="ignore"):  # thread-local: every worker enters it
         for start in range(lo, hi, _CHUNK):
-            size = min(_CHUNK, hi - start)
-            times, *scratch = (b[:size] for b in buffers)
-            _fold(topo, iter(streams), times, scratch)
+            times = buffer[: min(_CHUNK, hi - start)]
+            for at in range(0, times.size, tile):
+                part = times[at : at + tile]
+                _fold(root, streams, part, [s[: part.size] for s in scratch])
             chunk_mean = float(times.mean())
             np.subtract(times, chunk_mean, out=times)
-            moments.append((size, chunk_mean, float(np.square(times, out=times).sum())))
+            moments.append((times.size, chunk_mean, float(np.square(times, out=times).sum())))
     return moments
 
 
@@ -286,17 +324,20 @@ def monte_carlo_mttf(
     if not 0 <= seed < 2**128:  # the Philox key is two 64-bit words
         raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     validate_topology(topo)
+    plan = _plan(topo, itertools.count())
     chunks = -(-samples // _CHUNK)
     workers = min(_worker_count(), chunks)
     if workers == 1:
-        moments = _chunk_moments(topo, samples, seed, 0, samples)
+        moments = _chunk_moments(topo, plan, samples, seed, 0, samples)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         edges = [min(chunks * w // workers * _CHUNK, samples) for w in range(workers + 1)]
         with ThreadPoolExecutor(workers) as pool:
             runs = pool.map(
-                lambda lo, hi: _chunk_moments(topo, samples, seed, lo, hi), edges[:-1], edges[1:]
+                lambda lo, hi: _chunk_moments(topo, plan, samples, seed, lo, hi),
+                edges[:-1],
+                edges[1:],
             )
             moments = [chunk for run in runs for chunk in run]
     mean, m2, count = 0.0, 0.0, 0

@@ -9,6 +9,12 @@ Time carries whatever unit the life measure uses; rates are its inverse.
 Only the array functions, inverse_transform() and sample(), need numpy;
 they import it themselves, so the closed-form functions run without
 loading it.
+
+sample() draws from PCG64 (numpy.random.default_rng), not from the Philox
+streams of the system Monte Carlo: the benchmark's cold-CLI references
+(perfbench/refs/cli_cold.json) pin the output of `weibull sample`, so
+moving it to Philox would change a recorded benchmark output and belongs
+with a change to the benchmark.
 """
 
 from __future__ import annotations

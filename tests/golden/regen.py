@@ -186,6 +186,7 @@ CASES = {
     "error_lives_list": (_argv("system life --config lives_list.json"), {}),
     "error_lives_empty": (_argv("system life --config lives_empty.json"), {}),
     "error_lives_negative": (_argv("system life --config lives_negative.json"), {}),
+    "error_system_life_empty_config": (["system", "life", "--config", ""], {}),
     # bearing
     "bearing_life": (_argv("bearing life --config bearing.json"), {}),
     "bearing_life_minimal_json": (_argv("bearing life --config bearing_minimal.json --json"), {}),
@@ -200,6 +201,7 @@ CASES = {
     "error_bearing_unknown_factor": (
         _argv("bearing life --config bearing_unknown_factor.json"), {}
     ),
+    "error_bearing_empty_factors": (_argv("bearing life --config bearing_empty_factors.json"), {}),
     # schedule generate
     "schedule_generate_csv": ([*GENERATE, "--horizon", "2"], {}),
     "schedule_generate_markdown": ([*GENERATE, "--format", "markdown"], {}),
@@ -228,6 +230,7 @@ CASES = {
     "error_generate_horizon_8000": ([*GENERATE, "--horizon", "8000"], {}),
     "error_generate_config_missing_file": ([*GENERATE, "--config", "missing.json"], {}),
     "error_generate_config_broken_json": ([*GENERATE, "--config", "broken.json"], {}),
+    "error_generate_empty_config": ([*GENERATE, "--config", ""], {}),
     "error_usage_text": ([*GENERATE, "--config", "usage_text.json"], {}),
     "error_usage_list": ([*GENERATE, "--config", "usage_list.json"], {}),
     "error_usage_negative": ([*GENERATE, "--config", "usage_negative.json"], {}),
@@ -286,6 +289,7 @@ CASES = {
     "error_report_registry_unknown_group": (
         _argv("schedule report --registry registry_unknown_group.json"), {}
     ),
+    "error_report_empty_registry": (["schedule", "report", "--registry", ""], {}),
     # schedule rul
     "schedule_rul_generator": ([*RUL, "Generator", "--elapsed", "5"], {}),
     "schedule_rul_slip_ring_json": ([*RUL, "Slip Ring", "--elapsed", "3", "--json"], {}),

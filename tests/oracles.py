@@ -3,7 +3,10 @@
 These deliberately avoid the library's own code paths: the column
 deflection is solved as the governing boundary-value ODE by finite
 differences, the allowable load by a damped fixed-point iteration, and the
-Monte Carlo MTTF in one shot from the topology document. The CLI's
+Monte Carlo MTTF in one shot from the topology document. The Monte Carlo
+MTTF is also computed chunk by chunk with one whole-chunk buffer per tree
+level and every group folded in depth-first order, the bit-for-bit
+reference for the library's tiled, hungriest-first fold. The CLI's
 parser is built whole, every subcommand with every flag, as the reference
 for the parser the CLI builds for one argv. The maintenance schedule is
 compiled by scanning the whole cycle log for every threshold, with one
@@ -88,6 +91,82 @@ def one_shot_mttf(doc, samples, seed):
 
     times = failure_times(doc)
     return float(times.mean()), float(times.std(ddof=1) / math.sqrt(samples))
+
+
+def _fold_depth(topo):
+    from dwtlife.system import Component
+
+    if isinstance(topo, Component):
+        return 0
+    return 1 + max(_fold_depth(c) for c in topo.children)
+
+
+def _depth_first_fold(topo, streams, out, scratch):
+    """One chunk of topo's failure times into out: children in depth-first
+    order, every leaf (fixed lives too) through a whole-chunk buffer."""
+    from dwtlife.system import Component, Series
+
+    if isinstance(topo, Component):
+        rng = next(streams)
+        if rng is not None:
+            rng.random(out=out)
+        topo.model.failure_times(out)
+        return
+    first, *later = topo.children
+    _depth_first_fold(first, streams, out, scratch)
+    combine = np.minimum if isinstance(topo, Series) else np.maximum
+    for child in later:
+        _depth_first_fold(child, streams, scratch[0], scratch[1:])
+        combine(out, scratch[0], out=out)
+
+
+def _whole_chunk_moments(topo, samples, seed, lo, hi):
+    """(count, mean, M2) of each chunk of samples [lo, hi), with 1 + depth
+    whole-chunk buffers."""
+    from dwtlife import system
+
+    streams = [
+        None if leaf.model.kind == system.FIXED_LIFE
+        else system._positioned_stream(seed, i * samples + lo)
+        for i, leaf in enumerate(system._leaves(topo))
+    ]
+    chunk = system._CHUNK
+    buffers = [np.empty(min(chunk, hi - lo)) for _ in range(1 + _fold_depth(topo))]
+    moments = []
+    with np.errstate(all="ignore"):
+        for start in range(lo, hi, chunk):
+            size = min(chunk, hi - start)
+            times, *scratch = (b[:size] for b in buffers)
+            _depth_first_fold(topo, iter(streams), times, scratch)
+            chunk_mean = float(times.mean())
+            np.subtract(times, chunk_mean, out=times)
+            moments.append((size, chunk_mean, float(np.square(times, out=times).sum())))
+    return moments
+
+
+def whole_chunk_mttf(topo, samples, seed, workers):
+    """Monte Carlo MTTF folded with a whole-chunk buffer per tree level and
+    the children in depth-first order: the same Philox streams, chunks of
+    system._CHUNK split into one run per worker, and the same Chan, Golub &
+    LeVeque merge. The runs are worked one after another. Returns (mean,
+    standard error).
+    """
+    from dwtlife import system
+
+    chunk = system._CHUNK
+    chunks = -(-samples // chunk)
+    workers = min(workers, chunks)
+    edges = [min(chunks * w // workers * chunk, samples) for w in range(workers + 1)]
+    moments = [
+        m for lo, hi in zip(edges, edges[1:]) for m in _whole_chunk_moments(topo, samples, seed, lo, hi)
+    ]
+    mean, m2, count = 0.0, 0.0, 0
+    for size, chunk_mean, chunk_m2 in moments:
+        delta = chunk_mean - mean
+        mean += delta * size / (count + size)
+        m2 += chunk_m2 + delta * delta * count * size / (count + size)
+        count += size
+    return mean, math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
 def whole_parser():

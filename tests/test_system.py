@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from dwtlife import cli, system
@@ -30,7 +31,7 @@ from dwtlife.system import (
     topology_from_document,
 )
 from dwtlife.weibull import WeibullParams
-from oracles import one_shot_mttf
+from oracles import one_shot_mttf, whole_chunk_mttf
 
 LIFE_SUMMARY = {
     "tower": 38.0,
@@ -311,6 +312,116 @@ class TestWorkerThreads:
         }[model.kind]()
         assert model.failure_times(u) is u
         assert np.array_equal(u, want)
+
+
+LIVES = st.floats(0.5, 50.0)
+LEAF_MODELS = st.one_of(
+    st.floats(0.01, 2.0).map(LifeModel.exponential),
+    st.builds(
+        lambda beta, eta: LifeModel.weibull(WeibullParams(shape_beta=beta, scale_eta=eta)),
+        st.floats(0.3, 4.0),
+        LIVES,
+    ),
+    LIVES.map(LifeModel.fixed_life),
+)
+
+
+@st.composite
+def topologies(draw):
+    """Series/parallel trees 1-4 group levels deep, 1-3 children per group."""
+    ids = itertools.count()
+
+    def node(levels):
+        if levels == 0:
+            return Component(component_id=f"c{next(ids)}", model=draw(LEAF_MODELS))
+        width = draw(st.integers(1, 3))
+        deepest = draw(st.integers(0, width - 1))
+        children = tuple(
+            node(levels - 1 if i == deepest else draw(st.integers(0, levels - 1)))
+            for i in range(width)
+        )
+        return draw(st.sampled_from([Series, Parallel]))(children=children)
+
+    return node(draw(st.integers(1, 4)))
+
+
+# a group of fixed lives only, below a fixed-life first child
+ALL_FIXED_DOC = {"series": [
+    leaf_doc("f", "fixed_life", life=9.0),
+    {"parallel": [leaf_doc("g", "fixed_life", life=4.0), leaf_doc("h", "fixed_life", life=7.0)]},
+    leaf_doc("a", "exponential", rate=0.2),
+]}
+
+# 16 leaves, 3 group levels. Hungriest first, the root's children need 3
+# (the first parallel), 2, 1, 1, 1 and 0 buffers, so the root needs
+# max(3, 1 + 2) = 3; in depth-first order it would need 1 + 3 = 4.
+WORKING_SET_DOC = {"series": [
+    leaf_doc("a", "exponential", rate=0.1),
+    leaf_doc("b", "fixed_life", life=30.0),
+    {"parallel": [
+        {"series": [
+            leaf_doc("c", "exponential", rate=0.05),
+            leaf_doc("d", "weibull", beta=1.5, eta=20.0),
+            leaf_doc("e", "fixed_life", life=25.0),
+            leaf_doc("f", "exponential", rate=0.02),
+        ]},
+        {"series": [
+            leaf_doc("g", "weibull", beta=0.8, eta=40.0),
+            leaf_doc("h", "exponential", rate=0.04),
+            leaf_doc("i", "exponential", rate=0.03),
+        ]},
+    ]},
+    {"parallel": [
+        leaf_doc("j", "weibull", beta=2.5, eta=12.0),
+        leaf_doc("k", "exponential", rate=0.07),
+        leaf_doc("l", "fixed_life", life=8.0),
+        {"series": [
+            leaf_doc("m", "exponential", rate=0.06),
+            leaf_doc("n", "weibull", beta=1.1, eta=30.0),
+        ]},
+    ]},
+    leaf_doc("o", "weibull", beta=3.0, eta=50.0),
+    leaf_doc("p", "exponential", rate=0.01),
+]}
+
+
+class TestTiledFold:
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        topo=topologies(),
+        chunk=st.sampled_from([97, 1000]),
+        workers=st.integers(1, 3),
+        samples=st.integers(100, 2500),
+        seed=st.integers(0, 2**64),
+    )
+    @example(topo=topology_from_document(FIXED_FIRST_DOC), chunk=97, workers=2, samples=1001, seed=4)
+    @example(topo=topology_from_document(ALL_FIXED_DOC), chunk=97, workers=3, samples=2000, seed=9)
+    @example(topo=topology_from_document(WORKING_SET_DOC), chunk=1000, workers=2, samples=2500, seed=1)
+    def test_bit_identical_to_whole_chunk_fold(self, topo, chunk, workers, samples, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(system, "_CHUNK", chunk)
+            patch.setattr(system, "_worker_count", lambda: workers)
+            got = monte_carlo_mttf(topo, samples, seed)
+            assert got == whole_chunk_mttf(topo, samples, seed, workers)
+
+    def test_working_set_is_one_chunk_and_need_minus_one_tiles(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        topo = topology_from_document(WORKING_SET_DOC)
+        need = 3
+        assert system._plan(topo, itertools.count())[0] == need
+        chunk = system._CHUNK
+        tile = (chunk + 1) // 2
+        samples = 4 * chunk  # two chunks per worker
+        monte_carlo_mttf(topo, samples, seed=1)  # first-use imports outside the trace
+        tracemalloc.start()
+        try:
+            monte_carlo_mttf(topo, samples, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 * (chunk + (need - 1) * tile) * 8
 
 
 OVERFLOWING_DOC = {"parallel": [leaf_doc("a", "weibull", beta=0.05, eta=1e300)]}
