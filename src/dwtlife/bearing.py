@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, _require_finite_fields
+from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_positive
+from .model import number, read_document
 
 BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
 ROLLER_EXPONENT = 10.0 / 3.0
@@ -33,9 +34,8 @@ class SlewingBearingGeometry(Record):
     raceway_center_diameter_dm: float  # mm
 
     def __post_init__(self):
+        _require_positive("groove_factor_fcm", self.groove_factor_fcm)
         _require_finite_fields(self)
-        if not self.groove_factor_fcm > 0:
-            raise ValidationError("groove_factor_fcm must be positive")
         if self.rows_i < 1 or self.ball_count_Z < 1:
             raise ValidationError("rows_i and ball_count_Z must be >= 1")
         if not 0 < self.contact_angle_alpha < 90:
@@ -100,22 +100,19 @@ def oscillating_rating(ca: float, theta_deg: float, p: float = BALL_EXPONENT) ->
         raise ValidationError(
             f"oscillation half-arc must lie in (0, 180] deg, got {theta_deg}"
         )
-    if not 0 < p < math.inf:
-        raise ValidationError(f"load-life exponent must be positive and finite, got {p}")
+    _require_positive("load-life exponent", p)
     return ca * (180.0 / theta_deg) ** (1.0 / p)
 
 
 def equivalent_axial_load(loads: BearingLoads, dm: float) -> float:
     """P_ea = 0.75 F_r + F_a + 2 M / d_m, with M and d_m in consistent units."""
-    if not dm > 0:
-        raise ValidationError(f"raceway center diameter must be positive, got {dm}")
+    _require_positive("raceway center diameter", dm)
     return 0.75 * loads.radial_Fr + loads.axial_Fa + 2.0 * loads.moment_M / dm
 
 
 def l10_life(ca_osc: float, pea: float) -> float:
     """L10 = (C_a,osc / P_ea)³, a cycle count on the rating's oscillation basis."""
-    if not pea > 0:
-        raise ValidationError(f"equivalent load must be positive, got {pea}")
+    _require_positive("equivalent load", pea)
     if not ca_osc / pea < 1e100:  # so that the cube stays below the largest float
         raise ValidationError(f"L10 overflows a float: C_a,osc / P_ea = {ca_osc / pea:g}")
     return (ca_osc / pea) ** 3
@@ -147,8 +144,7 @@ def bearing_calendar_life(cycles: float, oscillations_per_day: float, basis: str
         raise ValidationError(
             f"basis must be '{OSCILLATIONS}' or '{RACEWAY_CYCLES}', got {basis!r}"
         )
-    if not oscillations_per_day > 0:
-        raise ValidationError("oscillation rate must be positive")
+    _require_positive("oscillation rate", oscillations_per_day)
     return cycles / (oscillations_per_day * DAYS_PER_YEAR)
 
 
@@ -183,3 +179,42 @@ def life_summary(
             raceway, oscillations_per_day, RACEWAY_CYCLES
         ),
     }
+
+
+# Document keys of the geometry fields after ball_count_Z, and of BearingLoads, in field order.
+_GEOMETRY_MM_DEG = ("ball_diameter_mm", "contact_angle_deg", "raceway_center_diameter_mm")
+_LOADS = ("radial_n", "axial_n", "moment_nm")
+
+
+def _whole(name: str, value) -> int:
+    """A JSON number with an integral value, as an int."""
+    count = number(name, value, int)
+    if count != value:
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    return count
+
+
+def summary_from_document(document) -> dict:
+    """life_summary of a bearing document (README, "Bearing life"); an absent
+    or null "factors" takes presets.BEARING_LIFE_FACTORS."""
+    from . import presets
+
+    def build(doc):
+        geo, loads, factors = doc["geometry"], doc["loads"], doc.get("factors")
+        return life_summary(
+            SlewingBearingGeometry(
+                number("fcm", geo["fcm"]),
+                _whole("rows", geo.get("rows", 1)),
+                _whole("balls", geo["balls"]),
+                *(number(key, geo[key]) for key in _GEOMETRY_MM_DEG),
+            ),
+            BearingLoads(*(number(key, loads.get(key, 0.0)) for key in _LOADS)),
+            number("theta_deg", doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG)),
+            presets.BEARING_LIFE_FACTORS
+            if factors is None
+            else LifeModFactors(**{k: number(k, v) for k, v in factors.items()}),
+            number("oscillations_per_day", doc.get("oscillations_per_day", 1500.0)),
+            number("exponent", doc.get("exponent", BALL_EXPONENT)),
+        )
+
+    return read_document("bearing document", build, document)

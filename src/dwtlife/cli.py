@@ -12,7 +12,9 @@ One table, COMMANDS, holds a row per subcommand: its handler, the shared
 flags it reads (--units, --json, --seed, --samples, --config, --format),
 its own flags and the library operations it surfaces. One loop builds the
 parser from the table, so a subcommand accepts only the flags it reads and
-any other flag is a usage error.
+any other flag is a usage error. The file holds no document format:
+``_read_json`` reads a JSON file or stdin, and the library reader next to
+the document's type, such as ``bearing.summary_from_document``, builds it.
 
 Quantity-valued flags (a "dim" key in their row) accept a unit suffix
 ("58 ksi", "300Nm"); bare numbers take the --units mode's unit for that
@@ -349,42 +351,10 @@ def _cmd_aero_sweep(args):
     return "cp,rpm,torque_nm\n" + "".join(lines)
 
 
-def _whole(name: str, value) -> int:
-    """A JSON number with an integral value, as an int; not a bool or a digit string."""
-    if isinstance(value, bool) or value != int(value):
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _cmd_bearing_life(args):
-    from . import bearing, presets
-    from .model import read_document
+    from . import bearing
 
-    def build(doc):
-        geo, loads, factors = doc["geometry"], doc["loads"], doc.get("factors")
-        return bearing.life_summary(
-            bearing.SlewingBearingGeometry(
-                groove_factor_fcm=float(geo["fcm"]),
-                rows_i=_whole("rows", geo.get("rows", 1)),
-                ball_count_Z=_whole("balls", geo["balls"]),
-                ball_diameter_Dr=float(geo["ball_diameter_mm"]),
-                contact_angle_alpha=float(geo["contact_angle_deg"]),
-                raceway_center_diameter_dm=float(geo["raceway_center_diameter_mm"]),
-            ),
-            bearing.BearingLoads(
-                radial_Fr=float(loads.get("radial_n", 0.0)),
-                axial_Fa=float(loads.get("axial_n", 0.0)),
-                moment_M=float(loads.get("moment_nm", 0.0)),
-            ),
-            float(doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG)),
-            presets.BEARING_LIFE_FACTORS
-            if factors is None
-            else bearing.LifeModFactors(**{k: float(v) for k, v in factors.items()}),
-            float(doc.get("oscillations_per_day", 1500.0)),
-            float(doc.get("exponent", bearing.BALL_EXPONENT)),
-        )
-
-    summary = read_document("bearing document", build, _read_config(args))
+    summary = bearing.summary_from_document(_read_config(args))
     return [(key, value, None) for key, value in summary.items()]
 
 
@@ -473,15 +443,9 @@ def _cmd_system_reliability(args):
 def _cmd_system_life(args):
     from . import system
 
+    lives = system.SERVICE_LIFE_SUMMARY_YEARS
     if args.config is not None:
-        from .model import read_document
-
-        def build(doc):
-            return {str(k): float(v) for k, v in doc.get("lives", doc).items()}
-
-        lives = read_document("lives document", build, _read_config(args))
-    else:
-        lives = system.SERVICE_LIFE_SUMMARY_YEARS
+        lives = system.lives_from_document(_read_config(args))
     years, limiting = system.system_service_life(lives)
     return [("system_life_years", years, None), ("limiting_component", limiting, None)]
 
@@ -495,42 +459,16 @@ def _load_registry_for(args):
     return schedule.default_registry() if path is None else schedule.load_registry(_read_json(path))
 
 
-def _site_and_usage(args):
-    """The schedule commands' --config object ({} without one) and its usage rates."""
-    site = {} if args.config is None else _read_config(args)
-    if not isinstance(site, dict):
-        raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
-    if "usage" not in site:
-        from . import presets
-
-        return site, presets.DEFAULT_USAGE
-    from . import schedule
-
-    return site, schedule.usage_from_document(site["usage"])
-
-
-def _installation_and_usage(args):
-    from datetime import date
-
-    from . import schedule
-    from .model import read_document
-
-    site, usage = _site_and_usage(args)
-    if "install" in site:
-        return schedule.installation_from_document(site["install"]), usage
-    if not args.install_date:
-        raise ValidationError("need --install-date or a --config with an 'install' record")
-    install_date = read_document(
-        f"--install-date {args.install_date!r}", date.fromisoformat, args.install_date
-    )
-    return schedule.InstallationRecord(install_date=install_date), usage
+def _site(args):
+    """The schedule commands' --config object; {} without one."""
+    return {} if args.config is None else _read_config(args)
 
 
 def _cmd_schedule_generate(args):
     from . import schedule
 
     registry = _load_registry_for(args)
-    install, usage = _installation_and_usage(args)
+    install, usage = schedule.site_from_document(_site(args), args.install_date)
     entries = schedule.generate_schedule(registry, install, usage, args.horizon)
     if not args.json:
         return schedule.emit_report(entries, args.format or schedule.CSV)
@@ -558,7 +496,7 @@ def _cmd_schedule_rul(args):
     from . import schedule
 
     registry = _load_registry_for(args)
-    _, usage = _site_and_usage(args)
+    usage = schedule.usage_from_site(_site(args))
     result = schedule.remaining_service_life(registry.get(args.component), usage, args.elapsed)
     return [
         ("remaining", result.remaining, None),

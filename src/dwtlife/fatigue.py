@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Material, Record, _require_finite, _require_finite_fields
+from .model import DAYS_PER_YEAR, Material, Record, _require_finite_fields, _require_positive
 
 
 class MarinFactors(Record):
@@ -52,9 +52,8 @@ class SnConstants(Record):
     f: float  # fatigue strength fraction in (0, 1]
 
     def __post_init__(self):
+        _require_positive("S-N intercept a", self.a)
         _require_finite_fields(self)
-        if not self.a > 0:
-            raise ValidationError(f"S-N intercept a must be positive, got {self.a}")
         if not self.b < 0:
             raise ValidationError(f"S-N exponent b must be negative, got {self.b}")
         if not 0 < self.f <= 1:
@@ -88,8 +87,7 @@ def endurance_limit_unmodified(material: Material) -> float:
 
 def marin_modified_endurance(se_prime: float, k: MarinFactors) -> float:
     """Apply the six Marin corrections to an unmodified endurance limit."""
-    if not se_prime > 0:
-        raise ValidationError(f"endurance limit must be positive, got {se_prime}")
+    _require_positive("endurance limit", se_prime)
     return k.product() * se_prime
 
 
@@ -98,8 +96,7 @@ def sn_constants(s_ut: float, s_e: float, f: float = 0.9) -> SnConstants:
 
     Requires f*S_ut > S_e > 0, otherwise the log10 slope is undefined.
     """
-    if not s_e > 0:
-        raise ValidationError(f"endurance limit must be positive, got {s_e}")
+    _require_positive("endurance limit", s_e)
     if not f * s_ut > s_e:
         raise ValidationError(
             f"f*S_ut = {f * s_ut} must exceed S_e = {s_e} for a finite-life fit"
@@ -116,8 +113,7 @@ def cycles_to_failure(sigma_rev: float, c: SnConstants) -> CycleLife:
     endurance knee) but the result is flagged "below_endurance_extrapolation";
     stresses above f*S_ut are flagged "low_cycle".
     """
-    if not sigma_rev > 0:
-        raise ValidationError(f"stress must be positive, got {sigma_rev}")
+    _require_positive("stress", sigma_rev)
     cycles = (sigma_rev / c.a) ** (1.0 / c.b)
     flags = []
     if sigma_rev < c.endurance_stress:
@@ -129,7 +125,5 @@ def cycles_to_failure(sigma_rev: float, c: SnConstants) -> CycleLife:
 
 def cycles_to_calendar(n_cycles: float, cycles_per_day: float) -> float:
     """Convert a cycle count to years at a constant daily usage rate."""
-    if not cycles_per_day > 0:
-        raise ValidationError(f"cycles_per_day must be positive, got {cycles_per_day}")
-    _require_finite("cycles_per_day", cycles_per_day)
+    _require_positive("cycles_per_day", cycles_per_day)
     return n_cycles / (cycles_per_day * DAYS_PER_YEAR)

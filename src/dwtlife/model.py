@@ -1,5 +1,6 @@
-"""Shared domain types, the Record base of every value type, and the one
-JSON document reader (read_document, tagged).
+"""Shared domain types, the Record base of every value type, the one
+JSON document reader (read_document, tagged, number) and the one
+positive-and-finite check (_require_positive).
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -16,22 +17,22 @@ from .errors import ValidationError
 DAYS_PER_YEAR = 365
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValidationError(f"{name} must be strictly positive, got {value}")
-
-
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
 
 
-def _require_finite_fields(record: Record, names=None) -> None:
-    """_require_finite on each named field of record (default: all) that is not None."""
-    for name in record._fields if names is None else names:
-        value = getattr(record, name)
-        if value is not None:
-            _require_finite(name, value)
+def _require_positive(name: str, value: float) -> None:
+    """ValidationError unless value is positive and finite: NaN fails as not positive."""
+    if not value > 0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+    _require_finite(name, value)
+
+
+def _require_finite_fields(record: Record) -> None:
+    """_require_finite on each field of record."""
+    for name in record._fields:
+        _require_finite(name, getattr(record, name))
 
 
 _set = object.__setattr__
@@ -140,6 +141,17 @@ def tagged(doc, what: str, builders: dict):
     return builders[tag](body)
 
 
+def number(name: str, value, kind=float):
+    """A document's JSON number as kind (float or int). kind() alone reads true as 1
+    and "inf" as inf; here any bool, text or null is rejected, text that reads as
+    no number with kind()'s own message. The type built checks the range."""
+    if isinstance(value, str):
+        kind(value)
+    elif not isinstance(value, bool) and value is not None:
+        return kind(value)
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
 class Material(Record):
     """Strength, stiffness, and density properties of a structural material."""
 
@@ -150,7 +162,6 @@ class Material(Record):
     mass_density: Optional[float] = None  # kg/m³
 
     def __post_init__(self):
-        _require_finite_fields(self, self._fields[1:])  # all but the name
         _require_positive("ultimate_tensile_strength", self.ultimate_tensile_strength)
         for field in ("yield_strength_compressive", "elastic_modulus", "mass_density"):
             value = getattr(self, field)
@@ -175,7 +186,7 @@ class RectSection(Record):
     span_L: float  # m
 
     def __post_init__(self):
-        _require_finite_fields(self)
+        _require_finite("width_b", self.width_b)
         _require_positive("thickness_t", self.thickness_t)
         _require_positive("span_L", self.span_L)
         if self.width_b < self.thickness_t:
@@ -196,7 +207,7 @@ class ColumnSpec(Record):
     moment_I: float  # m⁴
 
     def __post_init__(self):
-        _require_finite_fields(self)
+        _require_finite("eccentricity_e", self.eccentricity_e)
         if self.eccentricity_e < 0:
             raise ValidationError(
                 f"eccentricity_e must be >= 0, got {self.eccentricity_e}"

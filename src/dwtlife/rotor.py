@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import Record, _require_finite
+from .model import Record, _require_positive
 
 
 class RotorState(Record):
@@ -19,9 +19,7 @@ class RotorState(Record):
 
     def __post_init__(self):
         for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho"):
-            _require_finite(name, getattr(self, name))
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
+            _require_positive(name, getattr(self, name))
         if not 0 < self.power_coefficient_Cp < 1:
             raise ValidationError(
                 f"power coefficient must lie in (0, 1), got {self.power_coefficient_Cp}"

@@ -39,7 +39,8 @@ from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, read_document, tagged
+from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, _require_positive
+from .model import number, read_document, tagged
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -65,9 +66,7 @@ class CalendarInterval(Record):
     years: float
 
     def __post_init__(self):
-        if not self.years > 0:
-            raise ValidationError(f"calendar interval must be positive, got {self.years}")
-        _require_finite("calendar interval", self.years)
+        _require_positive("calendar interval", self.years)
 
 
 class CycleInterval(Record):
@@ -75,9 +74,7 @@ class CycleInterval(Record):
     counter: str
 
     def __post_init__(self):
-        if not self.cycles > 0:
-            raise ValidationError(f"cycle interval must be positive, got {self.cycles}")
-        _require_finite("cycle interval", self.cycles)
+        _require_positive("cycle interval", self.cycles)
 
 
 class WhicheverFirst(Record):
@@ -86,10 +83,8 @@ class WhicheverFirst(Record):
     counter: str
 
     def __post_init__(self):
-        if not self.years > 0 or not self.cycles > 0:
-            raise ValidationError("whichever_first intervals must be positive")
-        _require_finite("whichever_first years", self.years)
-        _require_finite("whichever_first cycles", self.cycles)
+        _require_positive("whichever_first years", self.years)
+        _require_positive("whichever_first cycles", self.cycles)
 
 
 class EventTrigger(Record):
@@ -118,9 +113,7 @@ class ServiceLife(Record):
     def __post_init__(self):
         if self.unit not in (YEARS, CYCLES):
             raise ValidationError(f"service life unit must be years or cycles, got {self.unit!r}")
-        if not self.value > 0:
-            raise ValidationError(f"service life must be positive, got {self.value}")
-        _require_finite("service life", self.value)
+        _require_positive("service life", self.value)
         if self.unit == CYCLES and not self.counter:
             raise ValidationError("cycles-based service life needs a counter id")
 
@@ -207,12 +200,14 @@ class RemainingLife(Record):
 # document parsing
 
 _TRIGGERS = {
-    "calendar_interval": lambda body: CalendarInterval(years=float(body["years"])),
+    "calendar_interval": lambda body: CalendarInterval(years=number("years", body["years"])),
     "cycle_interval": lambda body: CycleInterval(
-        cycles=float(body["cycles"]), counter=str(body["counter"])
+        cycles=number("cycles", body["cycles"]), counter=str(body["counter"])
     ),
     "whichever_first": lambda body: WhicheverFirst(
-        years=float(body["years"]), cycles=float(body["cycles"]), counter=str(body["counter"])
+        years=number("years", body["years"]),
+        cycles=number("cycles", body["cycles"]),
+        counter=str(body["counter"]),
     ),
     "event": lambda body: EventTrigger(kind=str(body["kind"])),
 }
@@ -240,7 +235,9 @@ def _component_record(row: dict) -> ComponentRecord:
         group=str(row["group"]),
         failure_modes=_strings(row, "failure_modes"),
         service_life=None if life is None else ServiceLife(
-            value=float(life["value"]), unit=str(life["unit"]), counter=life.get("counter")
+            value=number("value", life["value"]),
+            unit=str(life["unit"]),
+            counter=None if life.get("counter") is None else str(life["counter"]),
         ),
         manufacturer_specified=specified,
         specifications=_strings(row, "specifications"),
@@ -275,7 +272,9 @@ def default_registry() -> Registry:
 def usage_from_document(document: dict) -> UsageProfile:
     def build(doc):
         counters = doc.get("counters", doc)
-        return UsageProfile(counters={str(k): float(v) for k, v in counters.items()})
+        return UsageProfile(
+            counters={str(k): number(f"usage rate for {k!r}", v) for k, v in counters.items()}
+        )
 
     return read_document("usage document", build, document)
 
@@ -286,12 +285,38 @@ def installation_from_document(document: dict) -> InstallationRecord:
             install_date=date.fromisoformat(doc["install_date"]),
             event_log=[(date.fromisoformat(e["date"]), str(e["kind"])) for e in doc.get("events", ())],
             cycle_log={
-                str(counter): [(date.fromisoformat(e["date"]), float(e["count"])) for e in entries]
+                str(counter): [
+                    (date.fromisoformat(e["date"]), number("count", e["count"])) for e in entries
+                ]
                 for counter, entries in doc.get("cycles", {}).items()
             },
         )
 
     return read_document("installation document", build, document)
+
+
+def usage_from_site(site) -> UsageProfile:
+    """A site document's 'usage' rates, or presets.DEFAULT_USAGE without one."""
+    if not isinstance(site, dict):
+        raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
+    if "usage" not in site:
+        from . import presets
+
+        return presets.DEFAULT_USAGE
+    return usage_from_document(site["usage"])
+
+
+def site_from_document(site, install_date: Optional[str]) -> tuple:
+    """(installation record, usage_from_site) of a site document, the schedule
+    commands' --config object. The record is its 'install' object or else one
+    dated install_date, the ISO text of --install-date; one must be given."""
+    usage = usage_from_site(site)
+    if "install" in site:
+        return installation_from_document(site["install"]), usage
+    if install_date is None:
+        raise ValidationError("need --install-date or a --config with an 'install' record")
+    when = read_document(f"--install-date {install_date!r}", date.fromisoformat, install_date)
+    return InstallationRecord(install_date=when), usage
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import BucklingError, NumericError, ValidationError
-from .model import ColumnSpec, Material, Record, RectSection, _require_finite_fields
+from .model import ColumnSpec, Material, Record, RectSection, _require_finite, _require_positive
 from .units import GRAVITY
 
 FLAT = "flat"  # bending about the wide axis: I = b t³/12, y = t/2
@@ -29,7 +29,6 @@ class BallastSpec(Record):
     ballast_mass_density: float  # kg/m³
 
     def __post_init__(self):
-        _require_finite_fields(self)
         for name in (
             "turbine_thrust",
             "nacelle_diameter",
@@ -37,8 +36,8 @@ class BallastSpec(Record):
             "base_area",
             "ballast_mass_density",
         ):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
+            _require_positive(name, getattr(self, name))
+        _require_finite("safety_factor", self.safety_factor)
         if self.safety_factor < 1:
             raise ValidationError(
                 f"safety_factor must be >= 1, got {self.safety_factor}"
@@ -54,9 +53,8 @@ class BladeSpec(Record):
     mass: float  # kg
 
     def __post_init__(self):
-        _require_finite_fields(self, ("mount_angle_phi", "mass"))
-        if not self.mass > 0:
-            raise ValidationError(f"blade mass must be positive, got {self.mass}")
+        _require_finite("mount_angle_phi", self.mount_angle_phi)
+        _require_positive("mass", self.mass)
         if not 0 <= self.mount_angle_phi <= 90:
             raise ValidationError(
                 f"mount_angle_phi must be in [0, 90] deg, got {self.mount_angle_phi}"
@@ -78,8 +76,7 @@ def ballast_height_for_weight(weight: float, spec: BallastSpec) -> float:
 
     Linear in the weight: h = W / (rho * g * A_base).
     """
-    if not weight > 0:
-        raise ValidationError(f"weight must be positive, got {weight}")
+    _require_positive("weight", weight)
     return weight / (spec.ballast_mass_density * GRAVITY * spec.base_area)
 
 

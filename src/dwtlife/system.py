@@ -49,7 +49,7 @@ import os
 from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
-from .model import Record, _require_finite, read_document, tagged
+from .model import Record, _require_finite, _require_positive, number, read_document, tagged
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
 EXPONENTIAL = "exponential"
@@ -358,11 +358,11 @@ def monte_carlo_mttf(
 
 
 _LIFE_MODELS = {
-    EXPONENTIAL: lambda body: LifeModel.exponential(float(body["rate"])),
+    EXPONENTIAL: lambda body: LifeModel.exponential(number("rate", body["rate"])),
     WEIBULL: lambda body: LifeModel.weibull(
-        WeibullParams(shape_beta=float(body["beta"]), scale_eta=float(body["eta"]))
+        WeibullParams(shape_beta=number("beta", body["beta"]), scale_eta=number("eta", body["eta"]))
     ),
-    FIXED_LIFE: lambda body: LifeModel.fixed_life(float(body["life"])),
+    FIXED_LIFE: lambda body: LifeModel.fixed_life(number("life", body["life"])),
 }
 
 
@@ -428,6 +428,15 @@ SERVICE_LIFE_SUMMARY_YEARS = {
 }
 
 
+def lives_from_document(document) -> dict[str, float]:
+    """Component lives (years) of a lives document: {"lives": {id: years}} or the bare mapping."""
+
+    def build(doc):
+        return {str(k): number(f"life for {k!r}", v) for k, v in doc.get("lives", doc).items()}
+
+    return read_document("lives document", build, document)
+
+
 def system_service_life(lives: dict[str, float]) -> tuple[float, str]:
     """Minimum component life and the component that sets it.
 
@@ -436,8 +445,6 @@ def system_service_life(lives: dict[str, float]) -> tuple[float, str]:
     if not lives:
         raise ValidationError("service-life mapping must not be empty")
     for cid, years in lives.items():
-        if not years > 0:
-            raise ValidationError(f"life for {cid!r} must be positive, got {years}")
-        _require_finite(f"life for {cid!r}", years)
+        _require_positive(f"life for {cid!r}", years)
     limiting = min(sorted(lives), key=lambda cid: lives[cid])
     return lives[limiting], limiting

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericError, SingularityError, ValidationError
-from .model import Record, _require_finite
+from .model import Record, _require_finite, _require_positive
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
 RANDOM = "random"  # beta = 1, constant hazard
@@ -36,12 +36,8 @@ class WeibullParams(Record):
     scale_eta: float
 
     def __post_init__(self):
-        if not self.shape_beta > 0:
-            raise ValidationError(f"shape must be positive, got {self.shape_beta}")
-        if not self.scale_eta > 0:
-            raise ValidationError(f"scale must be positive, got {self.scale_eta}")
-        _require_finite("shape", self.shape_beta)
-        _require_finite("scale", self.scale_eta)
+        _require_positive("shape", self.shape_beta)
+        _require_positive("scale", self.scale_eta)
 
 
 class QuantilePoint(Record):
@@ -55,9 +51,7 @@ class QuantilePoint(Record):
             raise ValidationError(
                 f"percent must lie in (0, 100), got {self.percent_p}"
             )
-        if not self.life_Bp > 0:
-            raise ValidationError(f"life must be positive, got {self.life_Bp}")
-        _require_finite("life", self.life_Bp)
+        _require_positive("life", self.life_Bp)
 
 
 def cdf(t: float, w: WeibullParams) -> float:
@@ -173,8 +167,7 @@ def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
 
 def failure_regime(beta: float) -> str:
     """Hazard-shape classification: early_life, random, or wear_out."""
-    if not beta > 0:
-        raise ValidationError(f"shape must be positive, got {beta}")
+    _require_positive("shape", beta)
     if abs(beta - 1.0) <= _REGIME_TOL:
         return RANDOM
     return EARLY_LIFE if beta < 1 else WEAR_OUT

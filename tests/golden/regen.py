@@ -173,6 +173,9 @@ CASES = {
     "error_topology_negative_rate": (
         _argv("system reliability --config topology_negative_rate.json --t 1"), {}
     ),
+    "error_topology_bool_rate": (
+        _argv("system reliability --config topology_bool_rate.json --t 1"), {}
+    ),
     "error_topology_duplicate_ids": (
         _argv("system reliability --config topology_duplicate_ids.json --t 1"), {}
     ),
@@ -186,6 +189,7 @@ CASES = {
     "error_lives_list": (_argv("system life --config lives_list.json"), {}),
     "error_lives_empty": (_argv("system life --config lives_empty.json"), {}),
     "error_lives_negative": (_argv("system life --config lives_negative.json"), {}),
+    "error_lives_string_number": (_argv("system life --config lives_string_number.json"), {}),
     "error_system_life_empty_config": (["system", "life", "--config", ""], {}),
     # bearing
     "bearing_life": (_argv("bearing life --config bearing.json"), {}),
@@ -226,6 +230,9 @@ CASES = {
     ),
     "error_generate_no_install": (_argv("schedule generate"), {}),
     "error_generate_bad_install_date": (_argv("schedule generate --install-date 2025-13-01"), {}),
+    "error_generate_empty_install_date": (
+        ["schedule", "generate", "--install-date", "", "--horizon", "1"], {}
+    ),
     "error_generate_horizon_inf": ([*GENERATE, "--horizon", "inf"], {}),
     "error_generate_horizon_8000": ([*GENERATE, "--horizon", "8000"], {}),
     "error_generate_config_missing_file": ([*GENERATE, "--config", "missing.json"], {}),

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -92,6 +93,26 @@ class TestOperationCoverage:
         for path in SUBCOMMANDS:
             code, _, _ = run_lines(capsys, path.split() + ["--help"])
             assert code == 0, path
+
+
+def calls_to(tree, name: str) -> list:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+class TestNoDocumentFormat:
+    def test_read_document_is_called_only_inside_read_json(self):
+        """The CLI reads a file or stdin; the library module owning a type reads its document."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        (read_json,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_read_json"
+        ]
+        assert calls_to(read_json, "read_document")
+        assert calls_to(tree, "read_document") == calls_to(read_json, "read_document")
 
 
 class TestExitCodes:

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dwtlife import cli
+from dwtlife.bearing import summary_from_document
 from dwtlife.errors import ValidationError
 from dwtlife.schedule import installation_from_document, load_registry, usage_from_document
-from dwtlife.system import topology_from_document
+from dwtlife.system import lives_from_document, topology_from_document
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -65,6 +66,22 @@ def documents(input_name):
     return JSON | st.builds(partial(_replace, base), st.sampled_from(list(_paths(base))), JSON)
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def numbers_replaced(input_name, part=None):
+    """The named golden input (or its part) with one numeric leaf replaced by true, "1" or null."""
+    base = json.loads((INPUTS / input_name).read_text(encoding="utf-8"))
+    base = base if part is None else base[part]
+    leaves = [path for path in _paths(base) if type(_at(base, path)) in (int, float)]
+    return st.builds(
+        partial(_replace, base), st.sampled_from(leaves), st.sampled_from([True, "1", None])
+    )
+
+
 FUZZ = settings(
     max_examples=75, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -101,6 +118,21 @@ class TestLibraryReaders:
         assert_reads_or_rejects(installation_from_document, doc)
         if isinstance(doc, dict) and "install" in doc:
             assert_reads_or_rejects(installation_from_document, doc["install"])
+
+    @pytest.mark.parametrize("reader, input_name, part", [
+        (topology_from_document, "topology.json", None),
+        (load_registry, "registry.json", None),
+        (usage_from_document, "site.json", "usage"),
+        (installation_from_document, "site.json", "install"),
+        (summary_from_document, "bearing.json", None),
+        (lives_from_document, "lives.json", None),
+    ], ids=["topology", "registry", "usage", "installation", "bearing", "lives"])
+    @FUZZ
+    @given(data=st.data())
+    def test_number_of_another_json_type_rejected(self, reader, input_name, part, data):
+        doc = data.draw(numbers_replaced(input_name, part))
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            reader(doc)
 
 
 def bearing_with(**changes):

@@ -273,6 +273,18 @@ class TestGenerateSchedule:
         with pytest.raises(ValidationError, match="phantom"):
             generate_schedule(reg, INSTALL, DEFAULT_USAGE, 1.0)
 
+    def test_service_life_counter_id_is_read_as_its_triggers_are(self):
+        reg = single_component_registry(
+            [{"description": "x", "trigger": {"cycle_interval": {"cycles": 4, "counter": 5}}}],
+            service_life={"value": 10, "unit": "cycles", "counter": 5},
+        )
+        assert reg.components[0].service_life.counter == "5"
+        entries = generate_schedule(reg, INSTALL, UsageProfile(counters={"5": 1.0}), 1.0)
+        assert (date(2025, 1, 11), LIFE_EXPIRED) in [(e.due_date, e.reason) for e in entries]
+        for life in ({"value": 3, "unit": "years"}, {"value": 3, "unit": "years", "counter": None}):
+            reg = single_component_registry([], service_life=life)
+            assert reg.components[0].service_life.counter is None
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValidationError):
             generate_schedule(default_registry(), INSTALL, DEFAULT_USAGE, 0.0)
