@@ -152,6 +152,16 @@ def number(name: str, value, kind=float):
     raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
+def text(name: str, value) -> str:
+    """A document's JSON string, or a JSON number read as its text. A null, bool,
+    array or object is rejected, so a null is never read as the text "None"."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise ValidationError(f"{name} must be text, got {value!r}")
+
+
 class Material(Record):
     """Strength, stiffness, and density properties of a structural material."""
 

@@ -40,7 +40,7 @@ from typing import Optional, Union
 
 from .errors import ValidationError
 from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, _require_positive
-from .model import number, read_document, tagged
+from .model import number, read_document, tagged, text
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -202,14 +202,14 @@ class RemainingLife(Record):
 _TRIGGERS = {
     "calendar_interval": lambda body: CalendarInterval(years=number("years", body["years"])),
     "cycle_interval": lambda body: CycleInterval(
-        cycles=number("cycles", body["cycles"]), counter=str(body["counter"])
+        cycles=number("cycles", body["cycles"]), counter=text("counter", body["counter"])
     ),
     "whichever_first": lambda body: WhicheverFirst(
         years=number("years", body["years"]),
         cycles=number("cycles", body["cycles"]),
-        counter=str(body["counter"]),
+        counter=text("counter", body["counter"]),
     ),
-    "event": lambda body: EventTrigger(kind=str(body["kind"])),
+    "event": lambda body: EventTrigger(kind=text("kind", body["kind"])),
 }
 
 
@@ -231,18 +231,18 @@ def _component_record(row: dict) -> ComponentRecord:
     if not isinstance(specified, bool):
         raise ValidationError(f"manufacturer_specified must be true or false, got {specified!r}")
     return ComponentRecord(
-        id=str(row["id"]),
-        group=str(row["group"]),
+        id=text("id", row["id"]),
+        group=text("group", row["group"]),
         failure_modes=_strings(row, "failure_modes"),
         service_life=None if life is None else ServiceLife(
             value=number("value", life["value"]),
-            unit=str(life["unit"]),
-            counter=None if life.get("counter") is None else str(life["counter"]),
+            unit=text("unit", life["unit"]),
+            counter=None if life.get("counter") is None else text("counter", life["counter"]),
         ),
         manufacturer_specified=specified,
         specifications=_strings(row, "specifications"),
         tasks=tuple(
-            MaintenanceTask(str(t["description"]), parse_trigger(t["trigger"]))
+            MaintenanceTask(text("description", t["description"]), parse_trigger(t["trigger"]))
             for t in row.get("tasks", ())
         ),
     )
@@ -283,7 +283,9 @@ def installation_from_document(document: dict) -> InstallationRecord:
     def build(doc):
         return InstallationRecord(
             install_date=date.fromisoformat(doc["install_date"]),
-            event_log=[(date.fromisoformat(e["date"]), str(e["kind"])) for e in doc.get("events", ())],
+            event_log=[
+                (date.fromisoformat(e["date"]), text("kind", e["kind"])) for e in doc.get("events", ())
+            ],
             cycle_log={
                 str(counter): [
                     (date.fromisoformat(e["date"]), number("count", e["count"])) for e in entries
@@ -534,10 +536,10 @@ def _service_life_cell(component: ComponentRecord) -> str:
     life = component.service_life
     if life is None:
         return "N/A"
-    text = _life_text(life)
+    cell = _life_text(life)
     if component.manufacturer_specified:
-        text += "*"
-    return text
+        cell += "*"
+    return cell
 
 
 def _registry_rows(registry: Registry) -> list[tuple[str, tuple]]:

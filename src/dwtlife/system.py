@@ -13,28 +13,30 @@ counter-based; Salmon et al., SC'11), so each leaf's draws are fixed by the
 seed alone, whoever draws them and in what order. A fixed-life leaf needs no
 draws and gets none; skipping its block leaves every other leaf's unchanged.
 
-The samples are walked in fixed chunks of _CHUNK, and each chunk is folded
-into one chunk buffer of failure times a tile of half a chunk at a time.
-Per tile, each drawn leaf draws into a preallocated tile buffer and
-LifeModel.failure_times turns the uniforms into failure times in place; a
-group's first child writes straight into the group's buffer and the later
-children are folded in with in-place minimum/maximum. A fixed life needs no
-buffer: it is folded in as a scalar, and fills the group's buffer only as
-its first child. Each group folds its hungriest child first, so a worker
-holds need - 1 scratch tiles, need being the Sethi-Ullman count of the
-tree, planned once per estimate. Min and max are exact and commutative, and
-split draws from a generator consume the same words as one draw, so neither
-the tiles nor the fold order change a bit. The chunk's (count, mean, M2) is
-then computed in place over the whole chunk buffer. Memory therefore stays
-flat as samples grow, at one chunk plus a few tiles per worker.
+The samples are walked in fixed chunks of _CHUNK (2**15), and each chunk
+is folded whole into one chunk buffer of failure times. Per chunk, each
+drawn leaf draws into a preallocated buffer and LifeModel.failure_times
+turns the uniforms into failure times in place; a group's first child
+writes straight into the group's buffer and the later children are folded
+in with in-place minimum/maximum. A fixed life needs no buffer: it is
+folded in as a scalar, and fills the group's buffer only as its first
+child. Each group folds its hungriest child first, so a worker holds the
+chunk buffer and need - 1 scratch buffers of one chunk each, need being the
+Sethi-Ullman count of the tree, planned once per estimate. Min and max are
+exact and commutative, and split draws from a generator consume the same
+words as one draw, so the fold order changes no bit. The chunk's (count,
+mean, M2) is then computed in place over the chunk buffer. Memory therefore
+stays flat as samples grow, at need chunks per worker.
 
-The chunks are split into one contiguous run per CPU, each worked by a
-thread with its own positioned generators and buffers (numpy releases the
-GIL while drawing and in the ufuncs). The calling thread merges the chunk
-moments in chunk order (Chan, Golub & LeVeque, 1979), the same order as a
-single thread would, so the estimate does not depend on the number of
-threads. The draws are bit-identical whatever the chunk size; the moments
-differ between chunk sizes only by rounding, about 1e-15 relative, so a
+The chunks are split into one contiguous run per CPU, each worked by its
+own thread with its own positioned generators and buffers (numpy releases
+the GIL while drawing and in the ufuncs); a single run (one chunk, or one
+CPU) is worked on the calling thread. A run's exception is raised by the calling thread once
+every thread has joined. The calling thread merges the chunk moments in
+chunk order (Chan, Golub & LeVeque, 1979), the same order as a single
+thread would, so the estimate does not depend on the number of threads.
+The draws are bit-identical whatever the chunk size; the moments differ
+between chunk sizes only by rounding, about 1e-15 relative, so a
 (topology, samples, seed) triple always reproduces the same estimate.
 
 numpy is imported inside the sampling functions, not at module level, so
@@ -50,13 +52,14 @@ from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
 from .model import Record, _require_finite, _require_positive, number, read_document, tagged
+from .model import text
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
 EXPONENTIAL = "exponential"
 WEIBULL = "weibull"
 FIXED_LIFE = "fixed_life"
 
-_CHUNK = 1 << 16  # samples per streamed chunk
+_CHUNK = 1 << 15  # samples per streamed chunk
 
 
 class LifeModel(Record):
@@ -244,7 +247,7 @@ def _plan(topo: SystemTopology, index) -> tuple[int, object]:
 
 
 def _fold(plan, streams, out: np.ndarray, scratch: list[np.ndarray]) -> None:
-    """Write one tile of a _plan's failure times into out, in place.
+    """Write one chunk of a _plan's failure times into out, in place.
 
     streams[i] is leaf i's positioned generator. A fixed life fills out
     only as a group's first child (or the root); later it is folded in as
@@ -275,9 +278,9 @@ def _chunk_moments(
 ) -> list[tuple[int, float, float]]:
     """(count, mean, M2) of each chunk of samples [lo, hi); lo is _CHUNK-aligned.
 
-    plan is topo's (need, plan) from _plan. Each chunk is folded a tile of
-    half a chunk at a time into one chunk buffer of failure times, with
-    need - 1 tile buffers of scratch.
+    plan is topo's (need, plan) from _plan. Each chunk is folded whole into
+    one chunk buffer of failure times, with need - 1 chunk buffers of
+    scratch.
     """
     import numpy as np
 
@@ -286,19 +289,17 @@ def _chunk_moments(
         None if leaf.model.kind == FIXED_LIFE else _positioned_stream(seed, i * samples + lo)
         for i, leaf in enumerate(_leaves(topo))
     ]
-    tile = (_CHUNK + 1) // 2
     buffer = np.empty(min(_CHUNK, hi - lo))
-    scratch = [np.empty(min(tile, buffer.size)) for _ in range(need - 1)]
+    scratch = [np.empty(buffer.size) for _ in range(need - 1)]
     moments = []
     with np.errstate(all="ignore"):  # thread-local: every worker enters it
         for start in range(lo, hi, _CHUNK):
-            times = buffer[: min(_CHUNK, hi - start)]
-            for at in range(0, times.size, tile):
-                part = times[at : at + tile]
-                _fold(root, streams, part, [s[: part.size] for s in scratch])
+            size = min(_CHUNK, hi - start)
+            times = buffer[:size]
+            _fold(root, streams, times, [s[:size] for s in scratch])
             chunk_mean = float(times.mean())
             np.subtract(times, chunk_mean, out=times)
-            moments.append((times.size, chunk_mean, float(np.square(times, out=times).sum())))
+            moments.append((size, chunk_mean, float(np.square(times, out=times).sum())))
     return moments
 
 
@@ -330,16 +331,26 @@ def monte_carlo_mttf(
     if workers == 1:
         moments = _chunk_moments(topo, plan, samples, seed, 0, samples)
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        import threading
 
         edges = [min(chunks * w // workers * _CHUNK, samples) for w in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            runs = pool.map(
-                lambda lo, hi: _chunk_moments(topo, plan, samples, seed, lo, hi),
-                edges[:-1],
-                edges[1:],
-            )
-            moments = [chunk for run in runs for chunk in run]
+        runs = [None] * workers
+
+        def work(w):
+            try:
+                runs[w] = _chunk_moments(topo, plan, samples, seed, edges[w], edges[w + 1])
+            except BaseException as exc:  # raised below, once every thread has joined
+                runs[w] = exc
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for run in runs:
+            if isinstance(run, BaseException):
+                raise run
+        moments = [chunk for run in runs for chunk in run]
     mean, m2, count = 0.0, 0.0, 0
     for size, chunk_mean, chunk_m2 in moments:
         # Chan, Golub & LeVeque (1979) merge of the first `count` samples
@@ -371,7 +382,7 @@ def _life_model(doc: dict) -> LifeModel:
 
 
 def _component(body: dict) -> Component:
-    cid = str(body["id"])
+    cid = text("id", body["id"])
     return Component(cid, read_document(f"component {cid!r}", lambda b: _life_model(b["model"]), body))
 
 

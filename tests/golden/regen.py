@@ -176,6 +176,9 @@ CASES = {
     "error_topology_bool_rate": (
         _argv("system reliability --config topology_bool_rate.json --t 1"), {}
     ),
+    "error_topology_null_id": (
+        _argv("system reliability --config topology_null_id.json --t 1"), {}
+    ),
     "error_topology_duplicate_ids": (
         _argv("system reliability --config topology_duplicate_ids.json --t 1"), {}
     ),
@@ -297,6 +300,7 @@ CASES = {
         _argv("schedule report --registry registry_unknown_group.json"), {}
     ),
     "error_report_empty_registry": (["schedule", "report", "--registry", ""], {}),
+    "error_report_null_id": (_argv("schedule report --registry registry_null_id.json"), {}),
     # schedule rul
     "schedule_rul_generator": ([*RUL, "Generator", "--elapsed", "5"], {}),
     "schedule_rul_slip_ring_json": ([*RUL, "Slip Ring", "--elapsed", "3", "--json"], {}),

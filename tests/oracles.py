@@ -6,7 +6,7 @@ differences, the allowable load by a damped fixed-point iteration, and the
 Monte Carlo MTTF in one shot from the topology document. The Monte Carlo
 MTTF is also computed chunk by chunk with one whole-chunk buffer per tree
 level and every group folded in depth-first order, the bit-for-bit
-reference for the library's tiled, hungriest-first fold. The CLI's
+reference for the library's hungriest-first fold. The CLI's
 parser is built whole, every subcommand with every flag, as the reference
 for the parser the CLI builds for one argv. The maintenance schedule is
 compiled by scanning the whole cycle log for every threshold, with one

@@ -1,5 +1,5 @@
 """The one positive-and-finite check (model._require_positive) at every field it
-guards, and the one document number reader (model.number)."""
+guards, and the one document number and text readers (model.number, model.text)."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from dwtlife import bearing, fatigue, structural, system
 from dwtlife.errors import ValidationError
-from dwtlife.model import ColumnSpec, Material, RectSection, number
+from dwtlife.model import ColumnSpec, Material, RectSection, number, text
 from dwtlife.rotor import RotorState
 from dwtlife.schedule import CalendarInterval, CycleInterval, ServiceLife, WhicheverFirst
 from dwtlife.weibull import QuantilePoint, WeibullParams, failure_regime
@@ -101,3 +101,14 @@ class TestNumber:
             number("x", "a")
         with pytest.raises(ValueError, match=r"invalid literal for int\(\) with base 10: 'a'"):
             number("x", "a", int)
+
+
+class TestText:
+    @pytest.mark.parametrize("value, expected", [("a", "a"), ("", ""), (7, "7"), (2.5, "2.5")])
+    def test_strings_and_numbers_read_as_text(self, value, expected):
+        assert text("x", value) == expected
+
+    @pytest.mark.parametrize("value", [None, True, False, [], ["a"], {}, {"a": 1}])
+    def test_null_bool_array_and_object_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"^x must be text, got "):
+            text("x", value)

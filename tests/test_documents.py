@@ -9,6 +9,7 @@ vocabulary or a valid document from the golden corpus with one node replaced.
 import contextlib
 import io
 import json
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -135,6 +136,42 @@ class TestLibraryReaders:
             reader(doc)
 
 
+def golden_with(input_name, path, value):
+    """The named golden input with the node at path replaced by value."""
+    return _replace(json.loads((INPUTS / input_name).read_text(encoding="utf-8")), path, value)
+
+
+TEXT_FIELDS = {
+    "registry_id": (load_registry, "registry.json", ("components", 0, "id")),
+    "registry_group": (load_registry, "registry.json", ("components", 0, "group")),
+    "task_description": (load_registry, "registry.json",
+                         ("components", 0, "tasks", 0, "description")),
+    "life_unit": (load_registry, "registry.json", ("components", 0, "service_life", "unit")),
+    "life_counter": (load_registry, "registry.json",
+                     ("components", 1, "service_life", "counter")),
+    "cycle_counter": (load_registry, "registry.json",
+                      ("components", 1, "tasks", 0, "trigger", "cycle_interval", "counter")),
+    "whichever_first_counter": (load_registry, "registry.json",
+                                ("components", 1, "tasks", 1, "trigger", "whichever_first",
+                                 "counter")),
+    "event_kind": (load_registry, "registry.json",
+                   ("components", 0, "tasks", 1, "trigger", "event", "kind")),
+    "install_event_kind": (lambda doc: installation_from_document(doc["install"]), "site.json",
+                           ("install", "events", 0, "kind")),
+    "topology_id": (topology_from_document, "topology.json", ("series", 0, "component", "id")),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in TEXT_FIELDS for value in (None, True, ["a"], {"a": "b"})
+    if not (field == "life_counter" and value is None)  # an optional counter: null is none
+])
+def test_text_field_of_another_json_type_rejected(field, value):
+    reader, input_name, path = TEXT_FIELDS[field]
+    with pytest.raises(ValidationError, match=re.escape(f"{path[-1]} must be text, got {value!r}")):
+        reader(golden_with(input_name, path, value))
+
+
 def bearing_with(**changes):
     """The golden bearing document as JSON text, with top-level or geometry keys changed."""
     doc = json.loads((INPUTS / "bearing.json").read_text(encoding="utf-8"))
@@ -192,11 +229,16 @@ class TestCommands:
         (["schedule", "report", "--registry"], registry_row(manufacturer_specified="false")),
         (["schedule", "report", "--registry"], registry_row(failure_modes="wear")),
         (["schedule", "report", "--registry"], registry_row(specifications=["a", 5])),
+        (["schedule", "generate", "--install-date", "2026-01-01", "--registry"], registry_row(
+            tasks=[{"description": None, "trigger": {"calendar_interval": {"years": 1}}}])),
+        (["schedule", "generate", "--install-date", "2026-01-01", "--registry"], registry_row(
+            tasks=[{"description": "x",
+                    "trigger": {"cycle_interval": {"cycles": 10, "counter": None}}}])),
     ], ids=["deep_config", "deep_registry", "config_string", "config_list", "long_integer",
             "not_utf8", "bearing_zero_exponent", "bearing_false_exponent", "bearing_overflow",
             "bearing_huge_ball_count", "bearing_fractional_balls", "bearing_bool_balls",
             "bearing_text_rows", "registry_text_flag", "registry_text_failure_modes",
-            "registry_number_specification"])
+            "registry_number_specification", "registry_null_description", "registry_null_counter"])
     def test_malformed_json_file(self, capsys, tmp_path, argv, text):
         path = tmp_path / "input.json"
         if isinstance(text, bytes):

@@ -289,14 +289,35 @@ class TestWorkerThreads:
     def test_one_chunk_starts_no_pool(self):
         child = (
             "import sys\n"
+            "from dwtlife import system\n"
             "from dwtlife.system import Component, LifeModel, monte_carlo_mttf\n"
             "monte_carlo_mttf(Component('a', LifeModel.exponential(0.1)), 10_000, 1)\n"
             "assert 'concurrent.futures' not in sys.modules\n"
+            "system._worker_count = lambda: 2\n"
+            "monte_carlo_mttf(Component('a', LifeModel.exponential(0.1)), 4 * system._CHUNK, 1)\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert 'logging' not in sys.modules\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-c", child], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_run_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(system, "_CHUNK", 97)
+        set_workers(monkeypatch, 2)
+        original = system._chunk_moments
+
+        def failing(topo, plan, samples, seed, lo, hi):
+            if lo > 0:
+                raise MemoryError("run past chunk 0")
+            return original(topo, plan, samples, seed, lo, hi)
+
+        monkeypatch.setattr(system, "_chunk_moments", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="run past chunk 0"):
+            monte_carlo_mttf(topology_from_document(MIXED_DOC), samples=5001, seed=1)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("model", [
         LifeModel.exponential(0.3),
@@ -406,14 +427,12 @@ class TestTiledFold:
             got = monte_carlo_mttf(topo, samples, seed)
             assert got == whole_chunk_mttf(topo, samples, seed, workers)
 
-    def test_working_set_is_one_chunk_and_need_minus_one_tiles(self, monkeypatch):
+    def test_working_set_is_need_chunks(self, monkeypatch):
         set_workers(monkeypatch, 2)
         topo = topology_from_document(WORKING_SET_DOC)
         need = 3
         assert system._plan(topo, itertools.count())[0] == need
-        chunk = system._CHUNK
-        tile = (chunk + 1) // 2
-        samples = 4 * chunk  # two chunks per worker
+        samples = 4 * system._CHUNK  # two chunks per worker
         monte_carlo_mttf(topo, samples, seed=1)  # first-use imports outside the trace
         tracemalloc.start()
         try:
@@ -421,7 +440,7 @@ class TestTiledFold:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 2 * (chunk + (need - 1) * tile) * 8
+        assert peak <= 1.1 * 2 * need * system._CHUNK * 8
 
 
 OVERFLOWING_DOC = {"parallel": [leaf_doc("a", "weibull", beta=0.05, eta=1e300)]}
