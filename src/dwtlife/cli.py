@@ -701,6 +701,10 @@ def run(argv=None) -> int:
         # a float ** overflow carries (errno, text) as its args
         print(f"numeric failure: {exc.args[-1] if exc.args else exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"numeric failure: out of memory{detail}", file=sys.stderr)
+        return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

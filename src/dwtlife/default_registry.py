@@ -33,10 +33,6 @@ def _task(description, trigger):
     return {"description": description, "trigger": trigger}
 
 
-_ANNUAL_INSPECTION = [  # shared by fastener families
-    _task("Inspect", _cal(1)),
-]
-
 _BOLT_FAILURE_MODES = ["Loose bolts", "Shearing on nuts", "Bearing on bolts", "Rust/Corrosion"]
 _SCREW_FAILURE_MODES = ["Loose screws", "Shear", "Rust/Corrosion"]
 

@@ -23,9 +23,11 @@ cycle_interval / whichever_first / event, read like a topology node. Any
 malformed row is one ValidationError prefixed "registry: component #i
 ('id'):". A cycles-based service life names the usage counter it is
 measured against. Calendar arithmetic is whole days with a 365-day
-year; recurring intervals anchor to the install date. A cycle threshold's
-date is found by bisecting the counter's log, and a schedule holds at most
-MAX_ENTRIES entries.
+year; recurring intervals anchor to the install date. One recurrence rule
+dates every entry but an event's: a calendar or cycle interval is a
+whichever_first without the other side, and a service life is the first
+recurrence of its one side. A cycle threshold's date is found by bisecting
+the counter's log, and a schedule holds at most MAX_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -325,10 +327,6 @@ def site_from_document(site, install_date: Optional[str]) -> tuple:
 # schedule compilation
 
 
-def _years_to_days(years: float) -> int:
-    return round(years * DAYS_PER_YEAR)
-
-
 def _days_after(start: date, days: float) -> Optional[date]:
     """start + ceil(days), or None past date.max (beyond every horizon)."""
     try:
@@ -363,6 +361,20 @@ def _counter(counter: str, install: InstallationRecord, usage: UsageProfile, end
     return date_reaching, last_count + rate * (end - last_date).days
 
 
+def _rules(component: ComponentRecord) -> list[tuple]:
+    """(task, trigger, calendar reason, cycle reason, most recurrences) of each of
+    component's tasks, then of its service life: the first recurrence of its one side."""
+    rules = [(t.description, t.trigger, INTERVAL_ELAPSED, CYCLES_ELAPSED, math.inf)
+             for t in component.tasks]
+    life = component.service_life
+    if life is not None:
+        side = (CalendarInterval(life.value) if life.unit == YEARS
+                else CycleInterval(life.value, life.counter))
+        rules.append((f"Service life reached ({_life_text(life)})", side,
+                      LIFE_EXPIRED, LIFE_EXPIRED, 1))
+    return rules
+
+
 def generate_schedule(
     registry: Registry,
     install: InstallationRecord,
@@ -371,90 +383,66 @@ def generate_schedule(
 ) -> list[ScheduleEntry]:
     """Compile dated maintenance entries over the horizon.
 
-    Calendar triggers recur from the install date; cycle triggers convert
-    thresholds to dates by bisecting the counter's log (entries also carry
-    the threshold as due_count); whichever_first takes the earlier side at
-    each recurrence, calendar winning ties; event triggers emit one entry
-    per logged matching event; a lifed component gets a life_expired entry.
-    Output is sorted by (due date, component id, task, reason). The horizon
-    must end by date.max; a recurrence that would pass it is never due. A
+    One recurrence rule yields every entry but an event's: recurrence k of
+    a trigger is due on the install date + round(k * years * 365) days or
+    on the date its counter reaches k * cycles (found by bisecting the
+    counter's log; the entry carries the threshold as due_count), whichever
+    is first, the calendar winning ties. A calendar or cycle interval is a
+    whichever_first without the other side, and a lifed component's
+    life_expired entry is the first recurrence of its service life's one
+    side. Event triggers emit one entry per logged matching event. Output
+    is sorted by (due date, component id, task, reason). The horizon must
+    end by date.max; a recurrence that would pass it is never due. A
     trigger that could take the schedule past MAX_ENTRIES is a ValidationError.
     """
     if not 0 < horizon_years < math.inf:
         raise ValidationError(f"horizon must be positive and finite, got {horizon_years}")
     start = install.install_date
-    end = _days_after(start, _years_to_days(horizon_years))
+    end = _days_after(start, round(horizon_years * DAYS_PER_YEAR))
     if end is None:
         raise ValidationError(f"horizon of {horizon_years} years from {start} ends after {date.max}")
-    horizon_days = (end - start).days
+    first, last = start.toordinal(), end.toordinal()
     entries: list[ScheduleEntry] = []
-
-    def within(d: Optional[date]) -> bool:
-        return d is not None and start <= d <= end
+    append = entries.append
 
     # Entries are built with every field positional, Record's fast path.
 
     for component in registry.components:
-        for task in component.tasks:
-            trig = task.trigger
+        cid = component.id
+        for task, trig, calendar_reason, cycle_reason, most in _rules(component):
             if isinstance(trig, EventTrigger):
                 entries.extend(
-                    ScheduleEntry(when, component.id, task.description, EVENT, None)
+                    ScheduleEntry(when, cid, task, EVENT, None)
                     for when, kind in install.event_log
-                    if kind == trig.kind and within(when)
+                    if kind == trig.kind and when <= end
                 )
                 continue
-            # A cycle interval is a whichever_first without a calendar side. Recurrence k is due
-            # only if k*years in days rounds to at most horizon_days or k*cycles <= count at end.
-            years = None if isinstance(trig, CycleInterval) else trig.years
-            bound = 0.0 if years is None else (horizon_days + 1) / (years * DAYS_PER_YEAR) + 1
-            if not isinstance(trig, CalendarInterval):
+            # A side the trigger lacks is never due. Recurrence k is due only if k*years in
+            # days rounds to at most last - first or k*cycles <= the count at end.
+            years = getattr(trig, "years", None)
+            cycles = getattr(trig, "cycles", None)
+            bound = 0.0 if years is None else (last - first + 1) / (years * DAYS_PER_YEAR) + 1
+            if cycles is not None:
                 date_reaching, count_at_end = _counter(trig.counter, install, usage, end)
-                bound = max(bound, count_at_end / trig.cycles + 1)
+                bound = max(bound, count_at_end / cycles + 1)
+            bound = min(bound, most)
             if not bound <= MAX_ENTRIES - len(entries):
-                raise ValidationError(f"component {component.id!r} task {task.description!r} "
+                raise ValidationError(f"component {cid!r} task {task!r} "
                                       f"would take the schedule past {MAX_ENTRIES} entries")
-            if isinstance(trig, CalendarInterval):
-                entries.extend(
-                    ScheduleEntry(due, component.id, task.description, INTERVAL_ELAPSED, None)
-                    for due in _calendar_recurrences(start, end, trig.years)
-                )
-                continue
             for k in range(1, int(bound) + 1):
-                cyc_due = date_reaching(k * trig.cycles)
-                cal_due = None if years is None else _days_after(start, _years_to_days(k * years))
-                if cyc_due is not None and (cal_due is None or cyc_due < cal_due):
-                    due, reason, count = cyc_due, CYCLES_ELAPSED, k * trig.cycles
+                day = first + round(k * years * DAYS_PER_YEAR) if years else math.inf
+                cyc_due = date_reaching(k * cycles) if cycles else None
+                if cyc_due is not None and cyc_due.toordinal() < day:
+                    if cyc_due > end:
+                        break
+                    append(ScheduleEntry(cyc_due, cid, task, cycle_reason, k * cycles))
+                elif day <= last:
+                    append(ScheduleEntry(date.fromordinal(day), cid, task, calendar_reason, None))
                 else:
-                    due, reason, count = cal_due, INTERVAL_ELAPSED, None
-                if not within(due):
                     break
-                entries.append(ScheduleEntry(due, component.id, task.description, reason, count))
-        life = component.service_life
-        if life is not None:
-            if life.unit == YEARS:
-                due, count = _days_after(start, _years_to_days(life.value)), None
-            else:
-                due, count = _counter(life.counter, install, usage, end)[0](life.value), life.value
-            if within(due):
-                entries.append(
-                    ScheduleEntry(
-                        due, component.id,
-                        f"Service life reached ({_life_text(life)})",
-                        LIFE_EXPIRED, count,
-                    )
-                )
 
     entries.sort(key=attrgetter("due_date", "component_id", "task", "reason"))
     return entries
-
-
-def _calendar_recurrences(start: date, end: date, interval_years: float):
-    """start + k intervals for k = 1, 2, ... up to end; the days round as _years_to_days does."""
-    first, last, k = start.toordinal(), end.toordinal(), 1
-    while (day := first + round(k * interval_years * DAYS_PER_YEAR)) <= last:
-        yield date.fromordinal(day)
-        k += 1
 
 
 def remaining_service_life(

@@ -28,16 +28,16 @@ words as one draw, so the fold order changes no bit. The chunk's (count,
 mean, M2) is then computed in place over the chunk buffer. Memory therefore
 stays flat as samples grow, at need chunks per worker.
 
-The chunks are split into one contiguous run per CPU, each worked by its
-own thread with its own positioned generators and buffers (numpy releases
-the GIL while drawing and in the ufuncs); a single run (one chunk, or one
-CPU) is worked on the calling thread. A run's exception is raised by the calling thread once
-every thread has joined. The calling thread merges the chunk moments in
-chunk order (Chan, Golub & LeVeque, 1979), the same order as a single
-thread would, so the estimate does not depend on the number of threads.
-The draws are bit-identical whatever the chunk size; the moments differ
-between chunk sizes only by rounding, about 1e-15 relative, so a
-(topology, samples, seed) triple always reproduces the same estimate.
+The chunks are split into one contiguous run per CPU, each with its own
+positioned generators and buffers. The calling thread works the first run
+and one thread per further run works the rest (numpy releases the GIL while
+drawing and in the ufuncs), so one run starts no thread. A run's exception
+is raised once every thread has joined. The calling thread merges the chunk
+moments in chunk order (Chan, Golub & LeVeque, 1979), as a single thread
+would, so the estimate does not depend on the number of threads. The draws
+are bit-identical whatever the chunk size; the moments differ between chunk
+sizes only by rounding, about 1e-15 relative, so a (topology, samples,
+seed) triple always reproduces the same estimate.
 
 numpy is imported inside the sampling functions, not at module level, so
 the closed-form reliability paths run without loading it.
@@ -328,31 +328,30 @@ def monte_carlo_mttf(
     plan = _plan(topo, itertools.count())
     chunks = -(-samples // _CHUNK)
     workers = min(_worker_count(), chunks)
-    if workers == 1:
-        moments = _chunk_moments(topo, plan, samples, seed, 0, samples)
-    else:
+    edges = [min(chunks * w // workers * _CHUNK, samples) for w in range(workers + 1)]
+    runs = [None] * workers
+
+    def work(w):
+        try:
+            runs[w] = _chunk_moments(topo, plan, samples, seed, edges[w], edges[w + 1])
+        except BaseException as exc:  # raised below, once every thread has joined
+            runs[w] = exc
+
+    threads = []
+    if workers > 1:
         import threading
 
-        edges = [min(chunks * w // workers * _CHUNK, samples) for w in range(workers + 1)]
-        runs = [None] * workers
-
-        def work(w):
-            try:
-                runs[w] = _chunk_moments(topo, plan, samples, seed, edges[w], edges[w + 1])
-            except BaseException as exc:  # raised below, once every thread has joined
-                runs[w] = exc
-
-        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for run in runs:
-            if isinstance(run, BaseException):
-                raise run
-        moments = [chunk for run in runs for chunk in run]
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for run in runs:
+        if isinstance(run, BaseException):
+            raise run
     mean, m2, count = 0.0, 0.0, 0
-    for size, chunk_mean, chunk_m2 in moments:
+    for size, chunk_mean, chunk_m2 in itertools.chain.from_iterable(runs):
         # Chan, Golub & LeVeque (1979) merge of the first `count` samples
         # with this chunk's (size, chunk_mean, chunk_m2)
         delta = chunk_mean - mean

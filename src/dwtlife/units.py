@@ -62,10 +62,6 @@ def canonical_unit(unit: str) -> str:
     raise ValidationError(f"unknown unit {unit!r}")
 
 
-def dimension_of(unit: str) -> str:
-    return _UNITS[canonical_unit(unit)][0]
-
-
 class Quantity(Record):
     """A scalar with a unit tag."""
 

@@ -152,6 +152,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 7.45 GiB")],
+                             ids=["bare", "numpy"])
+    def test_out_of_memory_is_one_line_numeric_failure(self, capsys, monkeypatch, error):
+        def exhausted(args):
+            raise error
+
+        handler, *rest = cli.COMMANDS["weibull sample"]
+        monkeypatch.setitem(cli.COMMANDS, "weibull sample", (exhausted, *rest))
+        code, out, err = run_lines(capsys, ["weibull", "sample", "--beta", "2", "--eta", "10"])
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure: out of memory") and err.count("\n") == 1, err
+
 
 class TestAeroCommands:
     def test_sweep_json_matches_published_torques(self, capsys):

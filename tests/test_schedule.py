@@ -535,6 +535,16 @@ class TestRecurrenceBound:
         assert len(entries) == 1000
         assert entries == oracles.threshold_scan_schedule(reg, INSTALL, DEFAULT_USAGE, 0.1)
 
+    def test_cycle_side_continues_after_the_calendar_side_passes_date_max(self):
+        # 20 years from 9990-01-01 is past date.max; a cycle is due every 10 days to the horizon
+        install = InstallationRecord(install_date=date(9990, 1, 1))
+        usage = UsageProfile(counters={"jack_cycles": 1.0})
+        trigger = {"whichever_first": {"years": 20, "cycles": 10, "counter": "jack_cycles"}}
+        reg = single_component_registry([{"description": "x", "trigger": trigger}])
+        entries = generate_schedule(reg, install, usage, 9.99)
+        assert len(entries) == 364 and {e.reason for e in entries} == {"cycles_elapsed"}
+        assert entries == oracles.threshold_scan_schedule(reg, install, usage, 9.99)
+
     def test_vanishing_whichever_first_years_rejected(self):
         # the calendar side rounds to day 0 for every k; the CLI cases pin the other repros
         trigger = {"whichever_first": {"years": 1e-300, "cycles": 100, "counter": "jack_cycles"}}

@@ -272,7 +272,7 @@ class TestWorkerThreads:
             with pytest.raises(NumericError):
                 monte_carlo_mttf(topology_from_document(OVERFLOWING_DOC), samples=1000, seed=0)
 
-    def test_chunk_runs_leave_the_calling_thread(self, monkeypatch):
+    def test_caller_and_one_worker_thread_run_chunks(self, monkeypatch):
         monkeypatch.setattr(system, "_CHUNK", 97)
         set_workers(monkeypatch, 2)
         threads = set()
@@ -284,7 +284,7 @@ class TestWorkerThreads:
 
         monkeypatch.setattr(LifeModel, "failure_times", spy)
         monte_carlo_mttf(topology_from_document(MIXED_DOC), samples=5001, seed=1)
-        assert threads and threading.get_ident() not in threads
+        assert len(threads) == 2 and threading.get_ident() in threads
 
     def test_one_chunk_starts_no_pool(self):
         child = (
@@ -303,19 +303,20 @@ class TestWorkerThreads:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
-    def test_run_exception_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("failing_run", [0, 1], ids=["caller", "worker"])
+    def test_run_exception_reaches_the_caller(self, monkeypatch, failing_run):
         monkeypatch.setattr(system, "_CHUNK", 97)
         set_workers(monkeypatch, 2)
         original = system._chunk_moments
 
         def failing(topo, plan, samples, seed, lo, hi):
-            if lo > 0:
-                raise MemoryError("run past chunk 0")
+            if (lo > 0) == failing_run:
+                raise MemoryError(f"run {failing_run}")
             return original(topo, plan, samples, seed, lo, hi)
 
         monkeypatch.setattr(system, "_chunk_moments", failing)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="run past chunk 0"):
+        with pytest.raises(MemoryError, match=f"run {failing_run}"):
             monte_carlo_mttf(topology_from_document(MIXED_DOC), samples=5001, seed=1)
         assert threading.active_count() == before
 
