@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_positive
-from .model import number, read_document
+from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_nonnegative
+from .model import _require_positive, number, read_document
 
 BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
 ROLLER_EXPONENT = 10.0 / 3.0
@@ -56,9 +56,8 @@ class BearingLoads(Record):
 
     def __post_init__(self):
         _require_finite_fields(self)
-        for name in ("radial_Fr", "axial_Fa", "moment_M"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        for name in self._fields:
+            _require_nonnegative(name, getattr(self, name))
 
 
 class LifeModFactors(Record):
@@ -120,8 +119,7 @@ def l10_life(ca_osc: float, pea: float) -> float:
 
 def modified_life(l10: float, f: LifeModFactors) -> float:
     """Standard modified rating life L_nm = a1 a2 a3 a4 L10."""
-    if l10 < 0:
-        raise ValidationError(f"L10 must be >= 0, got {l10}")
+    _require_nonnegative("L10", l10)
     return f.product() * l10
 
 

@@ -1,6 +1,7 @@
 """Shared domain types, the Record base of every value type, the one
-JSON document reader (read_document, tagged, number) and the one
-positive-and-finite check (_require_positive).
+JSON document reader (read_document, tagged, number), the one
+positive-and-finite check (_require_positive) and the one non-negative
+check (_require_nonnegative).
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -27,6 +28,12 @@ def _require_positive(name: str, value: float) -> None:
     if not value > 0:
         raise ValidationError(f"{name} must be positive, got {value}")
     _require_finite(name, value)
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    """ValidationError unless value >= 0: NaN fails, infinity passes."""
+    if not value >= 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
 def _require_finite_fields(record: Record) -> None:
@@ -218,10 +225,7 @@ class ColumnSpec(Record):
 
     def __post_init__(self):
         _require_finite("eccentricity_e", self.eccentricity_e)
-        if self.eccentricity_e < 0:
-            raise ValidationError(
-                f"eccentricity_e must be >= 0, got {self.eccentricity_e}"
-            )
+        _require_nonnegative("eccentricity_e", self.eccentricity_e)
         for field in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I"):
             _require_positive(field, getattr(self, field))
 
@@ -239,5 +243,4 @@ class UsageProfile(Record):
     def __post_init__(self):
         for counter, rate in self.counters.items():
             _require_finite(f"usage rate for {counter!r}", rate)
-            if not rate >= 0:
-                raise ValidationError(f"usage rate for {counter!r} must be >= 0, got {rate}")
+            _require_nonnegative(f"usage rate for {counter!r}", rate)

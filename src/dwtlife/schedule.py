@@ -41,8 +41,8 @@ from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, _require_positive
-from .model import number, read_document, tagged, text
+from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, _require_nonnegative
+from .model import _require_positive, number, read_document, tagged, text
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -430,7 +430,9 @@ def generate_schedule(
                 raise ValidationError(f"component {cid!r} task {task!r} "
                                       f"would take the schedule past {MAX_ENTRIES} entries")
             for k in range(1, int(bound) + 1):
-                day = first + round(k * years * DAYS_PER_YEAR) if years else math.inf
+                # a span past the horizon is never due, and may be too large to round
+                span = k * years * DAYS_PER_YEAR if years else math.inf
+                day = first + round(span) if span < last - first + 1 else math.inf
                 cyc_due = date_reaching(k * cycles) if cycles else None
                 if cyc_due is not None and cyc_due.toordinal() < day:
                     if cyc_due > end:
@@ -454,8 +456,7 @@ def remaining_service_life(
     counter. Overconsumption clamps the fraction to 1 and sets the flag.
     """
     _require_finite("elapsed_years", elapsed_years)
-    if elapsed_years < 0:
-        raise ValidationError(f"elapsed_years must be >= 0, got {elapsed_years}")
+    _require_nonnegative("elapsed_years", elapsed_years)
     life = component.service_life
     if life is None:
         raise ValidationError(f"component {component.id!r} is not lifed")

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 
 from .errors import BucklingError, NumericError, ValidationError
-from .model import ColumnSpec, Material, Record, RectSection, _require_finite, _require_positive
+from .model import ColumnSpec, Material, Record, RectSection, _require_finite
+from .model import _require_nonnegative, _require_positive
 from .units import GRAVITY
 
 FLAT = "flat"  # bending about the wide axis: I = b t³/12, y = t/2
@@ -96,7 +97,7 @@ def secant_deflection(col: ColumnSpec, elastic_modulus: float) -> float:
     if arg >= math.pi / 2:
         raise BucklingError(
             f"load {col.load_P} N is at or beyond the elastic buckling bound "
-            f"(secant argument {arg:.4f} >= pi/2)"
+            f"(secant argument {arg:.4g} >= pi/2)"
         )
     return col.eccentricity_e * (1.0 / math.cos(arg) - 1.0)
 
@@ -159,8 +160,7 @@ def rect_bending_stress(moment: float, s: RectSection, orientation: str) -> floa
     orientation "flat" bends about the wide (b) axis, "upright" about the
     narrow (t) axis.
     """
-    if moment < 0:
-        raise ValidationError(f"moment must be >= 0, got {moment}")
+    _require_nonnegative("moment", moment)
     if orientation == FLAT:
         inertia = s.width_b * s.thickness_t**3 / 12.0
         y = s.thickness_t / 2.0
@@ -177,7 +177,6 @@ def rect_torsion_max_shear(torque: float, s: RectSection) -> float:
 
     Consistent SI units throughout (torque N·m, section m, result Pa).
     """
-    if torque < 0:
-        raise ValidationError(f"torque must be >= 0, got {torque}")
+    _require_nonnegative("torque", torque)
     b, t = s.width_b, s.thickness_t
     return torque * (3.0 + 1.8 * t / b) / (b * t**2)

@@ -51,8 +51,8 @@ import os
 from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
-from .model import Record, _require_finite, _require_positive, number, read_document, tagged
-from .model import text
+from .model import Record, _require_finite, _require_nonnegative, _require_positive, number
+from .model import read_document, tagged, text
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
 EXPONENTIAL = "exponential"
@@ -99,8 +99,7 @@ class LifeModel(Record):
 
     def survival(self, t: float) -> float:
         """Probability the component is still functioning at time t."""
-        if not t >= 0:
-            raise ValidationError(f"time must be >= 0, got {t}")
+        _require_nonnegative("time", t)
         if self.kind == EXPONENTIAL:
             return math.exp(-self.rate * t)
         if self.kind == WEIBULL:
@@ -133,22 +132,23 @@ class Component(Record):
     model: LifeModel
 
 
-class Series(Record):
+class _Group(Record):
+    """A series or parallel group of one or more child nodes."""
+
     children: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         if not self.children:
-            raise ValidationError("series group needs at least one child")
+            raise ValidationError(f"{type(self).__name__.lower()} group needs at least one child")
 
 
-class Parallel(Record):
-    children: tuple = ()
+class Series(_Group):
+    pass
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValidationError("parallel group needs at least one child")
+
+class Parallel(_Group):
+    pass
 
 
 SystemTopology = Union[Component, Series, Parallel]
@@ -193,8 +193,7 @@ def parallel_reliability(reliabilities: list[float]) -> float:
 
 def system_reliability_at(t: float, topo: SystemTopology) -> float:
     """Survival probability of the whole system at time t."""
-    if not t >= 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    _require_nonnegative("time", t)
     validate_topology(topo)
     return _reliability(t, topo)
 
@@ -410,18 +409,16 @@ def topology_from_document(doc: dict) -> SystemTopology:
 def expected_repairs(rate: float, horizon: float) -> float:
     """Expected Poisson repair-event count over the horizon: rate * horizon."""
     _require_finite("repair rate", rate)
+    _require_nonnegative("repair rate", rate)
     _require_finite("horizon", horizon)
-    if rate < 0 or horizon < 0:
-        raise ValidationError("rate and horizon must be >= 0")
+    _require_nonnegative("horizon", horizon)
     return rate * horizon
 
 
 def poisson_pmf(k: int, mean: float) -> float:
     """P(N = k) for a Poisson count, evaluated in log space."""
-    if k < 0:
-        raise ValidationError(f"count must be >= 0, got {k}")
-    if mean < 0:
-        raise ValidationError(f"mean must be >= 0, got {mean}")
+    _require_nonnegative("count", k)
+    _require_nonnegative("mean", mean)
     if mean == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericError, SingularityError, ValidationError
-from .model import Record, _require_finite, _require_positive
+from .model import Record, _require_finite, _require_nonnegative, _require_positive
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
 RANDOM = "random"  # beta = 1, constant hazard
@@ -55,26 +55,15 @@ class QuantilePoint(Record):
 
 
 def cdf(t: float, w: WeibullParams) -> float:
-    """Failure probability by time t."""
-    if not t >= 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    return -math.expm1(-((t / w.scale_eta) ** w.shape_beta))
+    """Failure probability by time t: 1 - exp(-H(t))."""
+    return -math.expm1(-cumulative_hazard(t, w))
 
 
 def pdf(t: float, w: WeibullParams) -> float:
-    """Failure density (beta/eta)(t/eta)^(beta-1) exp(-(t/eta)^beta)."""
-    if not t >= 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    if t == 0:
-        return hazard(0.0, w)  # survival is 1 at t = 0
+    """Failure density h(t) exp(-H(t))."""
     if t == math.inf:
         return 0.0  # the limit; the formula gives inf * 0
-    z = t / w.scale_eta
-    return (
-        (w.shape_beta / w.scale_eta)
-        * z ** (w.shape_beta - 1)
-        * math.exp(-(z**w.shape_beta))
-    )
+    return hazard(t, w) * math.exp(-cumulative_hazard(t, w))
 
 
 def quantile_Bp(p: float, w: WeibullParams) -> float:
@@ -110,8 +99,7 @@ def fit_two_quantiles(q1: QuantilePoint, q2: QuantilePoint) -> WeibullParams:
 
 def hazard(t: float, w: WeibullParams) -> float:
     """Instantaneous failure rate h(t) = (beta/eta)(t/eta)^(beta-1)."""
-    if not t >= 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    _require_nonnegative("time", t)
     if t == 0:
         if w.shape_beta < 1:
             raise SingularityError("hazard diverges at t = 0 for shape < 1")
@@ -123,8 +111,7 @@ def hazard(t: float, w: WeibullParams) -> float:
 
 def cumulative_hazard(t: float, w: WeibullParams) -> float:
     """H(t) = (t/eta)^beta."""
-    if not t >= 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    _require_nonnegative("time", t)
     return (t / w.scale_eta) ** w.shape_beta
 
 
@@ -156,8 +143,7 @@ def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
 
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    _require_nonnegative("seed", seed)
     with np.errstate(all="ignore"):
         values = inverse_transform(np.random.default_rng(seed).random(count), w)
     if not np.isfinite(values).all():

@@ -231,6 +231,9 @@ CASES = {
         [*GENERATE, "--horizon", "3", "--format", "markdown"],
         {"env": {"DWT_REGISTRY": "registry.json"}},
     ),
+    "schedule_never_due": (
+        [*GENERATE, "--horizon", "1", "--registry", "registry_never_due.json"], {}
+    ),
     "error_generate_no_install": (_argv("schedule generate"), {}),
     "error_generate_bad_install_date": (_argv("schedule generate --install-date 2025-13-01"), {}),
     "error_generate_empty_install_date": (

@@ -1,15 +1,19 @@
-"""The one positive-and-finite check (model._require_positive) at every field it
-guards, and the one document number and text readers (model.number, model.text)."""
+"""The one positive-and-finite check (model._require_positive) and the one
+non-negative check (model._require_nonnegative) at every field they guard, and
+the one document number and text readers (model.number, model.text)."""
 
 import math
+from pathlib import Path
 
 import pytest
 
-from dwtlife import bearing, fatigue, structural, system
+import dwtlife
+from dwtlife import bearing, fatigue, structural, system, weibull
 from dwtlife.errors import ValidationError
-from dwtlife.model import ColumnSpec, Material, RectSection, number, text
+from dwtlife.model import ColumnSpec, Material, RectSection, UsageProfile, number, text
 from dwtlife.rotor import RotorState
 from dwtlife.schedule import CalendarInterval, CycleInterval, ServiceLife, WhicheverFirst
+from dwtlife.schedule import ComponentRecord, remaining_service_life
 from dwtlife.weibull import QuantilePoint, WeibullParams, failure_regime
 
 
@@ -29,7 +33,8 @@ COLUMN = dict(load_P=1e4, eccentricity_e=0.01, centroid_c=0.05, gyration_k=0.05,
               area_A=0.01, moment_I=1e-5)
 GEOMETRY = dict(groove_factor_fcm=1.0, rows_i=1, ball_count_Z=30, ball_diameter_Dr=25.0,
                 contact_angle_alpha=60.0, raceway_center_diameter_dm=1000.0)
-LOADS = bearing.BearingLoads(radial_Fr=0.0, axial_Fa=1000.0, moment_M=100.0)
+BEARING_LOADS = dict(radial_Fr=0.0, axial_Fa=1000.0, moment_M=100.0)
+LOADS = bearing.BearingLoads(**BEARING_LOADS)
 MARIN = fatigue.MarinFactors(1, 1, 1, 1, 1, 1)
 SN = fatigue.SnConstants(a=1e9, b=-0.1, f=0.9)
 BALLAST_SPEC = structural.BallastSpec(**BALLAST)
@@ -81,6 +86,57 @@ def test_non_positive_or_non_finite_value_names_the_field(name, check, value):
         check(value)
     reason = "finite" if value == math.inf else "positive"
     assert str(caught.value) == f"{name} must be {reason}, got {value}"
+
+
+WEIBULL = WeibullParams(shape_beta=2.0, scale_eta=10.0)
+EXPONENTIAL = system.LifeModel.exponential(1.0)
+RECT = RectSection(**SECTION)
+LIFED = ComponentRecord("a", "Control", service_life=ServiceLife(value=4.0, unit="years"))
+
+# (field name as the error message gives it, a call that checks a value for it,
+#  whether a finite check runs first and so reports NaN as not finite)
+NON_NEGATIVE = [
+    *(("time", lambda v, f=f: f(v, WEIBULL), False)
+      for f in (weibull.cdf, weibull.pdf, weibull.hazard, weibull.cumulative_hazard)),
+    ("seed", lambda v: weibull.sample(WEIBULL, v, 3), False),
+    ("time", EXPONENTIAL.survival, False),
+    ("time", lambda v: system.system_reliability_at(v, system.Component("a", EXPONENTIAL)), False),
+    ("repair rate", lambda v: system.expected_repairs(v, 1.0), True),
+    ("horizon", lambda v: system.expected_repairs(1.0, v), True),
+    ("count", lambda v: system.poisson_pmf(v, 1.0), False),
+    ("mean", lambda v: system.poisson_pmf(2, v), False),
+    ("moment", lambda v: structural.rect_bending_stress(v, RECT, structural.FLAT), False),
+    ("torque", lambda v: structural.rect_torsion_max_shear(v, RECT), False),
+    *((name, replacing(bearing.BearingLoads, BEARING_LOADS, name), True) for name in BEARING_LOADS),
+    ("L10", lambda v: bearing.modified_life(v, bearing.LifeModFactors(1, 1, 1, 1)), False),
+    ("eccentricity_e", replacing(ColumnSpec, COLUMN, "eccentricity_e"), True),
+    ("usage rate for 'c'", lambda v: UsageProfile(counters={"c": v}), True),
+    ("elapsed_years", lambda v: remaining_service_life(LIFED, UsageProfile({}), v), True),
+]
+NON_NEGATIVE_CASES = pytest.mark.parametrize(
+    "name, check, finite_first", NON_NEGATIVE, ids=[name for name, *_ in NON_NEGATIVE]
+)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan], ids=["-1", "nan"])
+@NON_NEGATIVE_CASES
+def test_negative_or_nan_value_names_the_field(name, check, finite_first, value):
+    with pytest.raises(ValidationError) as caught:
+        check(value)
+    reason = "finite" if finite_first and math.isnan(value) else ">= 0"
+    assert str(caught.value) == f"{name} must be {reason}, got {value}"
+
+
+@NON_NEGATIVE_CASES
+def test_zero_is_accepted(name, check, finite_first):
+    check(0)
+
+
+def test_only_model_writes_the_non_negative_message():
+    package = Path(dwtlife.__file__).parent
+    writers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "model.py" and "must be >= 0" in path.read_text(encoding="utf-8")]
+    assert writers == [], "call model._require_nonnegative instead"
 
 
 class TestNumber:

@@ -545,6 +545,19 @@ class TestRecurrenceBound:
         assert len(entries) == 364 and {e.reason for e in entries} == {"cycles_elapsed"}
         assert entries == oracles.threshold_scan_schedule(reg, install, usage, 9.99)
 
+    def test_calendar_span_too_large_to_round_is_never_due(self):
+        # 1e308 years is inf days: the calendar side and the years life are never due
+        huge = {"calendar_interval": {"years": 1e308}}
+        either = {"whichever_first": {"years": 1e308, "cycles": 5e6, "counter": "rotor_cycles"}}
+        cycle = {"cycle_interval": {"cycles": 5e6, "counter": "rotor_cycles"}}
+        reg = single_component_registry(
+            [{"description": "x", "trigger": huge}, {"description": "y", "trigger": either}],
+            service_life={"value": 1e308, "unit": "years"},
+        )
+        entries = generate_schedule(reg, INSTALL, DEFAULT_USAGE, 1.0)
+        alone = single_component_registry([{"description": "y", "trigger": cycle}])
+        assert entries and entries == generate_schedule(alone, INSTALL, DEFAULT_USAGE, 1.0)
+
     def test_vanishing_whichever_first_years_rejected(self):
         # the calendar side rounds to day 0 for every k; the CLI cases pin the other repros
         trigger = {"whichever_first": {"years": 1e-300, "cycles": 100, "counter": "jack_cycles"}}
