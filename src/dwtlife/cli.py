@@ -24,6 +24,13 @@ significant digits, or --json, and never a non-finite number. Diagnostics
 go to stderr. Exit codes: 0 success, 1 validation/usage error, 2 numeric
 failure (an overflow or a division by zero included).
 
+An omitted flag takes its COMMANDS row's default, which names its unit
+if it is a quantity: the study's stresses, blade section and mass, gust
+flow. A handler fills in a value only where a row cannot: the Marin
+factors (their base set depends on --preset), the shared --samples and
+--format (their default differs per command) and ``fatigue life
+--cycles-per-day`` (absent means no years row).
+
 A cold command pays only for its own work. At module level this file
 imports only the standard library and ``.errors``; each handler imports
 the library modules it uses, so ``weibull cdf`` loads ``errors``, ``model``
@@ -185,7 +192,7 @@ def _cmd_fatigue_life(args):
     return rows
 
 
-def _life_chain(material, marin, stress_si, cycles_per_day):
+def _life_chain(material, marin, args):
     from . import fatigue, presets
 
     se_prime = fatigue.endurance_limit_unmodified(material)
@@ -193,30 +200,28 @@ def _life_chain(material, marin, stress_si, cycles_per_day):
     constants = fatigue.sn_constants(
         material.ultimate_tensile_strength, se, presets.FATIGUE_STRENGTH_FRACTION
     )
-    life = fatigue.cycles_to_failure(stress_si, constants)
+    life = fatigue.cycles_to_failure(args.stress, constants)
     return [
         ("se", se, "stress"),
         ("a", constants.a, "stress"),
         ("b", constants.b, None),
-        ("stress", stress_si, "stress"),
+        ("stress", args.stress, "stress"),
         ("cycles", life.cycles, None),
         ("flags", ",".join(life.flags) or "none", None),
-        ("years", fatigue.cycles_to_calendar(life.cycles, cycles_per_day), None),
+        ("years", fatigue.cycles_to_calendar(life.cycles, args.cycles_per_day), None),
     ]
 
 
 def _cmd_tower_life(args):
     from . import presets
 
-    stress = presets.TOWER_GUST_STRESS if args.stress is None else args.stress
-    return _life_chain(presets.TOWER_STEEL, presets.TOWER_MARIN, stress, args.cycles_per_day)
+    return _life_chain(presets.TOWER_STEEL, presets.TOWER_MARIN, args)
 
 
 def _cmd_blade_life(args):
     from . import presets
 
-    stress = presets.BLADE_BENDING_STRESS if args.stress is None else args.stress
-    return _life_chain(presets.BLADE_ALUMINUM, presets.BLADE_MARIN, stress, args.cycles_per_day)
+    return _life_chain(presets.BLADE_ALUMINUM, presets.BLADE_MARIN, args)
 
 
 def _cmd_tower_column(args):
@@ -263,16 +268,9 @@ def _cmd_ballast(args):
 
 
 def _blade_section(args):
-    """The --width/--thickness/--span section; an omitted flag takes the preset's."""
-    from . import presets
     from .model import RectSection
 
-    preset = presets.BLADE_SECTION
-    return RectSection(
-        width_b=preset.width_b if args.width is None else args.width,
-        thickness_t=preset.thickness_t if args.thickness is None else args.thickness,
-        span_L=preset.span_L if args.span is None else args.span,
-    )
+    return RectSection(args.width, args.thickness, args.span)
 
 
 def _cmd_blade_bending(args):
@@ -283,7 +281,7 @@ def _cmd_blade_bending(args):
         section=section,
         material=presets.BLADE_ALUMINUM,
         mount_angle_phi=args.mount_angle,
-        mass=presets.BLADE_MASS_KG if args.mass is None else args.mass,
+        mass=args.mass,
     )
     moment = structural.blade_root_bending_moment(blade)
     return [
@@ -526,7 +524,11 @@ _DOCUMENT = ("json", "config")
 _FLOAT = {"type": float}
 _REQUIRED = {"type": float, "required": True}
 _MARIN = {f"--{factor}": _FLOAT for factor in ("ka", "kb", "kc", "kd", "ke", "kf")}
-_SECTION = {flag: {"dim": "length"} for flag in ("--width", "--thickness", "--span")}
+_SECTION = {  # the blade idealized as a rectangular cantilever
+    "--width": {"default": "0.185 m", "dim": "length"},
+    "--thickness": {"default": "0.004 m", "dim": "length"},
+    "--span": {"default": "1.4988 m", "dim": "length"},
+}
 _FLOW = {
     "--wind": {"default": "48.72 m/s", "dim": "speed"},
     "--air-density": {"default": "1.24 kg/m³", "dim": "density"},
@@ -554,13 +556,17 @@ COMMANDS = {
         "--cycles-per-day": _FLOAT,
     }, ("fatigue.cycles_to_failure", "fatigue.cycles_to_calendar")),
     "blade bending": (_cmd_blade_bending, _QUANTITIES, {
-        "--mass": _FLOAT, "--mount-angle": {"type": float, "default": 0.0}, **_SECTION,
+        "--mass": {"type": float, "default": 3.0},
+        "--mount-angle": {"type": float, "default": 0.0},
+        **_SECTION,
     }, ("structural.blade_root_bending_moment", "structural.rect_bending_stress")),
     "blade torsion": (_cmd_blade_torsion, _QUANTITIES, {
         "--torque": {"required": True, "dim": "torque"}, **_SECTION,
     }, ("structural.rect_torsion_max_shear",)),
     "blade life": (_cmd_blade_life, _QUANTITIES, {
-        "--stress": {"dim": "stress"}, "--cycles-per-day": {"type": float, "default": 144000.0},
+        # fully reversed root bending stress amplitude, blade horizontal
+        "--stress": {"default": "6.48 ksi", "dim": "stress"},
+        "--cycles-per-day": {"type": float, "default": 144000.0},
     }, ()),
     "tower column": (_cmd_tower_column, _QUANTITIES, {
         "--load": {"required": True, "dim": "force"},
@@ -574,7 +580,9 @@ COMMANDS = {
         "--modulus": {"default": "200000 MPa", "dim": "stress"},
     }, ("structural.secant_deflection", "structural.secant_allowable_load")),
     "tower life": (_cmd_tower_life, _QUANTITIES, {
-        "--stress": {"dim": "stress"}, "--cycles-per-day": {"type": float, "default": 1000.0},
+        # fully reversed von Mises stress amplitude of the 109 mph extreme-gust FEA case
+        "--stress": {"default": "13.56 ksi", "dim": "stress"},
+        "--cycles-per-day": {"type": float, "default": 1000.0},
     }, ()),
     "ballast": (_cmd_ballast, _QUANTITIES, {
         "--thrust": {"required": True, "dim": "force"},

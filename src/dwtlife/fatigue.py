@@ -76,9 +76,6 @@ class CycleLife(Record):
     cycles: float
     flags: tuple[str, ...] = ()
 
-    def __float__(self) -> float:
-        return self.cycles
-
 
 def endurance_limit_unmodified(material: Material) -> float:
     """Unmodified endurance limit: half the ultimate tensile strength."""

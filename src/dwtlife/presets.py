@@ -1,7 +1,11 @@
 """Default dataset for the D3-class ducted turbine analyses.
 
 Values come from the turbine's published lifing study; anything inferred
-rather than published says so in a comment.
+rather than published says so in a comment. The study's command-line
+inputs (the stress amplitudes, the blade section and mass, the gust flow
+state) are not here: each is the default of its flag in ``cli.COMMANDS``.
+The CLI reads from this module only what no flag sets: the materials,
+the Marin sets, the fatigue strength fraction and the torque sweep.
 
 Plain numbers are module constants. A default that is an instance of a
 library type is built on first use (module ``__getattr__``), importing only
@@ -14,9 +18,6 @@ home is ``system.SERVICE_LIFE_SUMMARY_YEARS``, next to
 from __future__ import annotations
 
 FATIGUE_STRENGTH_FRACTION = 0.9
-
-# Blade idealized as a rectangular cantilever (BLADE_SECTION below).
-BLADE_MASS_KG = 3.0
 
 # (power coefficient, rotor rpm) torque sweep companions to the base case.
 TORQUE_SWEEP = ((0.5, 600.0), (0.6, 600.0), (0.4, 900.0))
@@ -65,12 +66,6 @@ def _marin(**factors):
     return MarinFactors(**factors)
 
 
-def _blade_section():
-    from .model import RectSection
-
-    return RectSection(width_b=0.185, thickness_t=0.004, span_L=1.4988)
-
-
 def _gust_rotor_state():
     """Rotor operating point assumed for the extreme-gust torque estimate."""
     from .rotor import RotorState
@@ -115,12 +110,6 @@ _BUILT_ON_FIRST_USE = {
     # reliability (blade).
     "TOWER_MARIN": lambda: _marin(ka=0.92, kb=1.00, kc=0.85, kd=1.00, ke=0.87, kf=1.00),
     "BLADE_MARIN": lambda: _marin(ka=1.01, kb=0.89, kc=1.00, kd=1.00, ke=0.87, kf=1.00),
-    # Fully reversed stress amplitudes driving the fatigue estimates: tower
-    # von Mises stress from the 109 mph extreme-gust FEA case, blade root
-    # bending stress with the blade horizontal.
-    "TOWER_GUST_STRESS": lambda: _ksi(13.56),
-    "BLADE_BENDING_STRESS": lambda: _ksi(6.48),
-    "BLADE_SECTION": _blade_section,
     "GUST_ROTOR_STATE": _gust_rotor_state,
     "BEARING_LIFE_FACTORS": _bearing_life_factors,
     "DEFAULT_USAGE": _default_usage,

@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
@@ -336,11 +337,7 @@ def monte_carlo_mttf(
         except BaseException as exc:  # raised below, once every thread has joined
             runs[w] = exc
 
-    threads = []
-    if workers > 1:
-        import threading
-
-        threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
     work(0)
@@ -418,7 +415,11 @@ def expected_repairs(rate: float, horizon: float) -> float:
 def poisson_pmf(k: int, mean: float) -> float:
     """P(N = k) for a Poisson count, evaluated in log space."""
     _require_nonnegative("count", k)
+    _require_finite("count", k)
+    if k != math.floor(k):
+        raise ValidationError(f"count must be a whole number, got {k}")
     _require_nonnegative("mean", mean)
+    _require_finite("mean", mean)
     if mean == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))

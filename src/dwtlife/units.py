@@ -71,9 +71,6 @@ class Quantity(Record):
     def __post_init__(self):
         object.__setattr__(self, "unit", canonical_unit(self.unit))
 
-    def to(self, target_unit: str) -> "Quantity":
-        return convert(self, target_unit)
-
     @property
     def si_value(self) -> float:
         """Value expressed in the SI base unit of this quantity's dimension."""
@@ -111,4 +108,4 @@ def parse_quantity(text: str, default_unit: str) -> Quantity:
     value = float(m.group(1))
     _require_finite(f"quantity {text!r}", value)
     unit = m.group(2) or default_unit
-    return Quantity(value, canonical_unit(unit))
+    return Quantity(value, unit)

@@ -132,6 +132,24 @@ def test_zero_is_accepted(name, check, finite_first):
     check(0)
 
 
+# (field name as the error message gives it, a call that checks a value for it,
+#  a value the non-negative check lets through that the field rejects, the reason)
+OUT_OF_DOMAIN = [
+    ("mean", lambda v: system.poisson_pmf(2, v), math.inf, "finite"),
+    ("mean", lambda v: system.poisson_pmf(0, v), math.inf, "finite"),
+    ("count", lambda v: system.poisson_pmf(v, 1.0), math.inf, "finite"),
+    ("count", lambda v: system.poisson_pmf(v, 1.0), 2.5, "a whole number"),
+]
+
+
+@pytest.mark.parametrize("name, check, value, reason", OUT_OF_DOMAIN,
+                         ids=["mean_inf", "mean_inf_count_0", "count_inf", "count_2.5"])
+def test_value_out_of_domain_names_the_field(name, check, value, reason):
+    with pytest.raises(ValidationError) as caught:
+        check(value)
+    assert str(caught.value) == f"{name} must be {reason}, got {value}"
+
+
 def test_only_model_writes_the_non_negative_message():
     package = Path(dwtlife.__file__).parent
     writers = [path.name for path in sorted(package.glob("*.py"))

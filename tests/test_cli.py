@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -93,6 +94,25 @@ class TestOperationCoverage:
         for path in SUBCOMMANDS:
             code, _, _ = run_lines(capsys, path.split() + ["--help"])
             assert code == 0, path
+
+
+QUANTITY_DEFAULTS = [
+    (path, flag, spec) for path, (_, _, flags, _) in cli.COMMANDS.items()
+    for flag, spec in flags.items() if "dim" in spec and "default" in spec
+]
+
+
+@pytest.mark.parametrize("path, flag, spec", QUANTITY_DEFAULTS,
+                         ids=[f"{path} {flag}" for path, flag, _ in QUANTITY_DEFAULTS])
+def test_quantity_default_names_its_unit(path, flag, spec):
+    """A default that names its unit reads the same under either --units mode."""
+    dest = flag[2:].replace("-", "_")
+    si_values = []
+    for units in ("si", "imperial"):
+        args = argparse.Namespace(units=units, **{dest: spec["default"]})
+        cli._to_si(args, {flag: spec})
+        si_values.append(getattr(args, dest))
+    assert si_values[0] == si_values[1]
 
 
 def calls_to(tree, name: str) -> list:
@@ -676,6 +696,10 @@ class TestColdImports:
         assert self.cold_modules(tmp_path, argv) == {
             "dwtlife.errors", "dwtlife.model", "dwtlife.weibull",
         }
+
+    def test_blade_torsion_loads_no_preset(self, tmp_path):
+        loaded = self.cold_modules(tmp_path, ["blade", "torsion", "--torque", "300Nm"])
+        assert "dwtlife.presets" not in loaded, loaded
 
     def test_system_life_loads_at_most_four_modules(self, tmp_path):
         loaded = self.cold_modules(tmp_path, ["system", "life"])
