@@ -12,9 +12,13 @@ One table, COMMANDS, holds a row per subcommand: its handler, the shared
 flags it reads (--units, --json, --seed, --samples, --config, --format),
 its own flags and the library operations it surfaces. One loop builds the
 parser from the table, so a subcommand accepts only the flags it reads and
-any other flag is a usage error. The file holds no document format:
-``_read_json`` reads a JSON file or stdin, and the library reader next to
-the document's type, such as ``bearing.summary_from_document``, builds it.
+any other flag is a usage error. A flag that another flag leaves unread is
+refused with one error line: ``system reliability --events`` without
+``--repair-rate``, ``schedule generate --json --format`` and, in
+``schedule.site_from_document``, --install-date beside a --config
+'install' record. The file holds no document format: ``_read_json`` reads
+a JSON file or stdin, and the library reader next to the document's type,
+such as ``bearing.summary_from_document``, builds it.
 
 Quantity-valued flags (a "dim" key in their row) accept a unit suffix
 ("58 ksi", "300Nm"); bare numbers take the --units mode's unit for that
@@ -26,10 +30,10 @@ failure (an overflow or a division by zero included).
 
 An omitted flag takes its COMMANDS row's default, which names its unit
 if it is a quantity: the study's stresses, blade section and mass, gust
-flow. A handler fills in a value only where a row cannot: the Marin
-factors (their base set depends on --preset), the shared --samples and
---format (their default differs per command) and ``fatigue life
---cycles-per-day`` (absent means no years row).
+flow, tower steel yield and modulus. A handler fills in a value only where
+a row cannot: the Marin factors (their base set depends on --preset), the
+shared --samples and --format (their default differs per command) and
+``fatigue life --cycles-per-day`` (absent means no years row).
 
 A cold command pays only for its own work. At module level this file
 imports only the standard library and ``.errors``; each handler imports
@@ -50,6 +54,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import NumericError, ValidationError
@@ -79,6 +84,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number is a flag value, not a flag, in e-notation too ("--b -1e-3")
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         self.print_usage(sys.stderr)
         raise _UsageError(message)
@@ -178,13 +188,13 @@ def _cmd_fatigue_sn(args):
     from . import fatigue
 
     constants = fatigue.sn_constants(args.sut, args.se, args.f)
-    return [("a", constants.a, "stress"), ("b", constants.b, None), ("f", constants.f, None)]
+    return [("a", constants.a, "stress"), ("b", constants.b, None), ("f", args.f, None)]
 
 
 def _cmd_fatigue_life(args):
     from . import fatigue
 
-    constants = fatigue.SnConstants(a=args.a, b=args.b, f=args.f)
+    constants = fatigue.SnConstants(a=args.a, b=args.b)
     life = fatigue.cycles_to_failure(args.stress, constants)
     rows = [("cycles", life.cycles, None), ("flags", ",".join(life.flags) or "none", None)]
     if args.cycles_per_day is not None:
@@ -193,13 +203,11 @@ def _cmd_fatigue_life(args):
 
 
 def _life_chain(material, marin, args):
-    from . import fatigue, presets
+    from . import fatigue
 
     se_prime = fatigue.endurance_limit_unmodified(material)
     se = fatigue.marin_modified_endurance(se_prime, marin)
-    constants = fatigue.sn_constants(
-        material.ultimate_tensile_strength, se, presets.FATIGUE_STRENGTH_FRACTION
-    )
+    constants = fatigue.sn_constants(material.ultimate_tensile_strength, se)
     life = fatigue.cycles_to_failure(args.stress, constants)
     return [
         ("se", se, "stress"),
@@ -270,19 +278,14 @@ def _cmd_ballast(args):
 def _blade_section(args):
     from .model import RectSection
 
-    return RectSection(args.width, args.thickness, args.span)
+    return RectSection(args.width, args.thickness)
 
 
 def _cmd_blade_bending(args):
-    from . import presets, structural
+    from . import structural
 
     section = _blade_section(args)
-    blade = structural.BladeSpec(
-        section=section,
-        material=presets.BLADE_ALUMINUM,
-        mount_angle_phi=args.mount_angle,
-        mass=args.mass,
-    )
+    blade = structural.BladeSpec(section, args.span, args.mount_angle, args.mass)
     moment = structural.blade_root_bending_moment(blade)
     return [
         ("moment", moment, "torque"),
@@ -428,6 +431,8 @@ def _cmd_system_mttf(args):
 def _cmd_system_reliability(args):
     from . import system
 
+    if args.events is not None and args.repair_rate is None:
+        raise ValidationError("--events needs --repair-rate")
     topo = system.topology_from_document(_read_config(args))
     rows = [("reliability", system.system_reliability_at(args.t, topo), None)]
     if args.repair_rate is not None:
@@ -465,6 +470,8 @@ def _site(args):
 def _cmd_schedule_generate(args):
     from . import schedule
 
+    if args.json and args.format is not None:
+        raise ValidationError("--format sets the text output; it cannot go with --json")
     registry = _load_registry_for(args)
     install, usage = schedule.site_from_document(_site(args), args.install_date)
     entries = schedule.generate_schedule(registry, install, usage, args.horizon)
@@ -524,10 +531,9 @@ _DOCUMENT = ("json", "config")
 _FLOAT = {"type": float}
 _REQUIRED = {"type": float, "required": True}
 _MARIN = {f"--{factor}": _FLOAT for factor in ("ka", "kb", "kc", "kd", "ke", "kf")}
-_SECTION = {  # the blade idealized as a rectangular cantilever
+_SECTION = {  # the blade's rectangular cross section
     "--width": {"default": "0.185 m", "dim": "length"},
     "--thickness": {"default": "0.004 m", "dim": "length"},
-    "--span": {"default": "1.4988 m", "dim": "length"},
 }
 _FLOW = {
     "--wind": {"default": "48.72 m/s", "dim": "speed"},
@@ -552,13 +558,13 @@ COMMANDS = {
         "--stress": _STRESS,
         "--a": _STRESS,
         "--b": _REQUIRED,
-        "--f": {"type": float, "default": 0.9},
         "--cycles-per-day": _FLOAT,
     }, ("fatigue.cycles_to_failure", "fatigue.cycles_to_calendar")),
     "blade bending": (_cmd_blade_bending, _QUANTITIES, {
         "--mass": {"type": float, "default": 3.0},
         "--mount-angle": {"type": float, "default": 0.0},
         **_SECTION,
+        "--span": {"default": "1.4988 m", "dim": "length"},  # the blade as a cantilever
     }, ("structural.blade_root_bending_moment", "structural.rect_bending_stress")),
     "blade torsion": (_cmd_blade_torsion, _QUANTITIES, {
         "--torque": {"required": True, "dim": "torque"}, **_SECTION,
@@ -576,6 +582,7 @@ COMMANDS = {
         "--height": _LENGTH,
         "--area": {**_REQUIRED, "help": "cross-section area, m²"},
         "--inertia": {**_REQUIRED, "help": "second moment, m⁴"},
+        # the standard ASTM A36 compressive yield (36 ksi, rounded) and elastic modulus
         "--syc": {"default": "248.21 MPa", "dim": "stress"},
         "--modulus": {"default": "200000 MPa", "dim": "stress"},
     }, ("structural.secant_deflection", "structural.secant_allowable_load")),

@@ -45,19 +45,17 @@ class MarinFactors(Record):
 
 
 class SnConstants(Record):
-    """Fitted S-N curve sigma = a * N**b with fatigue strength fraction f."""
+    """Fitted S-N curve sigma = a * N**b. The fatigue strength fraction f is an
+    input of the fit (sn_constants), not part of the curve."""
 
     a: float  # Pa
     b: float  # dimensionless, negative
-    f: float  # fatigue strength fraction in (0, 1]
 
     def __post_init__(self):
         _require_positive("S-N intercept a", self.a)
         _require_finite_fields(self)
         if not self.b < 0:
             raise ValidationError(f"S-N exponent b must be negative, got {self.b}")
-        if not 0 < self.f <= 1:
-            raise ValidationError(f"fatigue strength fraction f={self.f} outside (0, 1]")
 
     @property
     def low_cycle_stress(self) -> float:
@@ -91,16 +89,19 @@ def marin_modified_endurance(se_prime: float, k: MarinFactors) -> float:
 def sn_constants(s_ut: float, s_e: float, f: float = 0.9) -> SnConstants:
     """Fit the finite-life constants a, b from S_ut, S_e, and f.
 
-    Requires f*S_ut > S_e > 0, otherwise the log10 slope is undefined.
+    Requires f in (0, 1] and f*S_ut > S_e > 0, otherwise the log10 slope is
+    undefined.
     """
     _require_positive("endurance limit", s_e)
+    if not 0 < f <= 1:
+        raise ValidationError(f"fatigue strength fraction f={f} outside (0, 1]")
     if not f * s_ut > s_e:
         raise ValidationError(
             f"f*S_ut = {f * s_ut} must exceed S_e = {s_e} for a finite-life fit"
         )
     a = (f * s_ut) ** 2 / s_e
     b = -math.log10(f * s_ut / s_e) / 3.0
-    return SnConstants(a=a, b=b, f=f)
+    return SnConstants(a=a, b=b)
 
 
 def cycles_to_failure(sigma_rev: float, c: SnConstants) -> CycleLife:

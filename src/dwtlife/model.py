@@ -170,17 +170,16 @@ def text(name: str, value) -> str:
 
 
 class Material(Record):
-    """Strength, stiffness, and density properties of a structural material."""
+    """Strength and stiffness properties of a structural material."""
 
     name: str
     ultimate_tensile_strength: float  # Pa
     yield_strength_compressive: Optional[float] = None  # Pa
     elastic_modulus: Optional[float] = None  # Pa
-    mass_density: Optional[float] = None  # kg/m³
 
     def __post_init__(self):
         _require_positive("ultimate_tensile_strength", self.ultimate_tensile_strength)
-        for field in ("yield_strength_compressive", "elastic_modulus", "mass_density"):
+        for field in ("yield_strength_compressive", "elastic_modulus"):
             value = getattr(self, field)
             if value is not None:
                 _require_positive(field, value)
@@ -200,12 +199,10 @@ class RectSection(Record):
 
     width_b: float  # m
     thickness_t: float  # m
-    span_L: float  # m
 
     def __post_init__(self):
         _require_finite("width_b", self.width_b)
         _require_positive("thickness_t", self.thickness_t)
-        _require_positive("span_L", self.span_L)
         if self.width_b < self.thickness_t:
             raise ValidationError(
                 f"width_b {self.width_b} must be >= thickness_t {self.thickness_t}"

@@ -3,9 +3,12 @@
 Values come from the turbine's published lifing study; anything inferred
 rather than published says so in a comment. The study's command-line
 inputs (the stress amplitudes, the blade section and mass, the gust flow
-state) are not here: each is the default of its flag in ``cli.COMMANDS``.
-The CLI reads from this module only what no flag sets: the materials,
-the Marin sets, the fatigue strength fraction and the torque sweep.
+state, the tower steel's yield strength and modulus) are not here: each is
+the default of its flag in ``cli.COMMANDS``, and the fatigue strength
+fraction is the default of ``fatigue.sn_constants``. The CLI reads from
+this module only what no flag sets: the materials' ultimate strengths,
+the Marin sets and the torque sweep. Nothing here is a second copy of a
+flag default.
 
 Plain numbers are module constants. A default that is an instance of a
 library type is built on first use (module ``__getattr__``), importing only
@@ -16,8 +19,6 @@ home is ``system.SERVICE_LIFE_SUMMARY_YEARS``, next to
 """
 
 from __future__ import annotations
-
-FATIGUE_STRENGTH_FRACTION = 0.9
 
 # (power coefficient, rotor rpm) torque sweep companions to the base case.
 TORQUE_SWEEP = ((0.5, 600.0), (0.6, 600.0), (0.4, 900.0))
@@ -39,45 +40,23 @@ def _ksi(value: float) -> float:
 
 
 def _tower_steel():
-    """ASTM A36, minimum ultimate strength 58 ksi; yield and modulus are the
-    standard A36 values (36 ksi, 200 GPa)."""
+    """ASTM A36, minimum ultimate strength 58 ksi."""
     from .model import Material
 
-    return Material(
-        name="ASTM A36 steel",
-        ultimate_tensile_strength=_ksi(58.0),
-        yield_strength_compressive=_ksi(36.0),
-        elastic_modulus=200e9,
-    )
+    return Material(name="ASTM A36 steel", ultimate_tensile_strength=_ksi(58.0))
 
 
 def _blade_aluminum():
-    """Pressed aluminum 6061-T6, 45 ksi ultimate, 2.7 g/cc."""
+    """Pressed aluminum 6061-T6, 45 ksi ultimate."""
     from .model import Material
 
-    return Material(
-        name="Aluminum 6061-T6", ultimate_tensile_strength=_ksi(45.0), mass_density=2700.0
-    )
+    return Material(name="Aluminum 6061-T6", ultimate_tensile_strength=_ksi(45.0))
 
 
 def _marin(**factors):
     from .fatigue import MarinFactors
 
     return MarinFactors(**factors)
-
-
-def _gust_rotor_state():
-    """Rotor operating point assumed for the extreme-gust torque estimate."""
-    from .rotor import RotorState
-    from .units import Quantity, convert
-
-    return RotorState(
-        radius_R=1.5,
-        rotor_speed_omega=convert(Quantity(600.0, "rpm"), "rad/s").value,
-        wind_speed_V=48.72,
-        air_density_rho=1.24,
-        power_coefficient_Cp=0.40,
-    )
 
 
 def _bearing_life_factors():
@@ -110,7 +89,6 @@ _BUILT_ON_FIRST_USE = {
     # reliability (blade).
     "TOWER_MARIN": lambda: _marin(ka=0.92, kb=1.00, kc=0.85, kd=1.00, ke=0.87, kf=1.00),
     "BLADE_MARIN": lambda: _marin(ka=1.01, kb=0.89, kc=1.00, kd=1.00, ke=0.87, kf=1.00),
-    "GUST_ROTOR_STATE": _gust_rotor_state,
     "BEARING_LIFE_FACTORS": _bearing_life_factors,
     "DEFAULT_USAGE": _default_usage,
 }

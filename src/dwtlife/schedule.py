@@ -313,9 +313,11 @@ def usage_from_site(site) -> UsageProfile:
 def site_from_document(site, install_date: Optional[str]) -> tuple:
     """(installation record, usage_from_site) of a site document, the schedule
     commands' --config object. The record is its 'install' object or else one
-    dated install_date, the ISO text of --install-date; one must be given."""
+    dated install_date, the ISO text of --install-date; exactly one must be given."""
     usage = usage_from_site(site)
     if "install" in site:
+        if install_date is not None:
+            raise ValidationError("give --install-date or a --config 'install' record, not both")
         return installation_from_document(site["install"]), usage
     if install_date is None:
         raise ValidationError("need --install-date or a --config with an 'install' record")

@@ -46,14 +46,15 @@ class BallastSpec(Record):
 
 
 class BladeSpec(Record):
-    """Blade idealized as a rectangular cantilever mounted at angle phi."""
+    """Blade idealized as a rectangular cantilever of span L mounted at angle phi."""
 
     section: RectSection
-    material: Material
+    span_L: float  # m
     mount_angle_phi: float  # deg, in [0, 90]
     mass: float  # kg
 
     def __post_init__(self):
+        _require_positive("span_L", self.span_L)
         _require_finite("mount_angle_phi", self.mount_angle_phi)
         _require_positive("mass", self.mass)
         if not 0 <= self.mount_angle_phi <= 90:
@@ -151,7 +152,7 @@ def blade_root_bending_moment(blade: BladeSpec) -> float:
     The distributed weight resolves to m*g acting at mid-span of the
     cantilever, so M = m * g * L/2.
     """
-    return blade.mass * GRAVITY * blade.section.span_L / 2.0
+    return blade.mass * GRAVITY * blade.span_L / 2.0
 
 
 def rect_bending_stress(moment: float, s: RectSection, orientation: str) -> float:

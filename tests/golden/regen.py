@@ -188,6 +188,9 @@ CASES = {
     "error_reliability_nan_time": (
         _argv("system reliability --config topology.json --t nan"), {}
     ),
+    "error_reliability_events_without_repair_rate": (
+        _argv("system reliability --config topology.json --t 2 --events 1"), {}
+    ),
     "error_lives_text": (_argv("system life --config lives_text.json"), {}),
     "error_lives_list": (_argv("system life --config lives_list.json"), {}),
     "error_lives_empty": (_argv("system life --config lives_empty.json"), {}),
@@ -235,6 +238,8 @@ CASES = {
         [*GENERATE, "--horizon", "1", "--registry", "registry_never_due.json"], {}
     ),
     "error_generate_no_install": (_argv("schedule generate"), {}),
+    "error_generate_install_date_and_install_record": ([*GENERATE, "--config", "site.json"], {}),
+    "error_generate_json_and_format": ([*GENERATE, "--json", "--format", "csv"], {}),
     "error_generate_bad_install_date": (_argv("schedule generate --install-date 2025-13-01"), {}),
     "error_generate_empty_install_date": (
         ["schedule", "generate", "--install-date", "", "--horizon", "1"], {}

@@ -27,8 +27,8 @@ ROTOR = dict(radius_R=1.5, rotor_speed_omega=60.0, wind_speed_V=20.0, air_densit
 BALLAST = dict(turbine_thrust=6035.0, nacelle_diameter=2.0, safety_factor=1.0,
                base_diameter=3.0, base_area=4.0, ballast_mass_density=1600.0)
 MATERIAL = dict(name="steel", ultimate_tensile_strength=4e8, yield_strength_compressive=2.5e8,
-                elastic_modulus=2e11, mass_density=7850.0)
-SECTION = dict(width_b=0.1, thickness_t=0.01, span_L=1.0)
+                elastic_modulus=2e11)
+SECTION = dict(width_b=0.1, thickness_t=0.01)
 COLUMN = dict(load_P=1e4, eccentricity_e=0.01, centroid_c=0.05, gyration_k=0.05, height_l=6.0,
               area_A=0.01, moment_I=1e-5)
 GEOMETRY = dict(groove_factor_fcm=1.0, rows_i=1, ball_count_Z=30, ball_diameter_Dr=25.0,
@@ -36,7 +36,7 @@ GEOMETRY = dict(groove_factor_fcm=1.0, rows_i=1, ball_count_Z=30, ball_diameter_
 BEARING_LOADS = dict(radial_Fr=0.0, axial_Fa=1000.0, moment_M=100.0)
 LOADS = bearing.BearingLoads(**BEARING_LOADS)
 MARIN = fatigue.MarinFactors(1, 1, 1, 1, 1, 1)
-SN = fatigue.SnConstants(a=1e9, b=-0.1, f=0.9)
+SN = fatigue.SnConstants(a=1e9, b=-0.1)
 BALLAST_SPEC = structural.BallastSpec(**BALLAST)
 
 # (field name as the error message gives it, a call that checks a value for it)
@@ -54,19 +54,19 @@ GUARDED = [
     ("endurance limit", lambda v: fatigue.marin_modified_endurance(v, MARIN)),
     ("endurance limit", lambda v: fatigue.sn_constants(4e8, v)),
     ("stress", lambda v: fatigue.cycles_to_failure(v, SN)),
-    ("S-N intercept a", replacing(fatigue.SnConstants, dict(a=1e9, b=-0.1, f=0.9), "a")),
+    ("S-N intercept a", replacing(fatigue.SnConstants, dict(a=1e9, b=-0.1), "a")),
     ("life for 'a'", lambda v: system.system_service_life({"a": v})),
     *((name, replacing(RotorState, ROTOR, name))
       for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho")),
     *((name, replacing(structural.BallastSpec, BALLAST, name))
       for name in ("turbine_thrust", "nacelle_diameter", "base_diameter", "base_area",
                    "ballast_mass_density")),
-    ("mass", lambda v: structural.BladeSpec(RectSection(**SECTION), Material(**MATERIAL), 0.0, v)),
+    ("mass", lambda v: structural.BladeSpec(RectSection(**SECTION), 1.0, 0.0, v)),
+    ("span_L", lambda v: structural.BladeSpec(RectSection(**SECTION), v, 0.0, 3.0)),
     ("weight", lambda v: structural.ballast_height_for_weight(v, BALLAST_SPEC)),
     *((name, replacing(Material, MATERIAL, name))
-      for name in ("ultimate_tensile_strength", "yield_strength_compressive", "elastic_modulus",
-                   "mass_density")),
-    *((name, replacing(RectSection, SECTION, name)) for name in ("thickness_t", "span_L")),
+      for name in ("ultimate_tensile_strength", "yield_strength_compressive", "elastic_modulus")),
+    ("thickness_t", replacing(RectSection, SECTION, "thickness_t")),
     *((name, replacing(ColumnSpec, COLUMN, name))
       for name in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I")),
     ("groove_factor_fcm", replacing(bearing.SlewingBearingGeometry, GEOMETRY, "groove_factor_fcm")),

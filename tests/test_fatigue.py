@@ -90,6 +90,12 @@ class TestSnConstants:
         assert abs(c.b + 0.1206) / 0.1206 < 5e-4
         assert abs(natural + 0.1206) / 0.1206 > 0.5
 
+    @pytest.mark.parametrize("f", [0.0, -0.5, 1.5, 2.0, math.nan])
+    def test_fraction_outside_unit_interval_rejected(self, f):
+        with pytest.raises(ValidationError) as caught:
+            sn_constants(ksi(45.0), ksi(17.6), f)
+        assert str(caught.value) == f"fatigue strength fraction f={f} outside (0, 1]"
+
     def test_degenerate_boundary_rejected(self):
         with pytest.raises(ValidationError):
             sn_constants(ksi(45.0), ksi(0.9 * 45.0), 0.9)
@@ -116,7 +122,7 @@ class TestCyclesToFailure:
         assert "below_endurance_extrapolation" in life.flags
 
     def test_stress_at_intercept_gives_one_cycle(self):
-        c = SnConstants(a=ksi(93.196), b=-0.1206, f=0.9)
+        c = SnConstants(a=ksi(93.196), b=-0.1206)
         assert cycles_to_failure(c.a, c).cycles == pytest.approx(1.0)
 
     def test_blade_bending_stress(self):

@@ -92,4 +92,4 @@ def test_material_nonpositive_rejected():
     with pytest.raises(ValidationError):
         Material(name="bad", ultimate_tensile_strength=0.0)
     with pytest.raises(ValidationError):
-        Material(name="bad", ultimate_tensile_strength=1e8, mass_density=-1.0)
+        Material(name="bad", ultimate_tensile_strength=1e8, elastic_modulus=-1.0)
