@@ -194,7 +194,8 @@ def _whole(name: str, value) -> int:
 
 def summary_from_document(document) -> dict:
     """life_summary of a bearing document (README, "Bearing life"); an absent
-    or null "factors" takes presets.BEARING_LIFE_FACTORS."""
+    or null "factors" takes presets.BEARING_LIFE_FACTORS, and an absent
+    "oscillations_per_day" the yaw_oscillations rate of presets.DEFAULT_USAGE."""
     from . import presets
 
     def build(doc):
@@ -211,7 +212,9 @@ def summary_from_document(document) -> dict:
             presets.BEARING_LIFE_FACTORS
             if factors is None
             else LifeModFactors(**{k: number(k, v) for k, v in factors.items()}),
-            number("oscillations_per_day", doc.get("oscillations_per_day", 1500.0)),
+            number("oscillations_per_day", doc.get(
+                "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]
+            )),
             number("exponent", doc.get("exponent", BALL_EXPONENT)),
         )
 

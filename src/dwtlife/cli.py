@@ -86,8 +86,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number is a flag value, not a flag, in e-notation too ("--b -1e-3")
-        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+        # a word that starts "-" and then a digit or ".digit" ("-1e-3", "-1MPa", "-.5"),
+        # or is -inf, -infinity or -nan in any case, is a value: no flag name starts so
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
 
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         self.print_usage(sys.stderr)
@@ -176,10 +177,8 @@ def _marin_from_args(args):
 
 def _cmd_fatigue_endurance(args):
     from . import fatigue
-    from .model import Material
 
-    material = Material(name="cli", ultimate_tensile_strength=args.sut)
-    se_prime = fatigue.endurance_limit_unmodified(material)
+    se_prime = fatigue.endurance_limit_unmodified(args.sut)
     se = fatigue.marin_modified_endurance(se_prime, _marin_from_args(args))
     return [("se_prime", se_prime, "stress"), ("se", se, "stress")]
 
@@ -202,12 +201,12 @@ def _cmd_fatigue_life(args):
     return rows
 
 
-def _life_chain(material, marin, args):
+def _life_chain(s_ut, marin, args):
     from . import fatigue
 
-    se_prime = fatigue.endurance_limit_unmodified(material)
+    se_prime = fatigue.endurance_limit_unmodified(s_ut)
     se = fatigue.marin_modified_endurance(se_prime, marin)
-    constants = fatigue.sn_constants(material.ultimate_tensile_strength, se)
+    constants = fatigue.sn_constants(s_ut, se)
     life = fatigue.cycles_to_failure(args.stress, constants)
     return [
         ("se", se, "stress"),
@@ -223,18 +222,18 @@ def _life_chain(material, marin, args):
 def _cmd_tower_life(args):
     from . import presets
 
-    return _life_chain(presets.TOWER_STEEL, presets.TOWER_MARIN, args)
+    return _life_chain(presets.TOWER_STEEL_SUT, presets.TOWER_MARIN, args)
 
 
 def _cmd_blade_life(args):
     from . import presets
 
-    return _life_chain(presets.BLADE_ALUMINUM, presets.BLADE_MARIN, args)
+    return _life_chain(presets.BLADE_ALUMINUM_SUT, presets.BLADE_MARIN, args)
 
 
 def _cmd_tower_column(args):
-    from . import presets, structural
-    from .model import ColumnSpec, Material
+    from . import structural
+    from .model import ColumnSpec
 
     col = ColumnSpec(
         load_P=args.load,
@@ -244,16 +243,12 @@ def _cmd_tower_column(args):
         height_l=args.height,
         area_A=args.area,
         moment_I=args.inertia,
-    )
-    material = Material(
-        name="cli",
-        ultimate_tensile_strength=presets.TOWER_STEEL.ultimate_tensile_strength,
         yield_strength_compressive=args.syc,
         elastic_modulus=args.modulus,
     )
     return [
-        ("deflection", structural.secant_deflection(col, material.elastic_modulus), "length"),
-        ("allowable_load", structural.secant_allowable_load(col, material), "force"),
+        ("deflection", structural.secant_deflection(col), "length"),
+        ("allowable_load", structural.secant_allowable_load(col), "force"),
     ]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Material, Record, _require_finite_fields, _require_positive
+from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_positive
 
 
 class MarinFactors(Record):
@@ -75,9 +75,10 @@ class CycleLife(Record):
     flags: tuple[str, ...] = ()
 
 
-def endurance_limit_unmodified(material: Material) -> float:
-    """Unmodified endurance limit: half the ultimate tensile strength."""
-    return 0.5 * material.ultimate_tensile_strength
+def endurance_limit_unmodified(s_ut: float) -> float:
+    """Unmodified endurance limit: half the ultimate tensile strength S_ut (Pa)."""
+    _require_positive("ultimate_tensile_strength", s_ut)
+    return 0.5 * s_ut
 
 
 def marin_modified_endurance(se_prime: float, k: MarinFactors) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Optional
 
 from .errors import ValidationError
 
@@ -169,31 +168,6 @@ def text(name: str, value) -> str:
     raise ValidationError(f"{name} must be text, got {value!r}")
 
 
-class Material(Record):
-    """Strength and stiffness properties of a structural material."""
-
-    name: str
-    ultimate_tensile_strength: float  # Pa
-    yield_strength_compressive: Optional[float] = None  # Pa
-    elastic_modulus: Optional[float] = None  # Pa
-
-    def __post_init__(self):
-        _require_positive("ultimate_tensile_strength", self.ultimate_tensile_strength)
-        for field in ("yield_strength_compressive", "elastic_modulus"):
-            value = getattr(self, field)
-            if value is not None:
-                _require_positive(field, value)
-        if (
-            self.yield_strength_compressive is not None
-            and self.yield_strength_compressive > self.ultimate_tensile_strength
-        ):
-            raise ValidationError(
-                f"{self.name}: compressive yield "
-                f"{self.yield_strength_compressive} exceeds ultimate strength "
-                f"{self.ultimate_tensile_strength}"
-            )
-
-
 class RectSection(Record):
     """Rectangular cross section, width >= thickness."""
 
@@ -210,7 +184,8 @@ class RectSection(Record):
 
 
 class ColumnSpec(Record):
-    """Eccentrically loaded column: load, geometry, and section properties."""
+    """Eccentrically loaded column: load, geometry, section properties, and the
+    two material properties the secant formulas read (compressive yield, modulus)."""
 
     load_P: float  # N
     eccentricity_e: float  # m, >= 0
@@ -219,11 +194,16 @@ class ColumnSpec(Record):
     height_l: float  # m
     area_A: float  # m²
     moment_I: float  # m⁴
+    yield_strength_compressive: float  # Pa
+    elastic_modulus: float  # Pa
 
     def __post_init__(self):
         _require_finite("eccentricity_e", self.eccentricity_e)
         _require_nonnegative("eccentricity_e", self.eccentricity_e)
-        for field in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I"):
+        for field in (
+            "load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I",
+            "yield_strength_compressive", "elastic_modulus",
+        ):
             _require_positive(field, getattr(self, field))
 
     @property

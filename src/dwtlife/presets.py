@@ -6,16 +6,17 @@ inputs (the stress amplitudes, the blade section and mass, the gust flow
 state, the tower steel's yield strength and modulus) are not here: each is
 the default of its flag in ``cli.COMMANDS``, and the fatigue strength
 fraction is the default of ``fatigue.sn_constants``. The CLI reads from
-this module only what no flag sets: the materials' ultimate strengths,
-the Marin sets and the torque sweep. Nothing here is a second copy of a
-flag default.
+this module only what no flag sets: the two ultimate strengths that
+``tower life`` and ``blade life`` read, the Marin sets and the torque
+sweep. Nothing here is a second copy of a flag default, and every name
+here is read by a calculation.
 
-Plain numbers are module constants. A default that is an instance of a
-library type is built on first use (module ``__getattr__``), importing only
-what that one default needs, so reading one default loads no module for
-the others. The component service-life summary is not served here: its one
-home is ``system.SERVICE_LIFE_SUMMARY_YEARS``, next to
-``system_service_life``.
+Plain numbers are module constants. A default that needs a library call
+(a unit conversion, an instance of a library type) is built on first use
+(module ``__getattr__``), importing only what that one default needs, so
+reading one default loads no module for the others. The component
+service-life summary is not served here: its one home is
+``system.SERVICE_LIFE_SUMMARY_YEARS``, next to ``system_service_life``.
 """
 
 from __future__ import annotations
@@ -24,33 +25,12 @@ from __future__ import annotations
 TORQUE_SWEEP = ((0.5, 600.0), (0.6, 600.0), (0.4, 900.0))
 
 BEARING_OSC_HALF_ARC_DEG = 30.0  # conservative yaw dither amplitude
-BEARING_BALL_COUNT = 30  # inferred: back-solved from the published
-# raceway-cycles / oscillations ratio; not a catalog figure.
-
-# The controller is tracked apart from the service-life summary: 10-year
-# conservative field estimate against a 20-year CMOS design MTTF, unreconciled.
-CONTROLLER_SERVICE_LIFE_YEARS = 10.0
-CONTROLLER_DESIGN_MTTF_YEARS = 20.0
 
 
 def _ksi(value: float) -> float:
     from .units import Quantity, convert
 
     return convert(Quantity(value, "ksi"), "Pa").value
-
-
-def _tower_steel():
-    """ASTM A36, minimum ultimate strength 58 ksi."""
-    from .model import Material
-
-    return Material(name="ASTM A36 steel", ultimate_tensile_strength=_ksi(58.0))
-
-
-def _blade_aluminum():
-    """Pressed aluminum 6061-T6, 45 ksi ultimate."""
-    from .model import Material
-
-    return Material(name="Aluminum 6061-T6", ultimate_tensile_strength=_ksi(45.0))
 
 
 def _marin(**factors):
@@ -82,8 +62,10 @@ def _default_usage():
 
 
 _BUILT_ON_FIRST_USE = {
-    "TOWER_STEEL": _tower_steel,
-    "BLADE_ALUMINUM": _blade_aluminum,
+    # Ultimate tensile strengths (Pa): ASTM A36 steel, minimum 58 ksi (tower);
+    # pressed aluminum 6061-T6, 45 ksi (blade).
+    "TOWER_STEEL_SUT": lambda: _ksi(58.0),
+    "BLADE_ALUMINUM_SUT": lambda: _ksi(45.0),
     # Endurance-limit corrections: machined steel member under axial loading
     # at 95% reliability (tower), pressed-surface beam in bending at 95%
     # reliability (blade).

@@ -3,7 +3,8 @@
 The column relations are the classic eccentric-compression set: midspan
 deflection delta = e*(sec(sqrt(P/EI)*l/2) - 1) and the implicit allowable
 load P/A = S_yc / (1 + (ec/k²) sec((l/2k) sqrt(P/AE))), solved here by
-bisection below the elastic stability bound.
+bisection below the elastic stability bound. Each takes the ColumnSpec
+alone: S_yc and E are two of its fields.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import BucklingError, NumericError, ValidationError
-from .model import ColumnSpec, Material, Record, RectSection, _require_finite
+from .model import ColumnSpec, Record, RectSection, _require_finite
 from .model import _require_nonnegative, _require_positive
 from .units import GRAVITY
 
@@ -82,11 +83,7 @@ def ballast_height_for_weight(weight: float, spec: BallastSpec) -> float:
     return weight / (spec.ballast_mass_density * GRAVITY * spec.base_area)
 
 
-def _secant_argument(load: float, col: ColumnSpec, elastic_modulus: float) -> float:
-    return math.sqrt(load / (elastic_modulus * col.moment_I)) * col.height_l / 2.0
-
-
-def secant_deflection(col: ColumnSpec, elastic_modulus: float) -> float:
+def secant_deflection(col: ColumnSpec) -> float:
     """Midspan deflection of a pinned eccentric column.
 
     Raises BucklingError once sqrt(P/EI)*l/2 reaches pi/2, where the secant
@@ -94,7 +91,7 @@ def secant_deflection(col: ColumnSpec, elastic_modulus: float) -> float:
     """
     if col.eccentricity_e == 0:
         return 0.0
-    arg = _secant_argument(col.load_P, col, elastic_modulus)
+    arg = math.sqrt(col.load_P / (col.elastic_modulus * col.moment_I)) * col.height_l / 2.0
     if arg >= math.pi / 2:
         raise BucklingError(
             f"load {col.load_P} N is at or beyond the elastic buckling bound "
@@ -103,19 +100,15 @@ def secant_deflection(col: ColumnSpec, elastic_modulus: float) -> float:
     return col.eccentricity_e * (1.0 / math.cos(arg) - 1.0)
 
 
-def secant_allowable_load(col: ColumnSpec, material: Material) -> float:
+def secant_allowable_load(col: ColumnSpec) -> float:
     """Largest axial load (N) at which the extreme-fiber stress reaches S_yc.
 
     Solves the implicit secant-column equation for P by bisection on
     (0, P_buckle) to 1e-9 relative tolerance. With zero eccentricity ratio
     the equation degenerates to P = A * S_yc.
     """
-    if material.yield_strength_compressive is None:
-        raise ValidationError(f"{material.name}: compressive yield strength required")
-    if material.elastic_modulus is None:
-        raise ValidationError(f"{material.name}: elastic modulus required")
-    s_yc = material.yield_strength_compressive
-    modulus = material.elastic_modulus
+    s_yc = col.yield_strength_compressive
+    modulus = col.elastic_modulus
     ratio = col.eccentricity_ratio
     if ratio == 0:
         return col.area_A * s_yc

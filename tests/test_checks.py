@@ -10,7 +10,7 @@ import pytest
 import dwtlife
 from dwtlife import bearing, fatigue, structural, system, weibull
 from dwtlife.errors import ValidationError
-from dwtlife.model import ColumnSpec, Material, RectSection, UsageProfile, number, text
+from dwtlife.model import ColumnSpec, RectSection, UsageProfile, number, text
 from dwtlife.rotor import RotorState
 from dwtlife.schedule import CalendarInterval, CycleInterval, ServiceLife, WhicheverFirst
 from dwtlife.schedule import ComponentRecord, remaining_service_life
@@ -26,11 +26,9 @@ ROTOR = dict(radius_R=1.5, rotor_speed_omega=60.0, wind_speed_V=20.0, air_densit
              power_coefficient_Cp=0.4)
 BALLAST = dict(turbine_thrust=6035.0, nacelle_diameter=2.0, safety_factor=1.0,
                base_diameter=3.0, base_area=4.0, ballast_mass_density=1600.0)
-MATERIAL = dict(name="steel", ultimate_tensile_strength=4e8, yield_strength_compressive=2.5e8,
-                elastic_modulus=2e11)
 SECTION = dict(width_b=0.1, thickness_t=0.01)
 COLUMN = dict(load_P=1e4, eccentricity_e=0.01, centroid_c=0.05, gyration_k=0.05, height_l=6.0,
-              area_A=0.01, moment_I=1e-5)
+              area_A=0.01, moment_I=1e-5, yield_strength_compressive=2.5e8, elastic_modulus=2e11)
 GEOMETRY = dict(groove_factor_fcm=1.0, rows_i=1, ball_count_Z=30, ball_diameter_Dr=25.0,
                 contact_angle_alpha=60.0, raceway_center_diameter_dm=1000.0)
 BEARING_LOADS = dict(radial_Fr=0.0, axial_Fa=1000.0, moment_M=100.0)
@@ -64,11 +62,11 @@ GUARDED = [
     ("mass", lambda v: structural.BladeSpec(RectSection(**SECTION), 1.0, 0.0, v)),
     ("span_L", lambda v: structural.BladeSpec(RectSection(**SECTION), v, 0.0, 3.0)),
     ("weight", lambda v: structural.ballast_height_for_weight(v, BALLAST_SPEC)),
-    *((name, replacing(Material, MATERIAL, name))
-      for name in ("ultimate_tensile_strength", "yield_strength_compressive", "elastic_modulus")),
+    ("ultimate_tensile_strength", fatigue.endurance_limit_unmodified),
     ("thickness_t", replacing(RectSection, SECTION, "thickness_t")),
     *((name, replacing(ColumnSpec, COLUMN, name))
-      for name in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I")),
+      for name in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I",
+                   "yield_strength_compressive", "elastic_modulus")),
     ("groove_factor_fcm", replacing(bearing.SlewingBearingGeometry, GEOMETRY, "groove_factor_fcm")),
     ("load-life exponent", lambda v: bearing.oscillating_rating(1e5, 30.0, v)),
     ("raceway center diameter", lambda v: bearing.equivalent_axial_load(LOADS, v)),

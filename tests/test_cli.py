@@ -13,6 +13,7 @@ import pytest
 from dwtlife import cli
 from dwtlife.presets import DEFAULT_USAGE
 
+LIFE_ARGV = ["fatigue", "life", "--stress", "200MPa", "--a", "1000MPa", "--b"]
 COLUMN = ["tower", "column", "--load", "1e4", "--eccentricity", "0.01", "--centroid", "0.05",
           "--gyration", "0.05", "--inertia", "1e-5"]
 SUBCOMMANDS = {
@@ -350,6 +351,18 @@ class TestBearingCommand:
         assert "--config" in err
 
 
+# (argv ending in a flag, a negative value for it, the error it gives)
+NEGATIVE_WORDS = [
+    (LIFE_ARGV, "-inf", "b must be finite, got -inf"),
+    (LIFE_ARGV, "-INFINITY", "b must be finite, got -inf"),
+    (LIFE_ARGV, "-Nan", "b must be finite, got nan"),
+    (["fatigue", "endurance", "--sut"], "-1MPa",
+     "ultimate_tensile_strength must be positive, got -1000000.0"),
+    (["fatigue", "endurance", "--sut"], "-.5ksi",
+     "ultimate_tensile_strength must be positive, got -3447378.5"),
+]
+
+
 class TestFatigueCommands:
     def test_sn_constants(self, capsys):
         code, out, _ = run_lines(
@@ -386,6 +399,14 @@ class TestFatigueCommands:
         spaced = run_lines(capsys, [*argv, "--b", value])
         assert spaced == run_lines(capsys, [*argv, f"--b={value}"])
         assert spaced[0] == expected
+
+    @pytest.mark.parametrize("argv, value, message", NEGATIVE_WORDS,
+                             ids=[value for _, value, _ in NEGATIVE_WORDS])
+    def test_negative_word_is_a_flag_value(self, capsys, argv, value, message):
+        """A word starting "-" then a digit, or -inf or -nan, reads as its --flag=value form."""
+        spaced = run_lines(capsys, [*argv, value])
+        assert spaced == run_lines(capsys, [*argv[:-1], f"{argv[-1]}={value}"])
+        assert spaced[2] == f"error: {message}\n"
 
 
 class TestWeibullQuantileCommand:
@@ -720,6 +741,11 @@ class TestColdImports:
         loaded = self.cold_modules(tmp_path, ["blade", "bending"])
         assert "dwtlife.presets" not in loaded, loaded
 
+    def test_tower_column_loads_no_preset(self, tmp_path):
+        argv = [*COLUMN, "--height", "6", "--area", "0.01", "--syc", "450MPa"]
+        loaded = self.cold_modules(tmp_path, argv)
+        assert "dwtlife.presets" not in loaded, loaded
+
     def test_system_life_loads_at_most_four_modules(self, tmp_path):
         loaded = self.cold_modules(tmp_path, ["system", "life"])
         assert len(loaded) <= 4, loaded
@@ -816,6 +842,21 @@ def test_defaulted_flag_changes_the_output(capsys, path, flag):
     code, out, err = run_lines(capsys, [*argv, flag, DEFAULTED_FLAG_VALUES[path, flag]])
     assert code == 0, err
     assert out != default_out
+
+
+def test_every_preset_is_read():
+    """Each public presets name is read in code as presets.<NAME> by a dwtlife module."""
+    from dwtlife import presets
+
+    constants = {name for name in vars(presets) if name.isupper() and name[0] != "_"}
+    public = constants | presets._BUILT_ON_FIRST_USE.keys()
+    read = {
+        node.attr
+        for module in Path(cli.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "presets"
+    }
+    assert public <= read, public - read
 
 
 def cold_env() -> dict:

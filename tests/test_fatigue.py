@@ -14,7 +14,6 @@ from dwtlife.fatigue import (
     marin_modified_endurance,
     sn_constants,
 )
-from dwtlife.model import Material
 from dwtlife.units import Quantity, convert
 
 KSI = 6.894757e6  # Pa
@@ -29,25 +28,25 @@ def to_ksi(pa):
 
 
 def tower_endurance():
-    se_prime = endurance_limit_unmodified(presets.TOWER_STEEL)
+    se_prime = endurance_limit_unmodified(presets.TOWER_STEEL_SUT)
     return marin_modified_endurance(se_prime, presets.TOWER_MARIN)
 
 
 def blade_endurance():
-    se_prime = endurance_limit_unmodified(presets.BLADE_ALUMINUM)
+    se_prime = endurance_limit_unmodified(presets.BLADE_ALUMINUM_SUT)
     return marin_modified_endurance(se_prime, presets.BLADE_MARIN)
 
 
 class TestEnduranceLimit:
     def test_58_ksi_halves_to_29(self):
-        assert to_ksi(endurance_limit_unmodified(presets.TOWER_STEEL)) == pytest.approx(29.0)
+        assert to_ksi(endurance_limit_unmodified(presets.TOWER_STEEL_SUT)) == pytest.approx(29.0)
 
     def test_45_ksi_halves(self):
-        assert to_ksi(endurance_limit_unmodified(presets.BLADE_ALUMINUM)) == pytest.approx(22.5)
+        assert to_ksi(endurance_limit_unmodified(presets.BLADE_ALUMINUM_SUT)) == pytest.approx(22.5)
 
-    def test_zero_strength_rejected_at_construction(self):
+    def test_zero_strength_rejected(self):
         with pytest.raises(ValidationError):
-            Material(name="x", ultimate_tensile_strength=0.0)
+            endurance_limit_unmodified(0.0)
 
 
 class TestMarinModification:

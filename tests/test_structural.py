@@ -3,7 +3,7 @@ import math
 import pytest
 
 from dwtlife.errors import BucklingError, ValidationError
-from dwtlife.model import ColumnSpec, Material, RectSection
+from dwtlife.model import ColumnSpec, RectSection
 from dwtlife.structural import (
     FLAT,
     UPRIGHT,
@@ -35,15 +35,6 @@ def ballast_spec(**overrides):
     )
     base.update(overrides)
     return BallastSpec(**base)
-
-
-def steel(syc=250e6, modulus=200e9):
-    return Material(
-        name="steel",
-        ultimate_tensile_strength=400e6,
-        yield_strength_compressive=syc,
-        elastic_modulus=modulus,
-    )
 
 
 class TestBallast:
@@ -81,7 +72,7 @@ class TestBallast:
             ballast_spec(safety_factor=0.9)
 
 
-def column(load=10e3, eccentricity=0.010, length=6.0):
+def column(load=10e3, eccentricity=0.010, length=6.0, syc=250e6, modulus=200e9):
     return ColumnSpec(
         load_P=load,
         eccentricity_e=eccentricity,
@@ -90,19 +81,21 @@ def column(load=10e3, eccentricity=0.010, length=6.0):
         height_l=length,
         area_A=0.01,
         moment_I=1e-5,
+        yield_strength_compressive=syc,
+        elastic_modulus=modulus,
     )
 
 
 class TestSecantDeflection:
     def test_zero_eccentricity(self):
-        assert secant_deflection(column(eccentricity=0.0), 200e9) == 0.0
+        assert secant_deflection(column(eccentricity=0.0)) == 0.0
 
     def test_vanishing_load_limit(self):
-        assert secant_deflection(column(load=1e-6), 200e9) == pytest.approx(0.0, abs=1e-12)
+        assert secant_deflection(column(load=1e-6)) == pytest.approx(0.0, abs=1e-12)
 
     def test_against_ode_oracle(self):
         col = column()
-        delta = secant_deflection(col, 200e9)
+        delta = secant_deflection(col)
         oracle = ode_midspan_deflection(10e3, 200e9, 1e-5, 0.010, 6.0)
         assert delta == pytest.approx(oracle, rel=1e-3)
         assert delta == pytest.approx(2.2929738786550357e-4, rel=1e-9)
@@ -114,15 +107,15 @@ class TestSecantDeflection:
         p_buckle = math.pi**2 * modulus * inertia / length**2
         load = load_fraction * p_buckle
         ecc = ecc_fraction * length
-        col = column(load=load, eccentricity=ecc)
+        col = column(load=load, eccentricity=ecc, modulus=modulus)
         oracle = ode_midspan_deflection(load, modulus, inertia, ecc, length)
-        assert secant_deflection(col, modulus) == pytest.approx(oracle, rel=1e-3)
+        assert secant_deflection(col) == pytest.approx(oracle, rel=1e-3)
 
     def test_buckling_error(self):
         modulus, inertia, length = 200e9, 1e-5, 6.0
         p_buckle = math.pi**2 * modulus * inertia / length**2
         with pytest.raises(BucklingError):
-            secant_deflection(column(load=1.01 * p_buckle), modulus)
+            secant_deflection(column(load=1.01 * p_buckle, modulus=modulus))
 
 
 class TestSecantAllowableLoad:
@@ -130,25 +123,25 @@ class TestSecantAllowableLoad:
         col = ColumnSpec(
             load_P=1.0, eccentricity_e=0.0, centroid_c=0.05, gyration_k=0.05,
             height_l=5.0, area_A=0.01, moment_I=1e-5,
+            yield_strength_compressive=250e6, elastic_modulus=200e9,
         )
-        assert secant_allowable_load(col, steel()) == 0.01 * 250e6
+        assert secant_allowable_load(col) == 0.01 * 250e6
 
     def test_residual_of_returned_load(self):
         col = column(eccentricity=0.05, length=5.0)
-        mat = steel()
-        load = secant_allowable_load(col, mat)
+        load = secant_allowable_load(col)
         arg = (col.height_l / (2 * col.gyration_k)) * math.sqrt(
-            load / (col.area_A * mat.elastic_modulus)
+            load / (col.area_A * col.elastic_modulus)
         )
         residual = load / col.area_A * (
             1 + col.eccentricity_ratio / math.cos(arg)
-        ) - mat.yield_strength_compressive
-        assert abs(residual) / mat.yield_strength_compressive < 1e-8
+        ) - col.yield_strength_compressive
+        assert abs(residual) / col.yield_strength_compressive < 1e-8
 
     def test_against_fixed_point_oracle(self):
         # e = c = k, l/k = 100
         col = column(eccentricity=0.05, length=5.0)
-        load = secant_allowable_load(col, steel())
+        load = secant_allowable_load(col)
         oracle = fixed_point_allowable_load(
             area=0.01, gyration=0.05, height=5.0, ecc_ratio=1.0,
             s_yc=250e6, modulus=200e9,
@@ -157,15 +150,10 @@ class TestSecantAllowableLoad:
 
     def test_monotone_in_eccentricity_ratio(self):
         loads = [
-            secant_allowable_load(column(eccentricity=e, length=5.0), steel())
+            secant_allowable_load(column(eccentricity=e, length=5.0))
             for e in (0.01, 0.02, 0.05, 0.10)
         ]
         assert loads == sorted(loads, reverse=True)
-
-    def test_missing_properties_rejected(self):
-        bare = Material(name="bare", ultimate_tensile_strength=400e6)
-        with pytest.raises(ValidationError):
-            secant_allowable_load(column(), bare)
 
 
 class TestBladeBending:

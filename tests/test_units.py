@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dwtlife.errors import ValidationError
-from dwtlife.model import Material
+from dwtlife.fatigue import endurance_limit_unmodified
+from dwtlife.model import ColumnSpec
 from dwtlife.units import Quantity, canonical_unit, convert, parse_quantity
 from dwtlife.units import _UNITS  # unit table drives the round-trip sweep
 
@@ -83,13 +84,8 @@ def test_parse_quantity_rejects_non_finite(text):
         parse_quantity(text, "MPa")
 
 
-def test_material_yield_above_ultimate_rejected():
-    with pytest.raises(ValidationError):
-        Material(name="bad", ultimate_tensile_strength=1e8, yield_strength_compressive=2e8)
-
-
 def test_material_nonpositive_rejected():
     with pytest.raises(ValidationError):
-        Material(name="bad", ultimate_tensile_strength=0.0)
+        endurance_limit_unmodified(0.0)
     with pytest.raises(ValidationError):
-        Material(name="bad", ultimate_tensile_strength=1e8, elastic_modulus=-1.0)
+        ColumnSpec(1e4, 0.01, 0.05, 0.05, 6.0, 0.01, 1e-5, 2.5e8, -1.0)
