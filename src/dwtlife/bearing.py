@@ -19,7 +19,6 @@ from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_nonne
 from .model import _require_positive, number, read_document
 
 BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
-ROLLER_EXPONENT = 10.0 / 3.0
 
 OSCILLATIONS = "oscillations"
 RACEWAY_CYCLES = "raceway_cycles"
@@ -193,13 +192,15 @@ def _whole(name: str, value) -> int:
 
 
 def summary_from_document(document) -> dict:
-    """life_summary of a bearing document (README, "Bearing life"); an absent
-    or null "factors" takes presets.BEARING_LIFE_FACTORS, and an absent
-    "oscillations_per_day" the yaw_oscillations rate of presets.DEFAULT_USAGE."""
+    """life_summary of a bearing document (README, "Bearing life"). Its "factors"
+    object, or presets.BEARING_LIFE_FACTORS if absent or null, builds the LifeModFactors;
+    an absent "oscillations_per_day" takes presets.DEFAULT_USAGE's yaw_oscillations rate."""
     from . import presets
 
     def build(doc):
         geo, loads, factors = doc["geometry"], doc["loads"], doc.get("factors")
+        if factors is None:
+            factors = presets.BEARING_LIFE_FACTORS
         return life_summary(
             SlewingBearingGeometry(
                 number("fcm", geo["fcm"]),
@@ -209,9 +210,7 @@ def summary_from_document(document) -> dict:
             ),
             BearingLoads(*(number(key, loads.get(key, 0.0)) for key in _LOADS)),
             number("theta_deg", doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG)),
-            presets.BEARING_LIFE_FACTORS
-            if factors is None
-            else LifeModFactors(**{k: number(k, v) for k, v in factors.items()}),
+            LifeModFactors(**{k: number(k, v) for k, v in factors.items()}),
             number("oscillations_per_day", doc.get(
                 "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]
             )),

@@ -162,17 +162,17 @@ def _read_config(args):
 def _marin_from_args(args):
     from .fatigue import MarinFactors
 
+    names = MarinFactors._fields
     if args.preset in ("tower", "blade"):
         from . import presets
 
         base = presets.TOWER_MARIN if args.preset == "tower" else presets.BLADE_MARIN
     else:
-        base = MarinFactors(1, 1, 1, 1, 1, 1)
-    values = {
-        name: getattr(args, name) if getattr(args, name) is not None else getattr(base, name)
-        for name in ("ka", "kb", "kc", "kd", "ke", "kf")
-    }
-    return MarinFactors(**values)
+        base = dict.fromkeys(names, 1)
+    return MarinFactors(**{
+        name: base[name] if getattr(args, name) is None else getattr(args, name)
+        for name in names
+    })
 
 
 def _cmd_fatigue_endurance(args):
@@ -201,11 +201,13 @@ def _cmd_fatigue_life(args):
     return rows
 
 
-def _life_chain(s_ut, marin, args):
+def _life_chain(s_ut_text: str, marin: dict, args):
     from . import fatigue
+    from .units import parse_quantity
 
+    s_ut = parse_quantity(s_ut_text, "Pa").si_value
     se_prime = fatigue.endurance_limit_unmodified(s_ut)
-    se = fatigue.marin_modified_endurance(se_prime, marin)
+    se = fatigue.marin_modified_endurance(se_prime, fatigue.MarinFactors(**marin))
     constants = fatigue.sn_constants(s_ut, se)
     life = fatigue.cycles_to_failure(args.stress, constants)
     return [

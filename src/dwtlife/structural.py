@@ -87,16 +87,17 @@ def secant_deflection(col: ColumnSpec) -> float:
     """Midspan deflection of a pinned eccentric column.
 
     Raises BucklingError once sqrt(P/EI)*l/2 reaches pi/2, where the secant
-    diverges.
+    diverges, a concentric column included. Below x = 0.1, where sec x - 1
+    would cancel, e*(sec x - 1) is computed as e*2*sin^2(x/2)/cos x.
     """
-    if col.eccentricity_e == 0:
-        return 0.0
     arg = math.sqrt(col.load_P / (col.elastic_modulus * col.moment_I)) * col.height_l / 2.0
     if arg >= math.pi / 2:
         raise BucklingError(
             f"load {col.load_P} N is at or beyond the elastic buckling bound "
             f"(secant argument {arg:.4g} >= pi/2)"
         )
+    if arg < 0.1:
+        return col.eccentricity_e * 2.0 * math.sin(arg / 2.0) ** 2 / math.cos(arg)
     return col.eccentricity_e * (1.0 / math.cos(arg) - 1.0)
 
 
@@ -105,16 +106,17 @@ def secant_allowable_load(col: ColumnSpec) -> float:
 
     Solves the implicit secant-column equation for P by bisection on
     (0, P_buckle) to 1e-9 relative tolerance. With zero eccentricity ratio
-    the equation degenerates to P = A * S_yc.
+    it gives the limit as the ratio falls to 0: the smaller of the yield
+    load A * S_yc and the Euler load P_buckle.
     """
     s_yc = col.yield_strength_compressive
     modulus = col.elastic_modulus
     ratio = col.eccentricity_ratio
-    if ratio == 0:
-        return col.area_A * s_yc
 
     # Secant argument (l/2k)*sqrt(P/AE) reaches pi/2 at the Euler load.
     p_buckle = col.area_A * modulus * (math.pi * col.gyration_k / col.height_l) ** 2
+    if ratio == 0:
+        return min(col.area_A * s_yc, p_buckle)
     if not math.isfinite(p_buckle):
         raise NumericError(f"buckling load is not finite ({p_buckle} N)")
 

@@ -72,19 +72,13 @@ class LifeModel(Record):
     life: Optional[float] = None  # time, fixed_life
 
     def __post_init__(self):
-        if self.kind == EXPONENTIAL:
-            if self.rate is None or not self.rate > 0:
-                raise ValidationError(f"exponential model needs a positive rate, got {self.rate}")
-            _require_finite("exponential rate", self.rate)
-        elif self.kind == WEIBULL:
-            if self.params is None:
-                raise ValidationError("weibull model needs WeibullParams")
-        elif self.kind == FIXED_LIFE:
-            if self.life is None or not self.life > 0:
-                raise ValidationError(f"fixed_life model needs a positive life, got {self.life}")
-            _require_finite("fixed_life life", self.life)
-        else:
+        field = {EXPONENTIAL: "rate", WEIBULL: "params", FIXED_LIFE: "life"}.get(self.kind)
+        if field is None:
             raise ValidationError(f"unknown life model kind {self.kind!r}")
+        if getattr(self, field) is None:
+            raise ValidationError(f"{self.kind} model needs its {field}")
+        if field != "params":  # "exponential rate", "fixed_life life"
+            _require_positive(f"{self.kind} {field}", getattr(self, field))
 
     @classmethod
     def exponential(cls, rate: float) -> "LifeModel":
@@ -183,13 +177,14 @@ def series_reliability(reliabilities: list[float]) -> float:
 
 
 def parallel_reliability(reliabilities: list[float]) -> float:
-    """1 - product of child failure probabilities."""
-    out = 1.0
+    """1 - product of child failure probabilities, as -expm1(sum log1p(-R_i)):
+    no cancellation when every child is near certain failure."""
+    log_failure = 0.0
     for r in reliabilities:
         if not 0 <= r <= 1:
             raise ValidationError(f"reliability {r} outside [0, 1]")
-        out *= 1.0 - r
-    return 1.0 - out
+        log_failure += math.log1p(-r) if r < 1 else -math.inf  # log1p(-1) is a domain error
+    return 0.0 - math.expm1(log_failure)  # 0.0 - x, not -x: no surviving child gives 0.0, not -0.0
 
 
 def system_reliability_at(t: float, topo: SystemTopology) -> float:

@@ -116,11 +116,15 @@ def cumulative_hazard(t: float, w: WeibullParams) -> float:
 
 
 def average_failure_rate(t1: float, t2: float, w: WeibullParams) -> float:
-    """Average rate over [t1, t2]: (H(t2) - H(t1)) / (t2 - t1)."""
+    """Average rate over [t1, t2]: (H(t2) - H(t1)) / (t2 - t1), where for t2 <= 2*t1
+    the difference is H(t1)*expm1(beta*log1p(d/t1)), with d = t2 - t1 exact: no cancellation."""
     if not (0 <= t1 < t2):
         raise ValidationError(f"need 0 <= t1 < t2, got [{t1}, {t2}]")
     _require_finite("t2", t2)
-    return (cumulative_hazard(t2, w) - cumulative_hazard(t1, w)) / (t2 - t1)
+    d = t2 - t1
+    if t2 <= 2 * t1:
+        return cumulative_hazard(t1, w) * math.expm1(w.shape_beta * math.log1p(d / t1)) / d
+    return (cumulative_hazard(t2, w) - cumulative_hazard(t1, w)) / d
 
 
 def inverse_transform(u: np.ndarray, w: WeibullParams) -> np.ndarray:

@@ -104,6 +104,11 @@ CASES = {
     "tower_column": (_argv(f"{COLUMN} --height 6 --area 0.01"), {}),
     "tower_column_json": (_argv(f"{COLUMN} --height 4 --area 0.02 --json"), {}),
     "tower_column_high_yield": (_argv(f"{COLUMN} --height 6 --area 0.01 --syc 450MPa"), {}),
+    "tower_column_concentric": (
+        _argv("tower column --load 1e4 --eccentricity 0 --centroid 0.05 --gyration 0.05 "
+              "--inertia 1e-5 --height 6 --area 0.01"),
+        {},
+    ),
     "tower_column_imperial": (
         _argv("tower column --load 2000 --eccentricity 0.4 --centroid 2 --gyration 2 "
               "--height 240 --area 0.01 --inertia 1e-5 --units imperial"),

@@ -10,7 +10,9 @@ reference for the library's hungriest-first fold. The CLI's
 parser is built whole, every subcommand with every flag, as the reference
 for the parser the CLI builds for one argv. The maintenance schedule is
 compiled by scanning the whole cycle log for every threshold, with one
-unbounded loop per recurring trigger kind.
+unbounded loop per recurring trigger kind. PARENT_PRESETS holds the study
+figures as typed values, frozen from when the presets module built them
+itself, the reference for the types each reader now builds from plain data.
 """
 
 import math
@@ -290,3 +292,18 @@ def threshold_scan_schedule(registry, install, usage, horizon_years):
 
     entries.sort(key=attrgetter("due_date", "component_id", "task", "reason"))
     return entries
+
+
+# The study presets as presets.py built them before it held plain data: each
+# ultimate strength in Pa, and each factor set as its (field, value) pairs.
+PARENT_PRESETS = {
+    "TOWER_STEEL_SUT": 399895906.0,
+    "BLADE_ALUMINUM_SUT": 310264065.0,
+    "TOWER_MARIN": (
+        ("ka", 0.92), ("kb", 1.0), ("kc", 0.85), ("kd", 1.0), ("ke", 0.87), ("kf", 1.0),
+    ),
+    "BLADE_MARIN": (
+        ("ka", 1.01), ("kb", 0.89), ("kc", 1.0), ("kd", 1.0), ("ke", 0.87), ("kf", 1.0),
+    ),
+    "BEARING_LIFE_FACTORS": (("a1", 1.0), ("a2", 1.0), ("a3", 0.1), ("a4", 0.85)),
+}

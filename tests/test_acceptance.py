@@ -15,11 +15,13 @@ import pytest
 from dwtlife import cli, presets
 from dwtlife.bearing import (
     RACEWAY_CYCLES,
+    LifeModFactors,
     bearing_calendar_life,
     l10_life,
     oscillating_rating,
 )
 from dwtlife.fatigue import (
+    MarinFactors,
     cycles_to_calendar,
     cycles_to_failure,
     endurance_limit_unmodified,
@@ -55,7 +57,7 @@ from dwtlife.system import (
     series_reliability,
     system_service_life,
 )
-from dwtlife.units import Quantity, convert
+from dwtlife.units import Quantity, convert, parse_quantity
 from dwtlife.weibull import (
     QuantilePoint,
     WeibullParams,
@@ -84,18 +86,19 @@ def rel_err(value, target):
     return abs(value - target) / abs(target)
 
 
+def preset_chain(s_ut, marin):
+    """Endurance limit and S-N constants of a preset strength (quantity text) and Marin set."""
+    s_ut = parse_quantity(s_ut, "Pa").si_value
+    se = marin_modified_endurance(endurance_limit_unmodified(s_ut), MarinFactors(**marin))
+    return se, sn_constants(s_ut, se, 0.9)
+
+
 def tower_chain():
-    se = marin_modified_endurance(
-        endurance_limit_unmodified(presets.TOWER_STEEL_SUT), presets.TOWER_MARIN
-    )
-    return se, sn_constants(presets.TOWER_STEEL_SUT, se, 0.9)
+    return preset_chain(presets.TOWER_STEEL_SUT, presets.TOWER_MARIN)
 
 
 def blade_chain():
-    se = marin_modified_endurance(
-        endurance_limit_unmodified(presets.BLADE_ALUMINUM_SUT), presets.BLADE_MARIN
-    )
-    return se, sn_constants(presets.BLADE_ALUMINUM_SUT, se, 0.9)
+    return preset_chain(presets.BLADE_ALUMINUM_SUT, presets.BLADE_MARIN)
 
 
 def test_criterion_1_fatigue_golden_values():
@@ -169,7 +172,7 @@ def test_criterion_5_bearing_pipeline():
     factor = oscillating_rating(1.0, 30.0, 3.0)
     assert abs(factor - 1.81712) < 1e-5
     assert abs(factor - 6.0 ** (1.0 / 3.0)) < 1e-12
-    assert presets.BEARING_LIFE_FACTORS.product() == 0.085
+    assert LifeModFactors(**presets.BEARING_LIFE_FACTORS).product() == 0.085
     years = bearing_calendar_life(44.89e6, 1500.0, RACEWAY_CYCLES)
     assert 75.0 <= years <= 85.0
     scale = 2.3
@@ -253,7 +256,13 @@ def test_criterion_8_column_mechanics():
         load_P=1.0, eccentricity_e=0.0, centroid_c=0.05, gyration_k=0.05,
         height_l=5.0, area_A=0.01, moment_I=1e-5, **steel,
     )
-    assert secant_allowable_load(concentric) == 0.01 * 250e6
+    # its yield load 0.01 * 250e6 N exceeds its Euler load, which bounds it
+    assert secant_allowable_load(concentric) == 0.01 * 200e9 * (math.pi * 0.05 / 5.0) ** 2
+    stocky = ColumnSpec(
+        load_P=1.0, eccentricity_e=0.0, centroid_c=0.05, gyration_k=0.05,
+        height_l=2.0, area_A=0.01, moment_I=1e-5, **steel,
+    )
+    assert secant_allowable_load(stocky) == 0.01 * 250e6
     print(f"criterion 8 PASS: deflection grid max error {worst:.2e}, "
           f"implicit-solve residual {abs(residual) / 250e6:.2e}")
 

@@ -54,6 +54,8 @@ GUARDED = [
     ("stress", lambda v: fatigue.cycles_to_failure(v, SN)),
     ("S-N intercept a", replacing(fatigue.SnConstants, dict(a=1e9, b=-0.1), "a")),
     ("life for 'a'", lambda v: system.system_service_life({"a": v})),
+    ("exponential rate", system.LifeModel.exponential),
+    ("fixed_life life", system.LifeModel.fixed_life),
     *((name, replacing(RotorState, ROTOR, name))
       for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho")),
     *((name, replacing(structural.BallastSpec, BALLAST, name))

@@ -12,6 +12,7 @@ import pytest
 
 from dwtlife import cli
 from dwtlife.presets import DEFAULT_USAGE
+from oracles import PARENT_PRESETS
 
 LIFE_ARGV = ["fatigue", "life", "--stress", "200MPa", "--a", "1000MPa", "--b"]
 COLUMN = ["tower", "column", "--load", "1e4", "--eccentricity", "0.01", "--centroid", "0.05",
@@ -746,6 +747,14 @@ class TestColdImports:
         loaded = self.cold_modules(tmp_path, argv)
         assert "dwtlife.presets" not in loaded, loaded
 
+    def test_presets_load_only_model(self, tmp_path):
+        child = ("import json, sys, dwtlife.presets; "
+                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dwtlife.'))))")
+        proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=cold_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["dwtlife.errors", "dwtlife.model", "dwtlife.presets"]
+
     def test_system_life_loads_at_most_four_modules(self, tmp_path):
         loaded = self.cold_modules(tmp_path, ["system", "life"])
         assert len(loaded) <= 4, loaded
@@ -848,8 +857,7 @@ def test_every_preset_is_read():
     """Each public presets name is read in code as presets.<NAME> by a dwtlife module."""
     from dwtlife import presets
 
-    constants = {name for name in vars(presets) if name.isupper() and name[0] != "_"}
-    public = constants | presets._BUILT_ON_FIRST_USE.keys()
+    public = {name for name in vars(presets) if name.isupper() and name[0] != "_"}
     read = {
         node.attr
         for module in Path(cli.__file__).parent.glob("*.py")
@@ -857,6 +865,28 @@ def test_every_preset_is_read():
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "presets"
     }
     assert public <= read, public - read
+
+
+def test_readers_build_the_presets_as_before():
+    """The strengths, Marin sets and bearing factors built from the plain presets data."""
+    from dwtlife import presets
+    from dwtlife.bearing import LifeModFactors
+    from dwtlife.units import parse_quantity
+
+    def fields(record):
+        return tuple((name, getattr(record, name)) for name in record._fields)
+
+    def marin(preset):
+        flags = dict.fromkeys(("ka", "kb", "kc", "kd", "ke", "kf"))
+        return fields(cli._marin_from_args(argparse.Namespace(preset=preset, **flags)))
+
+    assert {
+        "TOWER_STEEL_SUT": parse_quantity(presets.TOWER_STEEL_SUT, "Pa").si_value,
+        "BLADE_ALUMINUM_SUT": parse_quantity(presets.BLADE_ALUMINUM_SUT, "Pa").si_value,
+        "TOWER_MARIN": marin("tower"),
+        "BLADE_MARIN": marin("blade"),
+        "BEARING_LIFE_FACTORS": fields(LifeModFactors(**presets.BEARING_LIFE_FACTORS)),
+    } == PARENT_PRESETS
 
 
 def cold_env() -> dict:

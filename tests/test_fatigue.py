@@ -14,7 +14,7 @@ from dwtlife.fatigue import (
     marin_modified_endurance,
     sn_constants,
 )
-from dwtlife.units import Quantity, convert
+from dwtlife.units import Quantity, convert, parse_quantity
 
 KSI = 6.894757e6  # Pa
 
@@ -27,22 +27,26 @@ def to_ksi(pa):
     return convert(Quantity(pa, "Pa"), "ksi").value
 
 
+TOWER_SUT = parse_quantity(presets.TOWER_STEEL_SUT, "Pa").si_value
+BLADE_SUT = parse_quantity(presets.BLADE_ALUMINUM_SUT, "Pa").si_value
+
+
 def tower_endurance():
-    se_prime = endurance_limit_unmodified(presets.TOWER_STEEL_SUT)
-    return marin_modified_endurance(se_prime, presets.TOWER_MARIN)
+    se_prime = endurance_limit_unmodified(TOWER_SUT)
+    return marin_modified_endurance(se_prime, MarinFactors(**presets.TOWER_MARIN))
 
 
 def blade_endurance():
-    se_prime = endurance_limit_unmodified(presets.BLADE_ALUMINUM_SUT)
-    return marin_modified_endurance(se_prime, presets.BLADE_MARIN)
+    se_prime = endurance_limit_unmodified(BLADE_SUT)
+    return marin_modified_endurance(se_prime, MarinFactors(**presets.BLADE_MARIN))
 
 
 class TestEnduranceLimit:
     def test_58_ksi_halves_to_29(self):
-        assert to_ksi(endurance_limit_unmodified(presets.TOWER_STEEL_SUT)) == pytest.approx(29.0)
+        assert to_ksi(endurance_limit_unmodified(TOWER_SUT)) == pytest.approx(29.0)
 
     def test_45_ksi_halves(self):
-        assert to_ksi(endurance_limit_unmodified(presets.BLADE_ALUMINUM_SUT)) == pytest.approx(22.5)
+        assert to_ksi(endurance_limit_unmodified(BLADE_SUT)) == pytest.approx(22.5)
 
     def test_zero_strength_rejected(self):
         with pytest.raises(ValidationError):

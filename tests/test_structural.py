@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from dwtlife.errors import BucklingError, ValidationError
@@ -90,6 +91,26 @@ class TestSecantDeflection:
     def test_zero_eccentricity(self):
         assert secant_deflection(column(eccentricity=0.0)) == 0.0
 
+    def test_zero_eccentricity_beyond_buckling_raises(self):
+        p_buckle = math.pi**2 * 200e9 * 1e-5 / 6.0**2
+        with pytest.raises(BucklingError):
+            secant_deflection(column(load=1.01 * p_buckle, eccentricity=0.0))
+
+    # (load N, relative budget): below x = 0.1 (2,222 N here) 1e-15, about 5 ulps; e*(sec x - 1)
+    # in floats was 1e-5 off at 1e-6 N and 1.3% off at 1e-10 N. At x >= 0.1 the kept float
+    # form loses at most 8 bits to sec x - 1 >= 0.005: 3e-14.
+    @pytest.mark.parametrize("load, budget", [
+        (1e-10, 1e-15), (1e-6, 1e-15), (1.0, 1e-15), (1e2, 1e-15), (2.2e3, 1e-15),
+        (2.3e3, 3e-14), (1e4, 3e-14), (5e4, 3e-14),
+    ])
+    def test_against_mpmath(self, load, budget):
+        """e*(sec x - 1) at 50 digits."""
+        with mpmath.workdps(50):
+            x = mpmath.sqrt(mpmath.mpf(load) / (mpmath.mpf(200e9) * mpmath.mpf(1e-5))) * 3
+            exact = mpmath.mpf(0.01) * (mpmath.sec(x) - 1)
+        deflection = secant_deflection(column(load=load))
+        assert deflection == pytest.approx(float(exact), rel=budget, abs=0.0)
+
     def test_vanishing_load_limit(self):
         assert secant_deflection(column(load=1e-6)) == pytest.approx(0.0, abs=1e-12)
 
@@ -120,12 +141,19 @@ class TestSecantDeflection:
 
 class TestSecantAllowableLoad:
     def test_zero_eccentricity_ratio_gives_yield_load(self):
-        col = ColumnSpec(
-            load_P=1.0, eccentricity_e=0.0, centroid_c=0.05, gyration_k=0.05,
-            height_l=5.0, area_A=0.01, moment_I=1e-5,
-            yield_strength_compressive=250e6, elastic_modulus=200e9,
-        )
+        col = column(eccentricity=0.0, length=2.0)  # Euler load 1.23e7 N above A*S_yc
         assert secant_allowable_load(col) == 0.01 * 250e6
+
+    def test_zero_eccentricity_ratio_above_euler_gives_buckling_load(self):
+        col = column(eccentricity=0.0, length=5.0)  # A*S_yc 2.5e6 N above Euler 1.97e6 N
+        p_buckle = 0.01 * 200e9 * (math.pi * 0.05 / 5.0) ** 2
+        assert secant_allowable_load(col) == p_buckle
+
+    @pytest.mark.parametrize("length", [2.0, 5.0])
+    def test_zero_eccentricity_ratio_is_the_small_eccentricity_limit(self, length):
+        concentric = secant_allowable_load(column(eccentricity=0.0, length=length))
+        nearly = secant_allowable_load(column(eccentricity=1e-9, length=length))
+        assert nearly == pytest.approx(concentric, rel=1e-6)
 
     def test_residual_of_returned_load(self):
         col = column(eccentricity=0.05, length=5.0)

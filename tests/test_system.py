@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -65,11 +66,34 @@ class TestComposition:
     def test_parallel_singleton(self):
         assert parallel_reliability([0.37]) == pytest.approx(0.37)
 
+    def test_parallel_of_failed_children_is_positive_zero(self):
+        assert math.copysign(1.0, parallel_reliability([0.0, 0.0])) == 1.0
+
+    @pytest.mark.parametrize("t", [1.0, 30.0, 40.0, 50.0])
+    def test_parallel_tail_against_mpmath(self, t):
+        """Two parallel unit-rate exponentials, 1 - (1 - e^-t)^2 at 50 digits, budget 1e-14
+        relative. 1 - prod(1 - R_i) in floats gave 1.87184e-13 at t = 30 (exact 1.87152e-13)
+        and 0 at t = 40 and 50."""
+        with mpmath.workdps(50):
+            exact = 1 - (1 - mpmath.exp(-t)) ** 2
+        topo = Parallel([exp_leaf("a", 1.0), exp_leaf("b", 1.0)])
+        assert system_reliability_at(t, topo) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+    def test_parallel_against_mpmath(self, rs):
+        """1 - prod(1 - R_i) of the given floats, budget 1e-14 relative. 10,000 bits hold
+        the product exactly: each factor needs at most 1,127."""
+        with mpmath.workprec(10_000):
+            exact = 1 - mpmath.fprod(1 - mpmath.mpf(r) for r in rs)
+        assert parallel_reliability(rs) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             series_reliability([1.1])
         with pytest.raises(ValidationError):
             parallel_reliability([-0.1])
+        with pytest.raises(ValidationError):
+            parallel_reliability([1.0, 1.5])  # a sure child does not end the check
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
     def test_series_below_min_parallel_above_max(self, rs):
@@ -121,6 +145,16 @@ class TestSystemReliability:
             system_reliability_at(math.nan, Component("a", model))
         assert model.survival(math.inf) == 0.0
         assert system_reliability_at(math.inf, Component("a", model)) == 0.0
+
+    @pytest.mark.parametrize("kind, message", [
+        ("exponential", "exponential model needs its rate"),
+        ("weibull", "weibull model needs its params"),
+        ("fixed_life", "fixed_life model needs its life"),
+        ("lognormal", "unknown life model kind 'lognormal'"),
+    ])
+    def test_model_without_its_parameter_rejected(self, kind, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            LifeModel(kind)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError):
