@@ -20,9 +20,6 @@ from .model import _require_positive, number, read_document
 
 BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
 
-OSCILLATIONS = "oscillations"
-RACEWAY_CYCLES = "raceway_cycles"
-
 
 class SlewingBearingGeometry(Record):
     groove_factor_fcm: float
@@ -129,18 +126,13 @@ def raceway_stress_cycles(lnm: float, ball_count_z: int) -> float:
     return lnm * ball_count_z
 
 
-def bearing_calendar_life(cycles: float, oscillations_per_day: float, basis: str) -> float:
+def bearing_calendar_life(cycles: float, oscillations_per_day: float) -> float:
     """Calendar years for a cycle count at a daily oscillation rate.
 
-    basis records which count is being divided: "oscillations" (L_nm
-    itself) or "raceway_cycles" (L_nm * Z). The two differ by the ball
-    count; both are legitimate readings of a yaw-bearing life and neither
-    is preferred here.
+    The count may be L_nm itself (oscillations) or L_nm * Z (raceway
+    cycles); the division is the same, and life_summary reports both, as
+    both are legitimate readings of a yaw-bearing life.
     """
-    if basis not in (OSCILLATIONS, RACEWAY_CYCLES):
-        raise ValidationError(
-            f"basis must be '{OSCILLATIONS}' or '{RACEWAY_CYCLES}', got {basis!r}"
-        )
     _require_positive("oscillation rate", oscillations_per_day)
     return cycles / (oscillations_per_day * DAYS_PER_YEAR)
 
@@ -169,12 +161,8 @@ def life_summary(
         "l10_oscillations": l10,
         "modified_life_oscillations": lnm,
         "raceway_stress_cycles": raceway,
-        "years_oscillation_basis": bearing_calendar_life(
-            lnm, oscillations_per_day, OSCILLATIONS
-        ),
-        "years_raceway_basis": bearing_calendar_life(
-            raceway, oscillations_per_day, RACEWAY_CYCLES
-        ),
+        "years_oscillation_basis": bearing_calendar_life(lnm, oscillations_per_day),
+        "years_raceway_basis": bearing_calendar_life(raceway, oscillations_per_day),
     }
 
 

@@ -20,13 +20,14 @@ refused with one error line: ``system reliability --events`` without
 a JSON file or stdin, and the library reader next to the document's type,
 such as ``bearing.summary_from_document``, builds it.
 
-Quantity-valued flags (a "dim" key in their row) accept a unit suffix
-("58 ksi", "300Nm"); bare numbers take the --units mode's unit for that
-dimension. ``run`` converts every quantity flag to SI before the handler
-runs, then prints what the handler returns through ``_emit``: 6
-significant digits, or --json, and never a non-finite number. Diagnostics
-go to stderr. Exit codes: 0 success, 1 validation/usage error, 2 numeric
-failure (an overflow or a division by zero included).
+A quantity flag (a "dim" key in its row) accepts a unit suffix of its
+dimension ("58 ksi", "300Nm"; "58 mph" for a stress is an error); a bare
+number takes the --units mode's unit for that dimension. ``run`` converts
+every quantity flag to an SI float before the handler runs, then prints
+what the handler returns through ``_emit``: 6 significant digits, or
+--json, and never a non-finite number. Diagnostics go to stderr. Exit
+codes: 0 success, 1 validation/usage error, 2 numeric failure (an
+overflow or a division by zero included).
 
 An omitted flag takes its COMMANDS row's default, which names its unit
 if it is a quantity: the study's stresses, blade section and mass, gust
@@ -205,7 +206,7 @@ def _life_chain(s_ut_text: str, marin: dict, args):
     from . import fatigue
     from .units import parse_quantity
 
-    s_ut = parse_quantity(s_ut_text, "Pa").si_value
+    s_ut = parse_quantity(s_ut_text, "Pa")
     se_prime = fatigue.endurance_limit_unmodified(s_ut)
     se = fatigue.marin_modified_endurance(se_prime, fatigue.MarinFactors(**marin))
     constants = fatigue.sn_constants(s_ut, se)
@@ -305,11 +306,11 @@ def _cmd_blade_torsion(args):
 
 def _rotor_state(args, cp: float, rpm: float):
     from .rotor import RotorState
-    from .units import Quantity, convert
+    from .units import convert
 
     return RotorState(
         radius_R=args.radius,
-        rotor_speed_omega=convert(Quantity(rpm, "rpm"), "rad/s").value,
+        rotor_speed_omega=convert(rpm, "rpm", "rad/s"),
         wind_speed_V=args.wind,
         air_density_rho=args.air_density,
         power_coefficient_Cp=cp,
@@ -547,7 +548,7 @@ COMMANDS = {
         "--sut": {**_STRESS, "help": "ultimate tensile strength"},
         "--preset": {"choices": ("tower", "blade", "none"), "default": "none"},
         **_MARIN,
-    }, ("units.convert", "fatigue.endurance_limit_unmodified", "fatigue.marin_modified_endurance")),
+    }, ("fatigue.endurance_limit_unmodified", "fatigue.marin_modified_endurance")),
     "fatigue sn": (_cmd_fatigue_sn, _QUANTITIES, {
         "--sut": _STRESS, "--se": _STRESS, "--f": {"type": float, "default": 0.9},
     }, ("fatigue.sn_constants",)),
@@ -600,8 +601,8 @@ COMMANDS = {
         "--cp": {"type": float, "default": 0.40},
         "--rpm": {"type": float, "default": 600.0},
         **_FLOW,
-    }, ("rotor.tip_speed_ratio", "rotor.torque_coefficient", "rotor.rotor_torque",
-        "rotor.rotor_power")),
+    }, ("units.convert", "rotor.tip_speed_ratio", "rotor.torque_coefficient",
+        "rotor.rotor_torque", "rotor.rotor_power")),
     "aero betz": (_cmd_aero_betz, _JSON, {"--a0": _REQUIRED}, ("rotor.ducted_betz_limit",)),
     "aero sweep": (_cmd_aero_sweep, _QUANTITIES, _FLOW, ()),
     "bearing life": (_cmd_bearing_life, _DOCUMENT, {}, (
@@ -694,7 +695,7 @@ def _to_si(args, flags: dict) -> None:
             from .units import parse_quantity
 
             unit = _DISPLAY_UNITS[args.units][spec["dim"]]
-            setattr(args, dest, parse_quantity(getattr(args, dest), unit).si_value)
+            setattr(args, dest, parse_quantity(getattr(args, dest), unit))
 
 
 def run(argv=None) -> int:

@@ -118,6 +118,10 @@ class ServiceLife(Record):
         _require_positive("service life", self.value)
         if self.unit == CYCLES and not self.counter:
             raise ValidationError("cycles-based service life needs a counter id")
+        if self.unit == YEARS and self.counter is not None:
+            raise ValidationError(
+                f"years-based service life takes no counter, got {self.counter!r}"
+            )
 
 
 class ComponentRecord(Record):

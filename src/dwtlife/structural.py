@@ -1,7 +1,8 @@
 """Ballast sizing, secant column mechanics, and blade section stresses.
 
 The column relations are the classic eccentric-compression set: midspan
-deflection delta = e*(sec(sqrt(P/EI)*l/2) - 1) and the implicit allowable
+deflection delta = e*(sec x - 1) with x = sqrt(P/EI)*l/2, computed as
+e*2*sin²(x/2)/cos x so that it does not cancel, and the implicit allowable
 load P/A = S_yc / (1 + (ec/k²) sec((l/2k) sqrt(P/AE))), solved here by
 bisection below the elastic stability bound. Each takes the ColumnSpec
 alone: S_yc and E are two of its fields.
@@ -87,8 +88,8 @@ def secant_deflection(col: ColumnSpec) -> float:
     """Midspan deflection of a pinned eccentric column.
 
     Raises BucklingError once sqrt(P/EI)*l/2 reaches pi/2, where the secant
-    diverges, a concentric column included. Below x = 0.1, where sec x - 1
-    would cancel, e*(sec x - 1) is computed as e*2*sin^2(x/2)/cos x.
+    diverges, a concentric column included. e*(sec x - 1) is computed as
+    e*2*sin^2(x/2)/cos x, which does not cancel as x falls to 0.
     """
     arg = math.sqrt(col.load_P / (col.elastic_modulus * col.moment_I)) * col.height_l / 2.0
     if arg >= math.pi / 2:
@@ -96,9 +97,7 @@ def secant_deflection(col: ColumnSpec) -> float:
             f"load {col.load_P} N is at or beyond the elastic buckling bound "
             f"(secant argument {arg:.4g} >= pi/2)"
         )
-    if arg < 0.1:
-        return col.eccentricity_e * 2.0 * math.sin(arg / 2.0) ** 2 / math.cos(arg)
-    return col.eccentricity_e * (1.0 / math.cos(arg) - 1.0)
+    return col.eccentricity_e * 2.0 * math.sin(arg / 2.0) ** 2 / math.cos(arg)
 
 
 def secant_allowable_load(col: ColumnSpec) -> float:

@@ -77,6 +77,9 @@ class LifeModel(Record):
             raise ValidationError(f"unknown life model kind {self.kind!r}")
         if getattr(self, field) is None:
             raise ValidationError(f"{self.kind} model needs its {field}")
+        for other in ("rate", "params", "life"):
+            if other != field and getattr(self, other) is not None:
+                raise ValidationError(f"{self.kind} model takes no {other}")
         if field != "params":  # "exponential rate", "fixed_life life"
             _require_positive(f"{self.kind} {field}", getattr(self, field))
 

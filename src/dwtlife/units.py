@@ -1,9 +1,10 @@
 """Unit tags and exact-factor conversion.
 
-Internal computation everywhere in this package is SI (Pa, N, N·m, m,
-kg/m³, rad/s, m/s); the tags below exist so imperial values can enter and
-leave at the boundaries. Only the dimensions actually used by the engine
-are covered; this is not a general unit-algebra layer.
+A quantity in memory is a plain float in SI (Pa, N, N·m, m, kg/m³, rad/s,
+m/s). Unit text is read once, at the boundary, by parse_quantity, which
+refuses a unit of the wrong dimension; from_si expresses an SI value in a
+display unit. Only the dimensions actually used by the engine are covered;
+this is not a general unit-algebra layer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import re
 
 from .errors import ValidationError
-from .model import Record, _require_finite
+from .model import _require_finite
 
 # Standard gravity, used wherever a weight is derived from a mass.
 GRAVITY = 9.80665  # m/s²
@@ -62,50 +63,40 @@ def canonical_unit(unit: str) -> str:
     raise ValidationError(f"unknown unit {unit!r}")
 
 
-class Quantity(Record):
-    """A scalar with a unit tag."""
-
-    value: float
-    unit: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "unit", canonical_unit(self.unit))
-
-    @property
-    def si_value(self) -> float:
-        """Value expressed in the SI base unit of this quantity's dimension."""
-        return self.value * _UNITS[self.unit][1]
-
-
 def from_si(value: float, unit: str) -> float:
     """Express value, given in the SI base unit of unit's dimension, in unit.
 
-    The inverse of Quantity.si_value.
+    The inverse of parse_quantity, for display.
     """
     return value / _UNITS[canonical_unit(unit)][1]
 
 
-def convert(q: Quantity, target_unit: str) -> Quantity:
-    """Convert a quantity to another unit of the same physical dimension."""
-    target = canonical_unit(target_unit)
-    dim_src, factor_src = _UNITS[q.unit]
-    dim_dst, factor_dst = _UNITS[target]
+def convert(value: float, unit: str, target_unit: str) -> float:
+    """value in unit, expressed in another unit of the same dimension."""
+    source, target = canonical_unit(unit), canonical_unit(target_unit)
+    (dim_src, factor_src), (dim_dst, factor_dst) = _UNITS[source], _UNITS[target]
     if dim_src != dim_dst:
         raise ValidationError(
-            f"cannot convert {q.unit!r} ({dim_src}) to {target!r} ({dim_dst})"
+            f"cannot convert {source!r} ({dim_src}) to {target!r} ({dim_dst})"
         )
-    return Quantity(q.value * factor_src / factor_dst, target)
+    return value * factor_src / factor_dst
 
 
 _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([^\s0-9].*?)?\s*$")
 
 
-def parse_quantity(text: str, default_unit: str) -> Quantity:
-    """Parse "58 ksi", "58ksi", or a bare number (given the default unit)."""
+def parse_quantity(text: str, default_unit: str) -> float:
+    """The SI value of "58 ksi", "58ksi", or a bare number (given the default unit).
+
+    A unit of another dimension than default_unit's is refused.
+    """
     m = _QUANTITY_RE.match(text)
     if not m or not re.fullmatch(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", m.group(1)):
         raise ValidationError(f"cannot parse quantity {text!r}")
     value = float(m.group(1))
     _require_finite(f"quantity {text!r}", value)
-    unit = m.group(2) or default_unit
-    return Quantity(value, unit)
+    dimension, factor = _UNITS[canonical_unit(m.group(2) or default_unit)]
+    expected = _UNITS[canonical_unit(default_unit)][0]
+    if dimension != expected:
+        raise ValidationError(f"quantity {text!r} has dimension {dimension}, expected {expected}")
+    return value * factor

@@ -68,6 +68,7 @@ CASES = {
     "fatigue_endurance_imperial": (
         _argv("fatigue endurance --sut 58 --preset blade --units imperial"), {}
     ),
+    "error_fatigue_endurance_speed_sut": (["fatigue", "endurance", "--sut", "58 mph"], {}),
     "fatigue_sn": (_argv("fatigue sn --sut 310MPa --se 120MPa"), {}),
     "fatigue_sn_json": (_argv("fatigue sn --sut 310MPa --se 120MPa --f 0.85 --json"), {}),
     "fatigue_sn_imperial": (_argv("fatigue sn --sut 45 --se 17.6 --units imperial"), {}),
@@ -96,6 +97,7 @@ CASES = {
         _argv("blade torsion --torque 300Nm --width 0.12m --thickness 0.01m --json"), {}
     ),
     "blade_torsion_imperial": (_argv("blade torsion --torque 200 --units imperial"), {}),
+    "error_blade_torsion_stress_torque": (["blade", "torsion", "--torque", "300 ksi"], {}),
     "blade_life": (_argv("blade life"), {}),
     "blade_life_json": (_argv("blade life --stress 40MPa --cycles-per-day 100000 --json"), {}),
     "blade_life_imperial": (_argv("blade life --stress 6 --units imperial"), {}),
@@ -295,6 +297,9 @@ CASES = {
     "error_registry_bad_life_unit": ([*GENERATE, "--registry", "registry_bad_life_unit.json"], {}),
     "error_registry_cycles_life_no_counter": (
         [*GENERATE, "--registry", "registry_cycles_life_no_counter.json"], {}
+    ),
+    "error_registry_years_life_with_counter": (
+        [*GENERATE, "--registry", "registry_years_life_with_counter.json"], {}
     ),
     "error_registry_unknown_counter": (
         [*GENERATE, "--registry", "registry_unknown_counter.json"], {}

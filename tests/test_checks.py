@@ -73,7 +73,7 @@ GUARDED = [
     ("load-life exponent", lambda v: bearing.oscillating_rating(1e5, 30.0, v)),
     ("raceway center diameter", lambda v: bearing.equivalent_axial_load(LOADS, v)),
     ("equivalent load", lambda v: bearing.l10_life(1e5, v)),
-    ("oscillation rate", lambda v: bearing.bearing_calendar_life(1e6, v, bearing.OSCILLATIONS)),
+    ("oscillation rate", lambda v: bearing.bearing_calendar_life(1e6, v)),
 ]
 CASES = pytest.mark.parametrize("name, check", GUARDED, ids=[name for name, _ in GUARDED])
 

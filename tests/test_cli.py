@@ -800,6 +800,42 @@ LEAF_ARGV = {
 }
 NUMPY_LEAVES = {"system mttf", "weibull sample"}
 
+# Flags after LEAF_ARGV that reach the operations a leaf argv leaves unrun.
+OPTIONAL_OPERATION_ARGV = {
+    "weibull hazard": "--t2 2",
+    "system reliability": "--repair-rate 0.1 --events 1",
+    "fatigue life": "--cycles-per-day 100",
+}
+
+
+def test_each_mapped_operation_runs_under_its_command(monkeypatch, tmp_path, capsys):
+    """Each OPERATION_COMMANDS entry, replaced by a spy, is called by the command it names."""
+    calls = set()
+    running = []
+    for operation in cli.OPERATION_COMMANDS:
+        module_name, name = operation.split(".")
+        module = importlib.import_module(f"dwtlife.{module_name}")
+
+        def spy(*args, _real=getattr(module, name), _operation=operation, **kwargs):
+            calls.add((running[-1], _operation))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    # a series holding a parallel group, so both reliability folds run
+    leaf = {"component": {"id": "a", "model": {"exponential": {"rate": 0.1}}}}
+    parallel = {"parallel": [{"component": {"id": "b", "model": {"fixed_life": {"life": 5.0}}}},
+                             {"component": {"id": "c", "model": {"exponential": {"rate": 1}}}}]}
+    (tmp_path / "topology.json").write_text(json.dumps({"series": [leaf, parallel]}))
+    (tmp_path / "bearing.json").write_text(json.dumps(BEARING_DOC))
+    monkeypatch.chdir(tmp_path)
+    for path, argv in LEAF_ARGV.items():
+        running.append(path)
+        code, _, err = run_lines(
+            capsys, [*path.split(), *argv.split(), *OPTIONAL_OPERATION_ARGV.get(path, "").split()]
+        )
+        assert code == 0, (path, err)
+    assert set(cli.OPERATION_COMMANDS.items()) - {(op, path) for path, op in calls} == set()
+
 
 # Each own flag with a default in cli.COMMANDS -> another valid value. Giving
 # the flag that value after the subcommand's LEAF_ARGV must change what the
@@ -881,8 +917,8 @@ def test_readers_build_the_presets_as_before():
         return fields(cli._marin_from_args(argparse.Namespace(preset=preset, **flags)))
 
     assert {
-        "TOWER_STEEL_SUT": parse_quantity(presets.TOWER_STEEL_SUT, "Pa").si_value,
-        "BLADE_ALUMINUM_SUT": parse_quantity(presets.BLADE_ALUMINUM_SUT, "Pa").si_value,
+        "TOWER_STEEL_SUT": parse_quantity(presets.TOWER_STEEL_SUT, "Pa"),
+        "BLADE_ALUMINUM_SUT": parse_quantity(presets.BLADE_ALUMINUM_SUT, "Pa"),
         "TOWER_MARIN": marin("tower"),
         "BLADE_MARIN": marin("blade"),
         "BEARING_LIFE_FACTORS": fields(LifeModFactors(**presets.BEARING_LIFE_FACTORS)),

@@ -14,7 +14,7 @@ from dwtlife.fatigue import (
     marin_modified_endurance,
     sn_constants,
 )
-from dwtlife.units import Quantity, convert, parse_quantity
+from dwtlife.units import convert, parse_quantity
 
 KSI = 6.894757e6  # Pa
 
@@ -24,11 +24,11 @@ def ksi(value):
 
 
 def to_ksi(pa):
-    return convert(Quantity(pa, "Pa"), "ksi").value
+    return convert(pa, "Pa", "ksi")
 
 
-TOWER_SUT = parse_quantity(presets.TOWER_STEEL_SUT, "Pa").si_value
-BLADE_SUT = parse_quantity(presets.BLADE_ALUMINUM_SUT, "Pa").si_value
+TOWER_SUT = parse_quantity(presets.TOWER_STEEL_SUT, "Pa")
+BLADE_SUT = parse_quantity(presets.BLADE_ALUMINUM_SUT, "Pa")
 
 
 def tower_endurance():

@@ -96,12 +96,12 @@ class TestSecantDeflection:
         with pytest.raises(BucklingError):
             secant_deflection(column(load=1.01 * p_buckle, eccentricity=0.0))
 
-    # (load N, relative budget): below x = 0.1 (2,222 N here) 1e-15, about 5 ulps; e*(sec x - 1)
-    # in floats was 1e-5 off at 1e-6 N and 1.3% off at 1e-10 N. At x >= 0.1 the kept float
-    # form loses at most 8 bits to sec x - 1 >= 0.005: 3e-14.
+    # (load N, relative budget): 1e-15, about 5 ulps, at every load. e*(sec x - 1) in floats
+    # is 1e-5 off at 1e-6 N and 1.3% off at 1e-10 N, and loses up to 8 bits above x = 0.1
+    # (2,222 N here).
     @pytest.mark.parametrize("load, budget", [
         (1e-10, 1e-15), (1e-6, 1e-15), (1.0, 1e-15), (1e2, 1e-15), (2.2e3, 1e-15),
-        (2.3e3, 3e-14), (1e4, 3e-14), (5e4, 3e-14),
+        (2.3e3, 1e-15), (1e4, 1e-15), (5e4, 1e-15),
     ])
     def test_against_mpmath(self, load, budget):
         """e*(sec x - 1) at 50 digits."""

@@ -156,6 +156,16 @@ class TestSystemReliability:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             LifeModel(kind)
 
+    @pytest.mark.parametrize("kind, fields, unread", [
+        ("exponential", {"rate": 0.1, "params": WeibullParams(2.0, 5.0), "life": 3.0}, "params"),
+        ("exponential", {"rate": 0.1, "life": 3.0}, "life"),
+        ("weibull", {"params": WeibullParams(2.0, 5.0), "rate": 0.1}, "rate"),
+        ("fixed_life", {"life": 3.0, "params": WeibullParams(2.0, 5.0)}, "params"),
+    ])
+    def test_model_with_another_kinds_parameter_rejected(self, kind, fields, unread):
+        with pytest.raises(ValidationError, match=f"^{kind} model takes no {unread}$"):
+            LifeModel(kind, **fields)
+
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError):
             Series([])

@@ -6,36 +6,32 @@ from hypothesis import given, strategies as st
 from dwtlife.errors import ValidationError
 from dwtlife.fatigue import endurance_limit_unmodified
 from dwtlife.model import ColumnSpec
-from dwtlife.units import Quantity, canonical_unit, convert, parse_quantity
+from dwtlife.units import canonical_unit, convert, from_si, parse_quantity
 from dwtlife.units import _UNITS  # unit table drives the round-trip sweep
 
 
 def test_ksi_to_mpa():
-    q = convert(Quantity(45.0, "ksi"), "MPa")
-    assert q.value == pytest.approx(310.264065, rel=1e-9)
-    assert q.value == pytest.approx(310.0, rel=1e-3)  # published rounded figure
+    mpa = convert(45.0, "ksi", "MPa")
+    assert mpa == pytest.approx(310.264065, rel=1e-9)
+    assert mpa == pytest.approx(310.0, rel=1e-3)  # published rounded figure
 
 
 def test_identity_conversion():
-    q = convert(Quantity(100.0, "MPa"), "MPa")
-    assert q.value == 100.0
-    assert q.unit == "MPa"
+    assert convert(100.0, "MPa", "MPa") == 100.0
 
 
 def test_58_ksi():
-    assert convert(Quantity(58.0, "ksi"), "MPa").value == pytest.approx(
-        399.895906, rel=1e-9
-    )
+    assert convert(58.0, "ksi", "MPa") == pytest.approx(399.895906, rel=1e-9)
 
 
 def test_force_and_torque_factors():
-    assert convert(Quantity(1.0, "lbf"), "N").value == pytest.approx(4.4482216)
-    assert convert(Quantity(1.0, "ft·lb"), "N·m").value == pytest.approx(1.3558179)
+    assert convert(1.0, "lbf", "N") == pytest.approx(4.4482216)
+    assert convert(1.0, "ft·lb", "N·m") == pytest.approx(1.3558179)
 
 
 def test_dimension_mismatch_names_both_units():
     with pytest.raises(ValidationError, match="ksi.*N·m|N·m.*ksi"):
-        convert(Quantity(1.0, "ksi"), "N·m")
+        convert(1.0, "ksi", "N·m")
 
 
 @pytest.mark.parametrize(
@@ -50,8 +46,7 @@ def test_dimension_mismatch_names_both_units():
 )
 @given(value=st.floats(min_value=1e-6, max_value=1e9))
 def test_round_trip_identity(u1, u2, value):
-    back = convert(convert(Quantity(value, u1), u2), u1)
-    assert back.value == pytest.approx(value, rel=1e-12)
+    assert convert(convert(value, u1, u2), u2, u1) == pytest.approx(value, rel=1e-12)
 
 
 def test_aliases():
@@ -63,12 +58,28 @@ def test_aliases():
 
 
 def test_parse_quantity_forms():
-    assert parse_quantity("58 ksi", "MPa") == Quantity(58.0, "ksi")
-    assert parse_quantity("58ksi", "MPa") == Quantity(58.0, "ksi")
-    assert parse_quantity("58", "MPa") == Quantity(58.0, "MPa")
-    assert parse_quantity("300Nm", "N·m") == Quantity(300.0, "N·m")
+    assert parse_quantity("58 ksi", "MPa") == 58.0 * 6.894757e6
+    assert parse_quantity("58ksi", "MPa") == 58.0 * 6.894757e6
+    assert parse_quantity("58", "MPa") == 58.0e6
+    assert parse_quantity("300Nm", "N·m") == 300.0
     with pytest.raises(ValidationError):
         parse_quantity("not-a-number", "MPa")
+
+
+@pytest.mark.parametrize("text, default_unit, message", [
+    ("58 mph", "MPa", "quantity '58 mph' has dimension speed, expected stress"),
+    ("300 ksi", "N·m", "quantity '300 ksi' has dimension stress, expected torque"),
+    ("2 ft-lb", "in", "quantity '2 ft-lb' has dimension torque, expected length"),
+])
+def test_parse_quantity_rejects_another_dimension(text, default_unit, message):
+    with pytest.raises(ValidationError) as info:
+        parse_quantity(text, default_unit)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("unit", sorted(_UNITS))
+def test_from_si_inverts_parse_quantity(unit):
+    assert from_si(parse_quantity(f"2.5 {unit}", unit), unit) == pytest.approx(2.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("text", ["ee", "1e Nm", ".", "1.2.3 MPa", "--1"])
