@@ -16,7 +16,7 @@ import math
 
 from .errors import ValidationError
 from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_nonnegative
-from .model import _require_positive, number, read_document
+from .model import _require_positive, known_keys, number, read_document, whole
 
 BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
 
@@ -169,14 +169,7 @@ def life_summary(
 # Document keys of the geometry fields after ball_count_Z, and of BearingLoads, in field order.
 _GEOMETRY_MM_DEG = ("ball_diameter_mm", "contact_angle_deg", "raceway_center_diameter_mm")
 _LOADS = ("radial_n", "axial_n", "moment_nm")
-
-
-def _whole(name: str, value) -> int:
-    """A JSON number with an integral value, as an int."""
-    count = number(name, value, int)
-    if count != value:
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
-    return count
+_OPTIONAL = ("factors", "theta_deg", "oscillations_per_day", "exponent")
 
 
 def summary_from_document(document) -> dict:
@@ -186,14 +179,17 @@ def summary_from_document(document) -> dict:
     from . import presets
 
     def build(doc):
-        geo, loads, factors = doc["geometry"], doc["loads"], doc.get("factors")
+        known_keys(doc, ("geometry", "loads"), _OPTIONAL)
+        geo = known_keys(doc["geometry"], ("fcm", "balls", *_GEOMETRY_MM_DEG), ("rows",))
+        loads = known_keys(doc["loads"], (), _LOADS)
+        factors = doc.get("factors")
         if factors is None:
             factors = presets.BEARING_LIFE_FACTORS
         return life_summary(
             SlewingBearingGeometry(
                 number("fcm", geo["fcm"]),
-                _whole("rows", geo.get("rows", 1)),
-                _whole("balls", geo["balls"]),
+                whole("rows", geo.get("rows", 1)),
+                whole("balls", geo["balls"]),
                 *(number(key, geo[key]) for key in _GEOMETRY_MM_DEG),
             ),
             BearingLoads(*(number(key, loads.get(key, 0.0)) for key in _LOADS)),

@@ -43,8 +43,9 @@ and ``weibull``, and only the ``schedule`` commands load ``schedule``.
 ``_build_parser`` names every family but builds only the subcommands of
 the family in argv and the flags of the subcommand in argv. ``main`` ends
 the process with ``os._exit`` once the output is flushed, skipping
-interpreter teardown; ``run`` has no such side effect, for in-process
-callers.
+interpreter teardown, and runs numpy's OpenBLAS on one thread unless the
+environment says otherwise; ``run`` has neither side effect, for
+in-process callers.
 """
 
 from __future__ import annotations
@@ -748,6 +749,8 @@ def main() -> None:
     and the process then skips freeing every module, most of a cold
     command's exit time.
     """
+    # numpy's OpenBLAS starts a spinning thread per CPU at import; dwtlife makes no BLAS call
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = run()
     atexit.register(_exit_now, code)
     sys.exit(code)

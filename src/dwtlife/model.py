@@ -1,7 +1,7 @@
 """Shared domain types, the Record base of every value type, the one
-JSON document reader (read_document, tagged, number), the one
-positive-and-finite check (_require_positive) and the one non-negative
-check (_require_nonnegative).
+JSON document reader (read_document, tagged, known_keys, number, whole,
+text), the one positive-and-finite check (_require_positive) and the one
+non-negative check (_require_nonnegative).
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -147,6 +147,22 @@ def tagged(doc, what: str, builders: dict):
     return builders[tag](body)
 
 
+def known_keys(doc: dict, required: tuple, optional: tuple = ()) -> dict:
+    """doc, once it holds each required key and no key outside required and optional.
+
+    A missing key is reported first, as read_document's "missing key 'k'";
+    the required keys are looked up in order, so the first one missing is named.
+    """
+    for key in required:
+        doc[key]  # a KeyError names the missing key
+    for key in doc.keys():  # not `in doc`: a list is refused, not read as keys
+        if key not in required and key not in optional:
+            raise ValidationError(
+                f"unknown key {key!r} (expected one of {', '.join(required + optional)})"
+            )
+    return doc
+
+
 def number(name: str, value, kind=float):
     """A document's JSON number as kind (float or int). kind() alone reads true as 1
     and "inf" as inf; here any bool, text or null is rejected, text that reads as
@@ -156,6 +172,16 @@ def number(name: str, value, kind=float):
     elif not isinstance(value, bool) and value is not None:
         return kind(value)
     raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def whole(name: str, value) -> int:
+    """A number with an integral value, as an int. A bool, text or null is refused
+    as by number(); a fraction, an infinity or NaN as not whole."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    count = None if fraction else number(name, value, int)
+    if count != value:
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    return count
 
 
 def text(name: str, value) -> str:

@@ -42,7 +42,7 @@ from typing import Optional, Union
 
 from .errors import ValidationError
 from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, _require_nonnegative
-from .model import _require_positive, number, read_document, tagged, text
+from .model import _require_positive, known_keys, number, read_document, tagged, text
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -205,17 +205,21 @@ class RemainingLife(Record):
 # ---------------------------------------------------------------------------
 # document parsing
 
+def _trigger(cls, *readers):
+    """Reader of a trigger body that holds cls's fields alone, each read by its reader."""
+
+    def read(body):
+        known_keys(body, cls._fields)
+        return cls(*(reader(name, body[name]) for name, reader in zip(cls._fields, readers)))
+
+    return read
+
+
 _TRIGGERS = {
-    "calendar_interval": lambda body: CalendarInterval(years=number("years", body["years"])),
-    "cycle_interval": lambda body: CycleInterval(
-        cycles=number("cycles", body["cycles"]), counter=text("counter", body["counter"])
-    ),
-    "whichever_first": lambda body: WhicheverFirst(
-        years=number("years", body["years"]),
-        cycles=number("cycles", body["cycles"]),
-        counter=text("counter", body["counter"]),
-    ),
-    "event": lambda body: EventTrigger(kind=text("kind", body["kind"])),
+    "calendar_interval": _trigger(CalendarInterval, number),
+    "cycle_interval": _trigger(CycleInterval, number, text),
+    "whichever_first": _trigger(WhicheverFirst, number, number, text),
+    "event": _trigger(EventTrigger, text),
 }
 
 
@@ -231,7 +235,13 @@ def _strings(row: dict, key: str) -> tuple:
     return tuple(values)
 
 
+_ROW_OPTIONAL = (
+    "failure_modes", "service_life", "manufacturer_specified", "specifications", "tasks"
+)
+
+
 def _component_record(row: dict) -> ComponentRecord:
+    known_keys(row, ("id", "group"), _ROW_OPTIONAL)
     life = row.get("service_life")
     specified = row.get("manufacturer_specified", False)
     if not isinstance(specified, bool):
@@ -241,14 +251,17 @@ def _component_record(row: dict) -> ComponentRecord:
         group=text("group", row["group"]),
         failure_modes=_strings(row, "failure_modes"),
         service_life=None if life is None else ServiceLife(
-            value=number("value", life["value"]),
+            value=number("value", known_keys(life, ("value", "unit"), ("counter",))["value"]),
             unit=text("unit", life["unit"]),
             counter=None if life.get("counter") is None else text("counter", life["counter"]),
         ),
         manufacturer_specified=specified,
         specifications=_strings(row, "specifications"),
         tasks=tuple(
-            MaintenanceTask(text("description", t["description"]), parse_trigger(t["trigger"]))
+            MaintenanceTask(
+                text("description", known_keys(t, ("description", "trigger"))["description"]),
+                parse_trigger(t["trigger"]),
+            )
             for t in row.get("tasks", ())
         ),
     )
@@ -260,6 +273,7 @@ def load_registry(document: dict) -> Registry:
     def build(doc):
         if "components" not in doc:
             raise ValidationError("document must have a 'components' list")
+        known_keys(doc, ("components",))
         records = []
         for index, row in enumerate(doc["components"]):
             ident = row.get("id", "?") if isinstance(row, dict) else "?"
@@ -278,6 +292,8 @@ def default_registry() -> Registry:
 def usage_from_document(document: dict) -> UsageProfile:
     def build(doc):
         counters = doc.get("counters", doc)
+        if counters is not doc:  # the wrapped form holds "counters" alone
+            known_keys(doc, ("counters",))
         return UsageProfile(
             counters={str(k): number(f"usage rate for {k!r}", v) for k, v in counters.items()}
         )
@@ -287,14 +303,17 @@ def usage_from_document(document: dict) -> UsageProfile:
 
 def installation_from_document(document: dict) -> InstallationRecord:
     def build(doc):
+        known_keys(doc, ("install_date",), ("events", "cycles"))
         return InstallationRecord(
             install_date=date.fromisoformat(doc["install_date"]),
             event_log=[
-                (date.fromisoformat(e["date"]), text("kind", e["kind"])) for e in doc.get("events", ())
+                (date.fromisoformat(e["date"]), text("kind", e["kind"]))
+                for e in (known_keys(event, ("date", "kind")) for event in doc.get("events", ()))
             ],
             cycle_log={
                 str(counter): [
-                    (date.fromisoformat(e["date"]), number("count", e["count"])) for e in entries
+                    (date.fromisoformat(e["date"]), number("count", e["count"]))
+                    for e in (known_keys(point, ("date", "count")) for point in entries)
                 ]
                 for counter, entries in doc.get("cycles", {}).items()
             },
@@ -307,6 +326,7 @@ def usage_from_site(site) -> UsageProfile:
     """A site document's 'usage' rates, or presets.DEFAULT_USAGE without one."""
     if not isinstance(site, dict):
         raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
+    read_document("site document", lambda doc: known_keys(doc, (), ("install", "usage")), site)
     if "usage" not in site:
         from . import presets
 

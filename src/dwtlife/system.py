@@ -53,7 +53,7 @@ from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
 from .model import Record, _require_finite, _require_nonnegative, _require_positive, number
-from .model import read_document, tagged, text
+from .model import known_keys, read_document, tagged, text, whole
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
 EXPONENTIAL = "exponential"
@@ -131,7 +131,7 @@ class Component(Record):
 
 
 class _Group(Record):
-    """A series or parallel group of one or more child nodes."""
+    """Series or parallel group of one or more children; built only with distinct leaf ids."""
 
     children: tuple = ()
 
@@ -139,6 +139,10 @@ class _Group(Record):
         object.__setattr__(self, "children", tuple(self.children))
         if not self.children:
             raise ValidationError(f"{type(self).__name__.lower()} group needs at least one child")
+        ids = [leaf.component_id for leaf in _leaves(self)]
+        if len(ids) != len(set(ids)):
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValidationError(f"duplicate component ids: {dupes}")
 
 
 class Series(_Group):
@@ -160,13 +164,6 @@ def _leaves(topo: SystemTopology) -> list[Component]:
     for child in topo.children:
         out.extend(_leaves(child))
     return out
-
-
-def validate_topology(topo: SystemTopology) -> None:
-    ids = [leaf.component_id for leaf in _leaves(topo)]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValidationError(f"duplicate component ids in topology: {dupes}")
 
 
 def series_reliability(reliabilities: list[float]) -> float:
@@ -191,16 +188,10 @@ def parallel_reliability(reliabilities: list[float]) -> float:
 
 
 def system_reliability_at(t: float, topo: SystemTopology) -> float:
-    """Survival probability of the whole system at time t."""
-    _require_nonnegative("time", t)
-    validate_topology(topo)
-    return _reliability(t, topo)
-
-
-def _reliability(t: float, topo: SystemTopology) -> float:
+    """Survival probability of the whole system at time t (each leaf refuses t < 0 or NaN)."""
     if isinstance(topo, Component):
         return topo.model.survival(t)
-    child_r = [_reliability(t, c) for c in topo.children]
+    child_r = [system_reliability_at(t, c) for c in topo.children]
     if isinstance(topo, Series):
         return series_reliability(child_r)
     return parallel_reliability(child_r)
@@ -322,7 +313,7 @@ def monte_carlo_mttf(
         raise ValidationError(f"need at least 100 samples, got {samples}")
     if not 0 <= seed < 2**128:  # the Philox key is two 64-bit words
         raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
-    validate_topology(topo)
+    samples, seed = whole("samples", samples), whole("seed", seed)
     plan = _plan(topo, itertools.count())
     chunks = -(-samples // _CHUNK)
     workers = min(_worker_count(), chunks)
@@ -361,22 +352,27 @@ def monte_carlo_mttf(
     return mean, std_err
 
 
+def _numbers(body: dict, *keys) -> list[float]:
+    """The numbers at keys of a life-model body that holds those keys alone."""
+    known_keys(body, keys)
+    return [number(key, body[key]) for key in keys]
+
+
 _LIFE_MODELS = {
-    EXPONENTIAL: lambda body: LifeModel.exponential(number("rate", body["rate"])),
-    WEIBULL: lambda body: LifeModel.weibull(
-        WeibullParams(shape_beta=number("beta", body["beta"]), scale_eta=number("eta", body["eta"]))
-    ),
-    FIXED_LIFE: lambda body: LifeModel.fixed_life(number("life", body["life"])),
+    EXPONENTIAL: lambda body: LifeModel.exponential(*_numbers(body, "rate")),
+    WEIBULL: lambda body: LifeModel.weibull(WeibullParams(*_numbers(body, "beta", "eta"))),
+    FIXED_LIFE: lambda body: LifeModel.fixed_life(*_numbers(body, "life")),
 }
 
 
-def _life_model(doc: dict) -> LifeModel:
-    return tagged(doc, "life model", _LIFE_MODELS)
+def _life_model(body: dict) -> LifeModel:
+    """The life model of a component body, which holds its id and model alone."""
+    return tagged(known_keys(body, ("id", "model"))["model"], "life model", _LIFE_MODELS)
 
 
 def _component(body: dict) -> Component:
     cid = text("id", body["id"])
-    return Component(cid, read_document(f"component {cid!r}", lambda b: _life_model(b["model"]), body))
+    return Component(cid, read_document(f"component {cid!r}", _life_model, body))
 
 
 def _node(doc: dict) -> SystemTopology:
@@ -438,7 +434,10 @@ def lives_from_document(document) -> dict[str, float]:
     """Component lives (years) of a lives document: {"lives": {id: years}} or the bare mapping."""
 
     def build(doc):
-        return {str(k): number(f"life for {k!r}", v) for k, v in doc.get("lives", doc).items()}
+        lives = doc.get("lives", doc)
+        if lives is not doc:  # the wrapped form holds "lives" alone
+            known_keys(doc, ("lives",))
+        return {str(k): number(f"life for {k!r}", v) for k, v in lives.items()}
 
     return read_document("lives document", build, document)
 

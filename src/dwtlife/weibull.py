@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericError, SingularityError, ValidationError
-from .model import Record, _require_finite, _require_nonnegative, _require_positive
+from .model import Record, _require_finite, _require_nonnegative, _require_positive, whole
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
 RANDOM = "random"  # beta = 1, constant hazard
@@ -148,6 +148,7 @@ def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     _require_nonnegative("seed", seed)
+    count, seed = whole("count", count), whole("seed", seed)
     with np.errstate(all="ignore"):
         values = inverse_transform(np.random.default_rng(seed).random(count), w)
     if not np.isfinite(values).all():

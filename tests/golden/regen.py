@@ -190,6 +190,9 @@ CASES = {
     "error_topology_duplicate_ids": (
         _argv("system reliability --config topology_duplicate_ids.json --t 1"), {}
     ),
+    "error_topology_unread_key": (
+        _argv("system reliability --config topology_unread_key.json --t 1"), {}
+    ),
     "error_topology_weibull_zero_shape": (
         _argv("system mttf --config topology_weibull_zero_shape.json"), {}
     ),
@@ -220,6 +223,7 @@ CASES = {
         _argv("bearing life --config bearing_unknown_factor.json"), {}
     ),
     "error_bearing_empty_factors": (_argv("bearing life --config bearing_empty_factors.json"), {}),
+    "error_bearing_misspelt_key": (_argv("bearing life --config bearing_misspelt_key.json"), {}),
     # schedule generate
     "schedule_generate_csv": ([*GENERATE, "--horizon", "2"], {}),
     "schedule_generate_markdown": ([*GENERATE, "--format", "markdown"], {}),

@@ -957,6 +957,28 @@ class TestColdStart:
             assert "inspect" not in imported
 
 
+class TestOpenBlasDefault:
+    """main() runs numpy's OpenBLAS on one thread unless the environment sets a count."""
+
+    @pytest.mark.parametrize("given, seen", [(None, "1"), ("4", "4")], ids=["unset", "set"])
+    def test_main_sets_only_an_unset_count(self, monkeypatch, given, seen):
+        if given is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+        counts = []
+
+        def run():
+            counts.append(os.environ["OPENBLAS_NUM_THREADS"])
+            return 0
+
+        monkeypatch.setattr(cli, "run", run)
+        monkeypatch.setattr(cli.atexit, "register", lambda *args: None)
+        with pytest.raises(SystemExit):
+            cli.main()
+        assert counts == [seen]
+
+
 class TestFastExit:
     """main() ends the process from an atexit hook with os._exit, after a flush."""
 

@@ -21,6 +21,7 @@ from dwtlife import cli
 from dwtlife.bearing import summary_from_document
 from dwtlife.errors import ValidationError
 from dwtlife.schedule import installation_from_document, load_registry, usage_from_document
+from dwtlife.schedule import usage_from_site
 from dwtlife.system import lives_from_document, topology_from_document
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -170,6 +171,71 @@ def test_text_field_of_another_json_type_rejected(field, value):
     reader, input_name, path = TEXT_FIELDS[field]
     with pytest.raises(ValidationError, match=re.escape(f"{path[-1]} must be text, got {value!r}")):
         reader(golden_with(input_name, path, value))
+
+
+def _install(site):
+    return installation_from_document(site["install"])
+
+
+def _row(*path):
+    return ("components", *path)
+
+
+# (reader, golden input, path of an object whose keys the format fixes)
+CLOSED_OBJECTS = {
+    "bearing": (summary_from_document, "bearing.json", ()),
+    "bearing_geometry": (summary_from_document, "bearing.json", ("geometry",)),
+    "bearing_loads": (summary_from_document, "bearing.json", ("loads",)),
+    "component": (topology_from_document, "topology.json", ("series", 0, "component")),
+    "weibull_model": (topology_from_document, "topology.json",
+                      ("series", 0, "component", "model", "weibull")),
+    "exponential_model": (topology_from_document, "topology.json",
+                          ("series", 1, "parallel", 0, "component", "model", "exponential")),
+    "fixed_life_model": (topology_from_document, "topology.json",
+                         ("series", 2, "component", "model", "fixed_life")),
+    "lives": (lives_from_document, "lives.json", ()),
+    "usage": (lambda site: usage_from_document(site["usage"]), "site.json", ("usage",)),
+    "registry": (load_registry, "registry.json", ()),
+    "registry_row": (load_registry, "registry.json", _row(0)),
+    "service_life": (load_registry, "registry.json", _row(1, "service_life")),
+    "task": (load_registry, "registry.json", _row(0, "tasks", 0)),
+    "calendar_interval": (load_registry, "registry.json",
+                          _row(0, "tasks", 0, "trigger", "calendar_interval")),
+    "event_trigger": (load_registry, "registry.json", _row(0, "tasks", 1, "trigger", "event")),
+    "cycle_interval": (load_registry, "registry.json",
+                       _row(1, "tasks", 0, "trigger", "cycle_interval")),
+    "whichever_first": (load_registry, "registry.json",
+                        _row(1, "tasks", 1, "trigger", "whichever_first")),
+    "site": (usage_from_site, "site.json", ()),
+    "installation": (_install, "site.json", ("install",)),
+    "install_event": (_install, "site.json", ("install", "events", 0)),
+    "cycle_point": (_install, "site.json", ("install", "cycles", "jack_cycles", 0)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_OBJECTS)
+def test_unknown_key_refused(name):
+    reader, input_name, path = CLOSED_OBJECTS[name]
+    doc = json.loads((INPUTS / input_name).read_text(encoding="utf-8"))
+    reader(doc)
+    with pytest.raises(ValidationError, match=r"unknown key 'zz' \(expected one of [a-z_, ]+\)$"):
+        reader(golden_with(input_name, path, {**_at(doc, path), "zz": 1}))
+
+
+@pytest.mark.parametrize("reader, doc, message", [
+    (summary_from_document, {"loads": {}, "geometri": {}},
+     "bearing document: missing key 'geometry'"),
+    (topology_from_document, {"component": {"id": "a", "modle": {}}},
+     "topology: component 'a': missing key 'model'"),
+    (topology_from_document,
+     {"component": {"id": "a", "model": {"weibull": {"beta": 2, "eat": 5}}}},
+     "topology: component 'a': missing key 'eta'"),
+    (installation_from_document, {"install": {"install_date": "2025-01-01"}},
+     "installation document: missing key 'install_date'"),
+])
+def test_missing_key_reported_before_unknown_key(reader, doc, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        reader(doc)
 
 
 def bearing_with(**changes):

@@ -34,6 +34,7 @@ from dwtlife.system import (
 from dwtlife.weibull import WeibullParams
 from oracles import one_shot_mttf, whole_chunk_mttf
 
+GOLDEN_TOPOLOGY = Path(__file__).resolve().parent / "golden" / "inputs" / "topology.json"
 LIFE_SUMMARY = {
     "tower": 38.0,
     "slew_bearing": 80.0,
@@ -133,6 +134,23 @@ class TestSystemReliability:
         with pytest.raises(ValidationError):
             system_reliability_at(1.0, Series([exp_leaf("a", 0.1), exp_leaf("a", 0.2)]))
 
+    def test_duplicate_id_refused_when_built(self):
+        with pytest.raises(ValidationError, match=r"^duplicate component ids: \['a'\]$"):
+            Series([exp_leaf("a", 0.1), exp_leaf("a", 0.1)])
+
+    def test_duplicate_across_subtrees_refused_when_built(self):
+        a, b = exp_leaf("a", 0.1), exp_leaf("b", 0.2)
+        with pytest.raises(ValidationError, match=r"^duplicate component ids: \['a'\]$"):
+            Series([Parallel([a, b]), a])
+
+    def test_evaluation_walks_no_leaf_list(self, monkeypatch):
+        topo = topology_from_document(json.loads(GOLDEN_TOPOLOGY.read_text(encoding="utf-8")))
+        calls = []
+        monkeypatch.setattr(system, "_leaves", lambda topo: calls.append(topo) or [])
+        for t in np.linspace(0.0, 40.0, 100):
+            system_reliability_at(float(t), topo)
+        assert calls == []
+
     @pytest.mark.parametrize("model", [
         LifeModel.exponential(0.2),
         LifeModel.weibull(WeibullParams(2.0, 10.0)),
@@ -194,6 +212,24 @@ class TestMonteCarlo:
     def test_minimum_sample_count(self):
         with pytest.raises(ValidationError):
             monte_carlo_mttf(exp_leaf("a", 1.0), samples=50, seed=0)
+
+    @pytest.mark.parametrize("value, message", [
+        (1000.5, "samples must be a whole number, got 1000.5"),
+        (math.inf, "samples must be a whole number, got inf"),
+    ])
+    def test_samples_must_be_whole(self, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            monte_carlo_mttf(exp_leaf("a", 0.1), samples=value, seed=1)
+        whole_float = monte_carlo_mttf(exp_leaf("a", 0.1), samples=1e5, seed=1)
+        assert whole_float == monte_carlo_mttf(exp_leaf("a", 0.1), samples=100_000, seed=1)
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "seed must be a whole number, got 1.5"),
+        (True, "seed must be a finite number, got True"),
+    ])
+    def test_seed_must_be_whole(self, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            monte_carlo_mttf(exp_leaf("a", 0.1), samples=1000, seed=value)
 
     def test_three_sigma_coverage_over_seeds(self):
         # fixed 100-seed window; nominal 3-sigma coverage is 99.73%

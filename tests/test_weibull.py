@@ -223,6 +223,24 @@ class TestSampling:
         p_at_eta = 100 * (1 - math.exp(-1))
         assert quantile_Bp(p_at_eta, w) == pytest.approx(9.0, rel=1e-9)
 
+    @pytest.mark.parametrize("value, message", [
+        (2.5, "count must be a whole number, got 2.5"),
+        (True, "count must be a finite number, got True"),
+    ])
+    def test_count_must_be_whole(self, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample(WeibullParams(2.0, 5.0), seed=1, count=value)
+        assert np.array_equal(sample(WeibullParams(2.0, 5.0), seed=1, count=3.0),
+                              sample(WeibullParams(2.0, 5.0), seed=1, count=3))
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "seed must be a whole number, got 1.5"),
+        (True, "seed must be a finite number, got True"),
+    ])
+    def test_seed_must_be_whole(self, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample(WeibullParams(2.0, 5.0), seed=value, count=3)
+
     def test_empirical_cdf_close(self):
         w = WeibullParams(shape_beta=1.8, scale_eta=3.0)
         draws = sample(w, seed=11, count=1_000_000)
