@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_nonnegative
 from .model import _require_positive, known_keys, number, read_document, whole
 
-BALL_EXPONENT = 3.0  # load-life exponent p for ball bearings
+BALL_EXPONENT = 3.0  # load-life exponent p of a ball bearing (ISO 281), the one p used here
 
 
 class SlewingBearingGeometry(Record):
@@ -88,15 +88,14 @@ def basic_dynamic_axial_rating(g: SlewingBearingGeometry) -> float:
     )
 
 
-def oscillating_rating(ca: float, theta_deg: float, p: float = BALL_EXPONENT) -> float:
+def oscillating_rating(ca: float, theta_deg: float) -> float:
     """Rating uplift C_a * (180/theta)^(1/p) for a bearing dithering over
     an arc of half-amplitude theta instead of rotating."""
     if not 0 < theta_deg <= 180:
         raise ValidationError(
             f"oscillation half-arc must lie in (0, 180] deg, got {theta_deg}"
         )
-    _require_positive("load-life exponent", p)
-    return ca * (180.0 / theta_deg) ** (1.0 / p)
+    return ca * (180.0 / theta_deg) ** (1.0 / BALL_EXPONENT)
 
 
 def equivalent_axial_load(loads: BearingLoads, dm: float) -> float:
@@ -106,11 +105,11 @@ def equivalent_axial_load(loads: BearingLoads, dm: float) -> float:
 
 
 def l10_life(ca_osc: float, pea: float) -> float:
-    """L10 = (C_a,osc / P_ea)³, a cycle count on the rating's oscillation basis."""
+    """L10 = (C_a,osc / P_ea)^p, a cycle count on the rating's oscillation basis."""
     _require_positive("equivalent load", pea)
     if not ca_osc / pea < 1e100:  # so that the cube stays below the largest float
         raise ValidationError(f"L10 overflows a float: C_a,osc / P_ea = {ca_osc / pea:g}")
-    return (ca_osc / pea) ** 3
+    return (ca_osc / pea) ** BALL_EXPONENT
 
 
 def modified_life(l10: float, f: LifeModFactors) -> float:
@@ -143,12 +142,11 @@ def life_summary(
     theta_deg: float,
     factors: LifeModFactors,
     oscillations_per_day: float,
-    p: float = BALL_EXPONENT,
 ) -> dict:
     """Run the full pipeline; returns every intermediate plus both calendar
     bases. Moment loads are converted to N·mm to match d_m in mm."""
     ca = basic_dynamic_axial_rating(geometry)
-    ca_osc = oscillating_rating(ca, theta_deg, p)
+    ca_osc = oscillating_rating(ca, theta_deg)
     loads_mm = BearingLoads(loads.radial_Fr, loads.axial_Fa, loads.moment_M * 1000.0)
     pea = equivalent_axial_load(loads_mm, geometry.raceway_center_diameter_dm)
     l10 = l10_life(ca_osc, pea)
@@ -169,7 +167,7 @@ def life_summary(
 # Document keys of the geometry fields after ball_count_Z, and of BearingLoads, in field order.
 _GEOMETRY_MM_DEG = ("ball_diameter_mm", "contact_angle_deg", "raceway_center_diameter_mm")
 _LOADS = ("radial_n", "axial_n", "moment_nm")
-_OPTIONAL = ("factors", "theta_deg", "oscillations_per_day", "exponent")
+_OPTIONAL = ("factors", "theta_deg", "oscillations_per_day")
 
 
 def summary_from_document(document) -> dict:
@@ -198,7 +196,6 @@ def summary_from_document(document) -> dict:
             number("oscillations_per_day", doc.get(
                 "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]
             )),
-            number("exponent", doc.get("exponent", BALL_EXPONENT)),
         )
 
     return read_document("bearing document", build, document)

@@ -9,12 +9,12 @@ Subcommand map:
     system mttf|reliability|life   schedule generate|report|rul
 
 One table, COMMANDS, holds a row per subcommand: its handler, the shared
-flags it reads (--units, --json, --seed, --samples, --config, --format),
-its own flags and the library operations it surfaces. One loop builds the
-parser from the table, so a subcommand accepts only the flags it reads and
-any other flag is a usage error. A flag that another flag leaves unread is
-refused with one error line: ``system reliability --events`` without
-``--repair-rate``, ``schedule generate --json --format`` and, in
+flags it reads (--units, --json, --seed, --samples, --config, --format)
+and its own flags. One loop builds the parser from the table, so a
+subcommand accepts only the flags it reads and any other flag is a usage
+error. A flag that another flag leaves unread is refused with one error
+line: ``system reliability --events`` without ``--repair-rate``,
+``schedule generate --json --format`` and, in
 ``schedule.site_from_document``, --install-date beside a --config
 'install' record. The file holds no document format: ``_read_json`` reads
 a JSON file or stdin, and the library reader next to the document's type,
@@ -543,36 +543,36 @@ _SHAPE = {"--beta": _REQUIRED, "--eta": _REQUIRED}
 _STRESS = {"required": True, "dim": "stress"}
 _LENGTH = {"required": True, "dim": "length"}
 
-# path -> (handler, shared flags read, own flags, library operations surfaced)
+# path -> (handler, shared flags read, own flags)
 COMMANDS = {
     "fatigue endurance": (_cmd_fatigue_endurance, _QUANTITIES, {
         "--sut": {**_STRESS, "help": "ultimate tensile strength"},
         "--preset": {"choices": ("tower", "blade", "none"), "default": "none"},
         **_MARIN,
-    }, ("fatigue.endurance_limit_unmodified", "fatigue.marin_modified_endurance")),
+    }),
     "fatigue sn": (_cmd_fatigue_sn, _QUANTITIES, {
         "--sut": _STRESS, "--se": _STRESS, "--f": {"type": float, "default": 0.9},
-    }, ("fatigue.sn_constants",)),
+    }),
     "fatigue life": (_cmd_fatigue_life, _QUANTITIES, {
         "--stress": _STRESS,
         "--a": _STRESS,
         "--b": _REQUIRED,
         "--cycles-per-day": _FLOAT,
-    }, ("fatigue.cycles_to_failure", "fatigue.cycles_to_calendar")),
+    }),
     "blade bending": (_cmd_blade_bending, _QUANTITIES, {
         "--mass": {"type": float, "default": 3.0},
         "--mount-angle": {"type": float, "default": 0.0},
         **_SECTION,
         "--span": {"default": "1.4988 m", "dim": "length"},  # the blade as a cantilever
-    }, ("structural.blade_root_bending_moment", "structural.rect_bending_stress")),
+    }),
     "blade torsion": (_cmd_blade_torsion, _QUANTITIES, {
         "--torque": {"required": True, "dim": "torque"}, **_SECTION,
-    }, ("structural.rect_torsion_max_shear",)),
+    }),
     "blade life": (_cmd_blade_life, _QUANTITIES, {
         # fully reversed root bending stress amplitude, blade horizontal
         "--stress": {"default": "6.48 ksi", "dim": "stress"},
         "--cycles-per-day": {"type": float, "default": 144000.0},
-    }, ()),
+    }),
     "tower column": (_cmd_tower_column, _QUANTITIES, {
         "--load": {"required": True, "dim": "force"},
         "--eccentricity": _LENGTH,
@@ -584,12 +584,12 @@ COMMANDS = {
         # the standard ASTM A36 compressive yield (36 ksi, rounded) and elastic modulus
         "--syc": {"default": "248.21 MPa", "dim": "stress"},
         "--modulus": {"default": "200000 MPa", "dim": "stress"},
-    }, ("structural.secant_deflection", "structural.secant_allowable_load")),
+    }),
     "tower life": (_cmd_tower_life, _QUANTITIES, {
         # fully reversed von Mises stress amplitude of the 109 mph extreme-gust FEA case
         "--stress": {"default": "13.56 ksi", "dim": "stress"},
         "--cycles-per-day": {"type": float, "default": 1000.0},
-    }, ()),
+    }),
     "ballast": (_cmd_ballast, _QUANTITIES, {
         "--thrust": {"required": True, "dim": "force"},
         "--nacelle-diameter": _LENGTH,
@@ -597,60 +597,38 @@ COMMANDS = {
         "--base-diameter": _LENGTH,
         "--base-area": {**_REQUIRED, "help": "base area, m²"},
         "--density": {"default": "1600 kg/m³", "dim": "density"},
-    }, ("structural.ballast_required_weight", "structural.ballast_height_for_weight")),
+    }),
     "aero torque": (_cmd_aero_torque, _QUANTITIES, {
         "--cp": {"type": float, "default": 0.40},
         "--rpm": {"type": float, "default": 600.0},
         **_FLOW,
-    }, ("units.convert", "rotor.tip_speed_ratio", "rotor.torque_coefficient",
-        "rotor.rotor_torque", "rotor.rotor_power")),
-    "aero betz": (_cmd_aero_betz, _JSON, {"--a0": _REQUIRED}, ("rotor.ducted_betz_limit",)),
-    "aero sweep": (_cmd_aero_sweep, _QUANTITIES, _FLOW, ()),
-    "bearing life": (_cmd_bearing_life, _DOCUMENT, {}, (
-        "bearing.basic_dynamic_axial_rating", "bearing.oscillating_rating",
-        "bearing.equivalent_axial_load", "bearing.l10_life", "bearing.modified_life",
-        "bearing.raceway_stress_cycles", "bearing.bearing_calendar_life",
-    )),
+    }),
+    "aero betz": (_cmd_aero_betz, _JSON, {"--a0": _REQUIRED}),
+    "aero sweep": (_cmd_aero_sweep, _QUANTITIES, _FLOW),
+    "bearing life": (_cmd_bearing_life, _DOCUMENT, {}),
     "weibull fit": (_cmd_weibull_fit, _JSON, {
         "--p": _REQUIRED, "--bp": _REQUIRED, "--q": _REQUIRED, "--bq": _REQUIRED,
-    }, ("weibull.fit_two_quantiles",)),
-    "weibull cdf": (_cmd_weibull_cdf, _JSON, {**_SHAPE, "--t": _REQUIRED}, ("weibull.cdf",)),
-    "weibull quantile": (_cmd_weibull_quantile, _JSON, {**_SHAPE, "--p": _REQUIRED}, (
-        "weibull.quantile_Bp",
-    )),
-    "weibull hazard": (_cmd_weibull_hazard, _JSON, {**_SHAPE, "--t": _REQUIRED, "--t2": _FLOAT}, (
-        "weibull.hazard", "weibull.average_failure_rate", "weibull.failure_regime",
-    )),
-    "weibull sample": (_cmd_weibull_sample, ("json", "seed", "samples"), _SHAPE, (
-        "weibull.sample",
-    )),
-    "system mttf": (_cmd_system_mttf, ("json", "seed", "samples", "config"), {}, (
-        "system.monte_carlo_mttf",
-    )),
+    }),
+    "weibull cdf": (_cmd_weibull_cdf, _JSON, {**_SHAPE, "--t": _REQUIRED}),
+    "weibull quantile": (_cmd_weibull_quantile, _JSON, {**_SHAPE, "--p": _REQUIRED}),
+    "weibull hazard": (_cmd_weibull_hazard, _JSON, {**_SHAPE, "--t": _REQUIRED, "--t2": _FLOAT}),
+    "weibull sample": (_cmd_weibull_sample, ("json", "seed", "samples"), _SHAPE),
+    "system mttf": (_cmd_system_mttf, ("json", "seed", "samples", "config"), {}),
     "system reliability": (_cmd_system_reliability, _DOCUMENT, {
         "--t": _REQUIRED, "--repair-rate": _FLOAT, "--events": {"type": int},
-    }, ("system.series_reliability", "system.parallel_reliability",
-        "system.system_reliability_at", "system.expected_repairs", "system.poisson_pmf")),
-    "system life": (_cmd_system_life, _DOCUMENT, {}, ("system.system_service_life",)),
+    }),
+    "system life": (_cmd_system_life, _DOCUMENT, {}),
     "schedule generate": (_cmd_schedule_generate, ("json", "config", "format"), {
         "--install-date": {"help": "ISO date, e.g. 2025-01-01"},
         "--horizon": {"type": float, "default": 1.0, "help": "years"},
         "--registry": {},
-    }, ("schedule.load_registry", "schedule.generate_schedule")),
-    "schedule report": (_cmd_schedule_report, ("format",), {"--registry": {}}, (
-        "schedule.emit_report",
-    )),
+    }),
+    "schedule report": (_cmd_schedule_report, ("format",), {"--registry": {}}),
     "schedule rul": (_cmd_schedule_rul, _DOCUMENT, {
         "--component": {"required": True},
         "--elapsed": {**_REQUIRED, "help": "years in service"},
         "--registry": {},
-    }, ("schedule.remaining_service_life",)),
-}
-
-# Where each library operation surfaces on the command line. The test
-# suite checks this map covers the whole public API exactly once.
-OPERATION_COMMANDS = {
-    operation: path for path, (*_, operations) in COMMANDS.items() for operation in operations
+    }),
 }
 
 
@@ -669,7 +647,7 @@ def _build_parser(argv: list) -> _Parser:
     )
     top = parser.add_subparsers(dest="command", required=True)
     families = {}
-    for path, (_, shared, flags, _) in COMMANDS.items():
+    for path, (_, shared, flags) in COMMANDS.items():
         family, _, name = path.partition(" ")
         if name and family not in families:
             family_parser = top.add_parser(family)
@@ -704,7 +682,7 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _build_parser(argv).parse_args(argv)
-        handler, _, flags, _ = COMMANDS[args.path]
+        handler, _, flags = COMMANDS[args.path]
         _to_si(args, flags)
         _emit(args, handler(args))
         return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_positive
 
 
@@ -102,6 +102,8 @@ def sn_constants(s_ut: float, s_e: float, f: float = 0.9) -> SnConstants:
         )
     a = (f * s_ut) ** 2 / s_e
     b = -math.log10(f * s_ut / s_e) / 3.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericError(f"S-N fit is not finite (a = {a} Pa, b = {b})")
     return SnConstants(a=a, b=b)
 
 

@@ -67,12 +67,15 @@ class BladeSpec(Record):
 
 def ballast_required_weight(spec: BallastSpec) -> float:
     """Ballast weight (N) balancing the turbine tipping moment with margin."""
-    return (
+    weight = (
         spec.turbine_thrust
         * spec.nacelle_diameter
         * spec.safety_factor
         / spec.base_diameter
     )
+    if not math.isfinite(weight):
+        raise NumericError(f"ballast weight is not finite ({weight} N)")
+    return weight
 
 
 def ballast_height_for_weight(weight: float, spec: BallastSpec) -> float:

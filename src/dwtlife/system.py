@@ -403,15 +403,16 @@ def expected_repairs(rate: float, horizon: float) -> float:
     _require_nonnegative("repair rate", rate)
     _require_finite("horizon", horizon)
     _require_nonnegative("horizon", horizon)
-    return rate * horizon
+    mean = rate * horizon
+    if not math.isfinite(mean):
+        raise NumericError(f"expected repair count is not finite ({rate} * {horizon})")
+    return mean
 
 
 def poisson_pmf(k: int, mean: float) -> float:
     """P(N = k) for a Poisson count, evaluated in log space."""
     _require_nonnegative("count", k)
-    _require_finite("count", k)
-    if k != math.floor(k):
-        raise ValidationError(f"count must be a whole number, got {k}")
+    k = whole("count", k)
     _require_nonnegative("mean", mean)
     _require_finite("mean", mean)
     if mean == 0:

@@ -72,6 +72,7 @@ CASES = {
     "fatigue_sn": (_argv("fatigue sn --sut 310MPa --se 120MPa"), {}),
     "fatigue_sn_json": (_argv("fatigue sn --sut 310MPa --se 120MPa --f 0.85 --json"), {}),
     "fatigue_sn_imperial": (_argv("fatigue sn --sut 45 --se 17.6 --units imperial"), {}),
+    "error_fatigue_sn_overflow": (_argv("fatigue sn --sut 1.2e150Pa --se 1e-10Pa"), {}),
     "fatigue_life": (
         _argv("fatigue life --stress 6.48ksi --a 93.196ksi --b -0.1206 --cycles-per-day 144000"),
         {},
@@ -126,6 +127,11 @@ CASES = {
     "ballast_imperial": (
         _argv("ballast --thrust 1357 --nacelle-diameter 79 --base-diameter 118 --base-area 4 "
               "--density 1.6 --units imperial"),
+        {},
+    ),
+    "error_ballast_weight_overflow": (
+        _argv("ballast --thrust 1e300 --nacelle-diameter 1e10 --base-diameter 1e-300 "
+              "--base-area 1"),
         {},
     ),
     # aero
@@ -198,6 +204,10 @@ CASES = {
     ),
     "error_reliability_nan_time": (
         _argv("system reliability --config topology.json --t nan"), {}
+    ),
+    "error_reliability_repairs_overflow": (
+        _argv("system reliability --config topology.json --t 10 --repair-rate 1e308 --events 1"),
+        {},
     ),
     "error_reliability_events_without_repair_rate": (
         _argv("system reliability --config topology.json --t 2 --events 1"), {}

@@ -180,7 +180,7 @@ def whole_parser():
     )
     top = parser.add_subparsers(dest="command", required=True)
     families = {}
-    for path, (_, shared, flags, _) in cli.COMMANDS.items():
+    for path, (_, shared, flags) in cli.COMMANDS.items():
         family, _, name = path.partition(" ")
         if name and family not in families:
             family_parser = top.add_parser(family)

@@ -168,7 +168,7 @@ def test_criterion_4_rotor_torque_and_torsion_oracle():
 
 
 def test_criterion_5_bearing_pipeline():
-    factor = oscillating_rating(1.0, 30.0, 3.0)
+    factor = oscillating_rating(1.0, 30.0)
     assert abs(factor - 1.81712) < 1e-5
     assert abs(factor - 6.0 ** (1.0 / 3.0)) < 1e-12
     assert LifeModFactors(**presets.BEARING_LIFE_FACTORS).product() == 0.085

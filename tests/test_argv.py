@@ -55,7 +55,7 @@ def run(argv):
 
 
 def required_flags(path):
-    _, _, flags, _ = cli.COMMANDS[path]
+    _, _, flags = cli.COMMANDS[path]
     return [text for flag, spec in flags.items() if spec.get("required") for text in (flag, "1")]
 
 
@@ -96,7 +96,7 @@ def _at_most(text, limit):
 def argvs(draw):
     """A subcommand with its required flags, some optional ones, and values from POOL."""
     path = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    _, shared, flags, _ = cli.COMMANDS[path]
+    _, shared, flags = cli.COMMANDS[path]
     argv = path.split()
     for flag, spec in {**{f"--{name}": cli._SHARED[name] for name in shared}, **flags}.items():
         if not (spec.get("required") or draw(st.booleans())):
@@ -128,7 +128,7 @@ def test_argv_fuzz(argv):
 # Words an argv is drawn from: every family, subcommand and flag name, help
 # flags, words argparse reads as positionals although they start with "-",
 # and flag values.
-_FLAGS = sorted({flag for _, _, flags, _ in cli.COMMANDS.values() for flag in flags}
+_FLAGS = sorted({flag for _, _, flags in cli.COMMANDS.values() for flag in flags}
                 | {f"--{name}" for name in cli._SHARED})
 _NAMES = sorted({word for path in cli.COMMANDS for word in path.split()})
 WORDS = [*_NAMES, *_FLAGS, "-h", "--help", "--he", "-", "--", "-5", "", "nope", "--nope",

@@ -65,26 +65,20 @@ class TestBasicRating:
 
 class TestOscillatingRating:
     def test_full_arc_identity(self):
-        for p in (3.0, 10.0 / 3.0):
-            assert oscillating_rating(1234.5, 180.0, p) == pytest.approx(1234.5, rel=1e-15)
+        assert oscillating_rating(1234.5, 180.0) == pytest.approx(1234.5, rel=1e-15)
 
     def test_conservative_30_degree_factor(self):
-        assert oscillating_rating(1.0, 30.0, 3.0) == pytest.approx(6 ** (1 / 3), abs=1e-9)
-        assert oscillating_rating(1.0, 30.0, 3.0) == pytest.approx(1.8171206, abs=1e-6)
+        assert oscillating_rating(1.0, 30.0) == pytest.approx(6 ** (1 / 3), abs=1e-9)
+        assert oscillating_rating(1.0, 30.0) == pytest.approx(1.8171206, abs=1e-6)
 
     def test_90_degree_factor(self):
-        assert oscillating_rating(1.0, 90.0, 3.0) == pytest.approx(2 ** (1 / 3), rel=1e-12)
+        assert oscillating_rating(1.0, 90.0) == pytest.approx(2 ** (1 / 3), rel=1e-12)
 
     def test_arc_out_of_range(self):
         with pytest.raises(ValidationError):
-            oscillating_rating(1.0, 0.0, 3.0)
+            oscillating_rating(1.0, 0.0)
         with pytest.raises(ValidationError):
-            oscillating_rating(1.0, 181.0, 3.0)
-
-    @pytest.mark.parametrize("p", [0.0, -3.0, math.inf, math.nan])
-    def test_exponent_must_be_positive_and_finite(self, p):
-        with pytest.raises(ValidationError, match="exponent"):
-            oscillating_rating(1.0, 45.0, p)
+            oscillating_rating(1.0, 181.0)
 
 
 class TestEquivalentLoad:

@@ -246,6 +246,17 @@ def bearing_with(**changes):
     return json.dumps(doc)
 
 
+def test_bearing_exponent_is_an_unknown_key(capsys, tmp_path):
+    """The load-life exponent is bearing.BALL_EXPONENT; a document cannot set it."""
+    path = tmp_path / "bearing.json"
+    path.write_text(bearing_with(exponent=3.0))
+    code = cli.run(["bearing", "life", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("error: bearing document: unknown key 'exponent' (expected one of geometry, "
+                   "loads, factors, theta_deg, oscillations_per_day)\n")
+
+
 def registry_row(**fields):
     """A one-row registry as JSON text, with the given fields."""
     return json.dumps({"components": [{"id": "a", "group": "Control", **fields}]})
@@ -285,6 +296,7 @@ class TestCommands:
          '["usage"]'),
         (["system", "life", "--config"], '{"lives": {"a": 1' + "0" * 5000 + "}}"),
         (["system", "life", "--config"], '{"lives": {"\xe9": 1}}'.encode("latin-1")),
+        # an "exponent" key is unknown, whatever its value: p is bearing.BALL_EXPONENT
         (["bearing", "life", "--config"], bearing_with(exponent=0)),
         (["bearing", "life", "--config"], bearing_with(exponent=False)),
         (["bearing", "life", "--config"], bearing_with(fcm=1e200)),

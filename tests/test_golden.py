@@ -13,3 +13,18 @@ import regen  # noqa: E402
 def test_golden_output(name):
     expected = (regen.EXPECTED / f"{name}.txt").read_bytes()
     assert regen.render(name) == expected
+
+
+def test_every_input_is_named_by_a_case():
+    """No orphan input: each file in inputs/ is an argv word, stdin or env value of a case."""
+    named = {
+        word
+        for argv, options in regen.CASES.values()
+        for word in (*argv, options.get("stdin"), *options.get("env", {}).values())
+    }
+    assert {path.name for path in regen.INPUTS.iterdir()} - named == set()
+
+
+def test_every_expected_file_has_a_case():
+    """No orphan output: each expected/*.txt is rendered by a case of the same name."""
+    assert {path.stem for path in regen.EXPECTED.glob("*.txt")} - set(regen.CASES) == set()
