@@ -1,7 +1,8 @@
 """Slewing-bearing life pipeline.
 
 basic rating -> oscillation correction -> equivalent axial load -> L10 ->
-standard modified rating life -> raceway stress cycles -> calendar years.
+standard modified rating life -> raceway stress cycles -> calendar years, the
+last by fatigue.cycles_to_calendar, the one rule that turns a count into years.
 
 Ball diameter D_r and raceway center diameter d_m follow the rolling-
 bearing rating convention and are carried in millimeters; loads are N and
@@ -15,8 +16,9 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_nonnegative
-from .model import _require_positive, known_keys, number, read_document, whole
+from .fatigue import cycles_to_calendar
+from .model import Record, _require_finite_fields, _require_nonnegative, _require_positive
+from .model import known_keys, number, read_document, whole
 
 BALL_EXPONENT = 3.0  # load-life exponent p of a ball bearing (ISO 281), the one p used here
 
@@ -125,17 +127,6 @@ def raceway_stress_cycles(lnm: float, ball_count_z: int) -> float:
     return lnm * ball_count_z
 
 
-def bearing_calendar_life(cycles: float, oscillations_per_day: float) -> float:
-    """Calendar years for a cycle count at a daily oscillation rate.
-
-    The count may be L_nm itself (oscillations) or L_nm * Z (raceway
-    cycles); the division is the same, and life_summary reports both, as
-    both are legitimate readings of a yaw-bearing life.
-    """
-    _require_positive("oscillation rate", oscillations_per_day)
-    return cycles / (oscillations_per_day * DAYS_PER_YEAR)
-
-
 def life_summary(
     geometry: SlewingBearingGeometry,
     loads: BearingLoads,
@@ -144,7 +135,8 @@ def life_summary(
     oscillations_per_day: float,
 ) -> dict:
     """Run the full pipeline; returns every intermediate plus both calendar
-    bases. Moment loads are converted to N·mm to match d_m in mm."""
+    bases, L_nm (oscillations) and L_nm * Z (raceway cycles) at the daily
+    oscillation rate. Moment loads are converted to N·mm to match d_m in mm."""
     ca = basic_dynamic_axial_rating(geometry)
     ca_osc = oscillating_rating(ca, theta_deg)
     loads_mm = BearingLoads(loads.radial_Fr, loads.axial_Fa, loads.moment_M * 1000.0)
@@ -159,8 +151,8 @@ def life_summary(
         "l10_oscillations": l10,
         "modified_life_oscillations": lnm,
         "raceway_stress_cycles": raceway,
-        "years_oscillation_basis": bearing_calendar_life(lnm, oscillations_per_day),
-        "years_raceway_basis": bearing_calendar_life(raceway, oscillations_per_day),
+        "years_oscillation_basis": cycles_to_calendar(lnm, oscillations_per_day),
+        "years_raceway_basis": cycles_to_calendar(raceway, oscillations_per_day),
     }
 
 
@@ -173,7 +165,8 @@ _OPTIONAL = ("factors", "theta_deg", "oscillations_per_day")
 def summary_from_document(document) -> dict:
     """life_summary of a bearing document (README, "Bearing life"). Its "factors"
     object, or presets.BEARING_LIFE_FACTORS if absent or null, builds the LifeModFactors;
-    an absent "oscillations_per_day" takes presets.DEFAULT_USAGE's yaw_oscillations rate."""
+    an absent "oscillations_per_day" takes presets.DEFAULT_USAGE's yaw_oscillations rate,
+    and a present one must be positive."""
     from . import presets
 
     def build(doc):
@@ -183,6 +176,9 @@ def summary_from_document(document) -> dict:
         factors = doc.get("factors")
         if factors is None:
             factors = presets.BEARING_LIFE_FACTORS
+        rate = number("oscillations_per_day", doc.get(
+            "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]))
+        _require_positive("oscillations_per_day", rate)
         return life_summary(
             SlewingBearingGeometry(
                 number("fcm", geo["fcm"]),
@@ -193,9 +189,7 @@ def summary_from_document(document) -> dict:
             BearingLoads(*(number(key, loads.get(key, 0.0)) for key in _LOADS)),
             number("theta_deg", doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG)),
             LifeModFactors(**{k: number(k, v) for k, v in factors.items()}),
-            number("oscillations_per_day", doc.get(
-                "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]
-            )),
+            rate,
         )
 
     return read_document("bearing document", build, document)

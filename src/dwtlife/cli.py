@@ -500,8 +500,11 @@ def _cmd_schedule_rul(args):
     from . import schedule
 
     registry = _load_registry_for(args)
-    usage = schedule.usage_from_site(_site(args))
-    result = schedule.remaining_service_life(registry.get(args.component), usage, args.elapsed)
+    site = _site(args)
+    usage = schedule.usage_from_site(site)
+    install = schedule.installation_from_document(site["install"]) if "install" in site else None
+    component = registry.get(args.component)
+    result = schedule.remaining_service_life(component, usage, args.elapsed, install)
     return [
         ("remaining", result.remaining, None),
         ("unit", result.unit, None),

@@ -104,6 +104,8 @@ def sn_constants(s_ut: float, s_e: float, f: float = 0.9) -> SnConstants:
     b = -math.log10(f * s_ut / s_e) / 3.0
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericError(f"S-N fit is not finite (a = {a} Pa, b = {b})")
+    if a == 0:  # f*S_ut > S_e > 0, so (f*S_ut)² underflowed
+        raise NumericError(f"S-N intercept a underflows to 0 Pa (f*S_ut = {f * s_ut} Pa)")
     return SnConstants(a=a, b=b)
 
 

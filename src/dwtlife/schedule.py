@@ -26,8 +26,10 @@ measured against. Calendar arithmetic is whole days with a 365-day
 year; recurring intervals anchor to the install date. One recurrence rule
 dates every entry but an event's: a calendar or cycle interval is a
 whichever_first without the other side, and a service life is the first
-recurrence of its one side. A cycle threshold's date is found by bisecting
-the counter's log, and a schedule holds at most MAX_ENTRIES entries.
+recurrence of its one side. A schedule holds at most MAX_ENTRIES entries.
+One counter model (_counter) reads a usage counter for the schedule and for
+remaining_service_life alike: logged counts are authoritative, the usage rate
+projects past the last one, and a threshold's date is found by bisecting the log.
 """
 
 from __future__ import annotations
@@ -361,12 +363,13 @@ def _days_after(start: date, days: float) -> Optional[date]:
         return None
 
 
-def _counter(counter: str, install: InstallationRecord, usage: UsageProfile, end: date):
-    """(date_reaching, value at end) of a cumulative counter.
+def _counter(counter: str, install: InstallationRecord, usage: UsageProfile):
+    """(date_reaching, count_at) of a cumulative counter: the one counter model.
 
     date_reaching(threshold) bisects the logged (date, count) points, which are
     authoritative; beyond the last one the counter grows at the usage rate (zero
-    rate: log-driven only). The value at end counts only log points dated by end.
+    rate: log-driven only). count_at(days) is the count that many days after the
+    install date: the last one logged by then, then projected at the rate.
     """
     if counter not in usage.counters and counter not in install.cycle_log:
         raise ValidationError(f"unknown cycle counter {counter!r}")
@@ -374,6 +377,8 @@ def _counter(counter: str, install: InstallationRecord, usage: UsageProfile, end
     dates, counts = zip(*log) if log else ((), ())
     rate = usage.counters.get(counter, 0.0)
     last_date, last_count = log[-1] if log else (install.install_date, 0.0)
+    days = [(when - install.install_date).days for when in dates]
+    last_day = days[-1] if log else 0
 
     def date_reaching(threshold: float) -> Optional[date]:
         if threshold <= last_count:
@@ -382,9 +387,12 @@ def _counter(counter: str, install: InstallationRecord, usage: UsageProfile, end
             return _days_after(last_date, max((threshold - last_count) / rate, 0))
         return None
 
-    if last_date > end:  # the value at end is the last count logged by end
-        return date_reaching, (0.0, *counts)[bisect_right(dates, end)]
-    return date_reaching, last_count + rate * (end - last_date).days
+    def count_at(day: float) -> float:
+        if day < last_day:
+            return (0.0, *counts)[bisect_right(days, day)]
+        return last_count + rate * (day - last_day)
+
+    return date_reaching, count_at
 
 
 def _rules(component: ComponentRecord) -> list[tuple]:
@@ -449,8 +457,8 @@ def generate_schedule(
             cycles = getattr(trig, "cycles", None)
             bound = 0.0 if years is None else (last - first + 1) / (years * DAYS_PER_YEAR) + 1
             if cycles is not None:
-                date_reaching, count_at_end = _counter(trig.counter, install, usage, end)
-                bound = max(bound, count_at_end / cycles + 1)
+                date_reaching, count_at = _counter(trig.counter, install, usage)
+                bound = max(bound, count_at(last - first) / cycles + 1)
             bound = min(bound, most)
             if not bound <= MAX_ENTRIES - len(entries):
                 raise ValidationError(f"component {cid!r} task {task!r} "
@@ -473,13 +481,14 @@ def generate_schedule(
     return entries
 
 
-def remaining_service_life(
-    component: ComponentRecord, usage: UsageProfile, elapsed_years: float
-) -> RemainingLife:
+def remaining_service_life(component: ComponentRecord, usage: UsageProfile, elapsed_years: float,
+                           install: Optional[InstallationRecord] = None) -> RemainingLife:
     """Remaining life and consumed fraction after elapsed_years of service.
 
-    Cycle-based lives consume at elapsed * 365 * daily rate of their
-    counter. Overconsumption clamps the fraction to 1 and sets the flag.
+    A cycle-based life consumes its counter's count elapsed * 365 days after
+    install, read by the schedule's own counter model (_counter) from the site's
+    install record. Without one (None) the count is the rate times those days.
+    Overconsumption clamps the fraction to 1 and sets the flag.
     """
     _require_finite("elapsed_years", elapsed_years)
     _require_nonnegative("elapsed_years", elapsed_years)
@@ -489,11 +498,10 @@ def remaining_service_life(
     if life.unit == YEARS:
         consumed = elapsed_years
     else:
-        if life.counter not in usage.counters:
-            raise ValidationError(
-                f"component {component.id!r} lifed against unknown counter {life.counter!r}"
-            )
-        consumed = elapsed_years * DAYS_PER_YEAR * usage.counters[life.counter]
+        if install is None:  # a record with no log: the rate times the days
+            install = InstallationRecord(install_date=date.min)
+        _, count_at = _counter(life.counter, install, usage)
+        consumed = count_at(elapsed_years * DAYS_PER_YEAR)
     fraction = consumed / life.value
     return RemainingLife(
         remaining=max(life.value - consumed, 0.0),

@@ -75,6 +75,8 @@ def ballast_required_weight(spec: BallastSpec) -> float:
     )
     if not math.isfinite(weight):
         raise NumericError(f"ballast weight is not finite ({weight} N)")
+    if weight == 0:  # each factor is positive, so the product underflowed
+        raise NumericError("ballast weight underflows to 0 N")
     return weight
 
 
@@ -84,7 +86,10 @@ def ballast_height_for_weight(weight: float, spec: BallastSpec) -> float:
     Linear in the weight: h = W / (rho * g * A_base).
     """
     _require_positive("weight", weight)
-    return weight / (spec.ballast_mass_density * GRAVITY * spec.base_area)
+    height = weight / (spec.ballast_mass_density * GRAVITY * spec.base_area)
+    if height == 0:
+        raise NumericError(f"ballast height underflows to 0 m (weight = {weight} N)")
+    return height
 
 
 def secant_deflection(col: ColumnSpec) -> float:

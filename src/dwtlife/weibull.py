@@ -88,13 +88,18 @@ def fit_two_quantiles(q1: QuantilePoint, q2: QuantilePoint) -> WeibullParams:
             "inconsistent quantile ordering: the smaller percent must have "
             "the smaller life"
         )
-    num = math.log(-math.log1p(-q1.percent_p / 100.0)) - math.log(
-        -math.log1p(-q2.percent_p / 100.0)
-    )
-    den = math.log(q1.life_Bp) - math.log(q2.life_Bp)
-    beta = num / den
-    eta = q1.life_Bp / (-math.log1p(-q1.percent_p / 100.0)) ** (1.0 / beta)
+    u1, u2 = (-math.log1p(-q.percent_p / 100.0) for q in (q1, q2))
+    beta = _log_ratio(u1, u2) / _log_ratio(q1.life_Bp, q2.life_Bp)
+    eta = q1.life_Bp / u1 ** (1.0 / beta)
     return WeibullParams(shape_beta=beta, scale_eta=eta)
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a / b) of positive a and b. Within a factor of 2, a - b is exact (Sterbenz),
+    so log1p((a - b) / b) keeps the digits that ln(a) - ln(b) would cancel."""
+    if b / 2 <= a <= 2 * b:
+        return math.log1p((a - b) / b)
+    return math.log(a) - math.log(b)
 
 
 def hazard(t: float, w: WeibullParams) -> float:

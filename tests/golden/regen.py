@@ -73,6 +73,7 @@ CASES = {
     "fatigue_sn_json": (_argv("fatigue sn --sut 310MPa --se 120MPa --f 0.85 --json"), {}),
     "fatigue_sn_imperial": (_argv("fatigue sn --sut 45 --se 17.6 --units imperial"), {}),
     "error_fatigue_sn_overflow": (_argv("fatigue sn --sut 1.2e150Pa --se 1e-10Pa"), {}),
+    "error_fatigue_sn_underflow": (_argv("fatigue sn --sut 1e-200Pa --se 1e-201Pa"), {}),
     "fatigue_life": (
         _argv("fatigue life --stress 6.48ksi --a 93.196ksi --b -0.1206 --cycles-per-day 144000"),
         {},
@@ -132,6 +133,15 @@ CASES = {
     "error_ballast_weight_overflow": (
         _argv("ballast --thrust 1e300 --nacelle-diameter 1e10 --base-diameter 1e-300 "
               "--base-area 1"),
+        {},
+    ),
+    "error_ballast_weight_underflow": (
+        _argv("ballast --thrust 1e-300 --nacelle-diameter 1e-300 --base-diameter 3 --base-area 4"),
+        {},
+    ),
+    "error_ballast_height_underflow": (
+        _argv("ballast --thrust 1e-300 --nacelle-diameter 1e-20 --base-diameter 3 "
+              "--base-area 1e10"),
         {},
     ),
     # aero
@@ -344,6 +354,17 @@ CASES = {
     ),
     "schedule_rul_overconsumed": (
         _argv("schedule rul --registry registry.json --component jack --elapsed 1"), {}
+    ),
+    # the site's install record logs 15 jack cycles on 2025-03-15 and 40 on 2026-05-01
+    "schedule_rul_logged_half": (
+        _argv("schedule rul --registry registry_jack_life.json --component jk --elapsed 0.5 "
+              "--config site.json"),
+        {},
+    ),
+    "schedule_rul_logged_overconsumed": (
+        _argv("schedule rul --registry registry_jack_life.json --component jk --elapsed 2 "
+              "--config site.json"),
+        {},
     ),
     "error_rul_unknown_component": ([*RUL, "Flux Capacitor", "--elapsed", "1"], {}),
     "error_rul_not_lifed": ([*RUL, "Voltsys Controller", "--elapsed", "1"], {}),

@@ -13,12 +13,7 @@ from datetime import date, timedelta
 import pytest
 
 from dwtlife import cli, presets
-from dwtlife.bearing import (
-    LifeModFactors,
-    bearing_calendar_life,
-    l10_life,
-    oscillating_rating,
-)
+from dwtlife.bearing import LifeModFactors, l10_life, oscillating_rating
 from dwtlife.fatigue import (
     MarinFactors,
     cycles_to_calendar,
@@ -172,7 +167,7 @@ def test_criterion_5_bearing_pipeline():
     assert abs(factor - 1.81712) < 1e-5
     assert abs(factor - 6.0 ** (1.0 / 3.0)) < 1e-12
     assert LifeModFactors(**presets.BEARING_LIFE_FACTORS).product() == 0.085
-    years = bearing_calendar_life(44.89e6, 1500.0)
+    years = cycles_to_calendar(44.89e6, 1500.0)
     assert 75.0 <= years <= 85.0
     scale = 2.3
     base = l10_life(oscillating_rating(5000.0, 30.0), 800.0)

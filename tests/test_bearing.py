@@ -7,7 +7,6 @@ from dwtlife.bearing import (
     LifeModFactors,
     SlewingBearingGeometry,
     basic_dynamic_axial_rating,
-    bearing_calendar_life,
     equivalent_axial_load,
     l10_life,
     life_summary,
@@ -16,6 +15,7 @@ from dwtlife.bearing import (
     raceway_stress_cycles,
 )
 from dwtlife.errors import ValidationError
+from dwtlife.fatigue import cycles_to_calendar
 
 TABLE_FACTORS = LifeModFactors(a1=1.00, a2=1.00, a3=0.10, a4=0.85)
 
@@ -129,9 +129,16 @@ class TestLifePipeline:
         )
 
     def test_calendar_bases(self):
-        assert bearing_calendar_life(44.89e6, 1500.0) == pytest.approx(81.99, rel=1e-3)
-        assert bearing_calendar_life(1.49e6, 1500.0) == pytest.approx(2.7215, rel=1e-3)
-        assert bearing_calendar_life(0.0, 1500.0) == 0.0
+        # both bases are fatigue.cycles_to_calendar of their counts, the one count-to-years rule
+        summary = life_summary(geometry(), BearingLoads(1e3, 5e4, 1e4), 30.0, TABLE_FACTORS, 1500.0)
+        assert summary["years_oscillation_basis"] == cycles_to_calendar(
+            summary["modified_life_oscillations"], 1500.0
+        )
+        assert summary["years_raceway_basis"] == cycles_to_calendar(
+            summary["raceway_stress_cycles"], 1500.0
+        )
+        assert cycles_to_calendar(44.89e6, 1500.0) == pytest.approx(81.99, rel=1e-3)
+        assert cycles_to_calendar(1.49e6, 1500.0) == pytest.approx(2.7215, rel=1e-3)
 
 
 class TestPipelineProperties:

@@ -2,6 +2,7 @@
 non-negative check (model._require_nonnegative) at every field they guard, and
 the one document number and text readers (model.number, model.text)."""
 
+import ast
 import math
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import dwtlife
 from dwtlife import bearing, fatigue, structural, system, weibull
-from dwtlife.errors import ValidationError
+from dwtlife.errors import NumericError, ValidationError
 from dwtlife.model import ColumnSpec, RectSection, UsageProfile, number, text
 from dwtlife.rotor import RotorState
 from dwtlife.schedule import CalendarInterval, CycleInterval, ServiceLife, WhicheverFirst
@@ -36,6 +37,11 @@ LOADS = bearing.BearingLoads(**BEARING_LOADS)
 MARIN = fatigue.MarinFactors(1, 1, 1, 1, 1, 1)
 SN = fatigue.SnConstants(a=1e9, b=-0.1)
 BALLAST_SPEC = structural.BallastSpec(**BALLAST)
+BEARING_DOCUMENT = {
+    "geometry": {"fcm": 1.0, "balls": 30, "ball_diameter_mm": 25.0, "contact_angle_deg": 60.0,
+                 "raceway_center_diameter_mm": 1000.0},
+    "loads": {"axial_n": 1000.0, "moment_nm": 100.0},
+}
 
 # (field name as the error message gives it, a call that checks a value for it)
 GUARDED = [
@@ -72,9 +78,12 @@ GUARDED = [
     ("groove_factor_fcm", replacing(bearing.SlewingBearingGeometry, GEOMETRY, "groove_factor_fcm")),
     ("raceway center diameter", lambda v: bearing.equivalent_axial_load(LOADS, v)),
     ("equivalent load", lambda v: bearing.l10_life(1e5, v)),
-    ("oscillation rate", lambda v: bearing.bearing_calendar_life(1e6, v)),
+    ("bearing document: oscillations_per_day",
+     lambda v: bearing.summary_from_document({**BEARING_DOCUMENT, "oscillations_per_day": v})),
 ]
-CASES = pytest.mark.parametrize("name, check", GUARDED, ids=[name for name, _ in GUARDED])
+# a case is named by its field, without a document reader's "<document>: " prefix
+CASES = pytest.mark.parametrize("name, check", GUARDED,
+                                ids=[name.rpartition(": ")[2] for name, _ in GUARDED])
 
 
 # An exact message shows that the field's own check raised, not another check of the call.
@@ -157,6 +166,41 @@ def test_only_model_writes_the_non_negative_message():
     writers = [path.name for path in sorted(package.glob("*.py"))
                if path.name != "model.py" and "must be >= 0" in path.read_text(encoding="utf-8")]
     assert writers == [], "call model._require_nonnegative instead"
+
+
+def test_only_fatigue_divides_by_the_days_per_year():
+    """fatigue.cycles_to_calendar is the one rule that turns a count into years. The one
+    other division, generate_schedule's recurrence bound, divides the horizon's days by
+    an interval's days: a number of recurrences, not years."""
+    package = Path(dwtlife.__file__).parent
+    divisors = [(path.name, ast.unparse(node.right)) for path in sorted(package.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and "DAYS_PER_YEAR" in ast.unparse(node.right)]
+    assert divisors == [("fatigue.py", "cycles_per_day * DAYS_PER_YEAR"),
+                        ("schedule.py", "years * DAYS_PER_YEAR")], \
+        "call fatigue.cycles_to_calendar instead"
+
+
+TINY_BALLAST = {**BALLAST, "turbine_thrust": 1e-300}
+
+# (the numeric failure's message, a call of valid inputs whose result underflows to 0)
+UNDERFLOWS = [
+    ("ballast weight underflows to 0 N", lambda: structural.ballast_required_weight(
+        structural.BallastSpec(**{**TINY_BALLAST, "nacelle_diameter": 1e-300}))),
+    ("ballast height underflows to 0 m (weight = 1e-300 N)",
+     lambda: structural.ballast_height_for_weight(
+         1e-300, structural.BallastSpec(**{**TINY_BALLAST, "base_area": 1e300}))),
+    ("S-N intercept a underflows to 0 Pa (f*S_ut = 9e-201 Pa)",
+     lambda: fatigue.sn_constants(1e-200, 1e-201)),
+]
+
+
+@pytest.mark.parametrize("message, call", UNDERFLOWS, ids=["weight", "height", "sn_intercept"])
+def test_underflow_to_zero_is_a_numeric_failure(message, call):
+    with pytest.raises(NumericError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestNumber:

@@ -46,7 +46,7 @@ PUBLIC_OPERATIONS = {
     ],
     "bearing": [
         "basic_dynamic_axial_rating", "oscillating_rating", "equivalent_axial_load",
-        "l10_life", "modified_life", "raceway_stress_cycles", "bearing_calendar_life",
+        "l10_life", "modified_life", "raceway_stress_cycles",
     ],
     "weibull": [
         "cdf", "quantile_Bp", "fit_two_quantiles", "hazard", "average_failure_rate",

@@ -2,9 +2,10 @@ import math
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from dwtlife.errors import ValidationError
+from dwtlife.model import DAYS_PER_YEAR
 from dwtlife.presets import DEFAULT_USAGE
 from dwtlife.schedule import (
     CYCLES_ELAPSED,
@@ -370,7 +371,8 @@ class TestCounter:
 
     def counter(self, rate=0.0, end=date(2026, 1, 1), log=LOG):
         install = InstallationRecord(install_date=date(2025, 1, 1), cycle_log=log)
-        return _counter("jack_cycles", install, UsageProfile(counters={"jack_cycles": rate}), end)
+        date_reaching, count_at = _counter("jack_cycles", install, UsageProfile({"jack_cycles": rate}))
+        return date_reaching, count_at((end - install.install_date).days)
 
     def test_threshold_equal_to_a_logged_count(self):
         date_reaching, _ = self.counter()
@@ -416,7 +418,7 @@ class TestCounter:
 
     def test_unknown_counter_rejected(self):
         with pytest.raises(ValidationError, match="phantom"):
-            _counter("phantom", INSTALL, DEFAULT_USAGE, date(2026, 1, 1))
+            _counter("phantom", INSTALL, DEFAULT_USAGE)
 
 
 COUNTERS = ("jack_cycles", "yaw_cycles", "phantom")  # phantom is in no log and no usage
@@ -634,6 +636,83 @@ class TestRemainingLife:
         ]
         assert values == sorted(values, reverse=True)
         assert remaining_service_life(generator, DEFAULT_USAGE, 20.0).remaining == 0.0
+
+
+JACK_LOG = {"jack_cycles": [(date(2025, 3, 15), 15.0), (date(2026, 5, 1), 40.0)]}
+
+
+def jack_lifed(cycles):
+    return ComponentRecord(id="jk", group="Structural",
+                           service_life=ServiceLife(value=cycles, unit="cycles",
+                                                    counter="jack_cycles"))
+
+
+class TestRemainingLifeReadsTheCounter:
+    """remaining_service_life consumes a cycle life through the schedule's counter model."""
+
+    @settings(max_examples=300)
+    @given(
+        life=st.floats(min_value=5e-324, allow_infinity=False),
+        rate=st.floats(min_value=0.0, allow_infinity=False),
+        elapsed=st.floats(min_value=0.0, allow_infinity=False),
+    )
+    def test_without_a_record_the_count_is_elapsed_days_times_the_rate(self, life, rate, elapsed):
+        result = remaining_service_life(
+            jack_lifed(life), UsageProfile({"jack_cycles": rate}), elapsed, None
+        )
+        consumed = elapsed * DAYS_PER_YEAR * rate  # the rate-only rule, bit for bit
+        fraction = consumed / life
+        expected = (max(life - consumed, 0.0), "cycles", min(fraction, 1.0), fraction > 1.0)
+        assert repr(tuple(getattr(result, name) for name in result._fields)) == repr(expected)
+
+    def test_logged_counts_are_read_between_and_past_the_points(self):
+        install = InstallationRecord(install_date=date(2025, 1, 1), cycle_log=JACK_LOG)
+        usage = UsageProfile({"jack_cycles": 0.0})
+        consumed = [30.0 - remaining_service_life(jack_lifed(30.0), usage, t, install).remaining
+                    for t in (0.0, 0.19, 0.21, 0.5, 1.32, 1.34, 2.0)]
+        # day 69.35 is before the first point (day 73); day 485 is the second
+        assert consumed == [0.0, 0.0, 15.0, 15.0, 15.0, 30.0, 30.0]
+        result = remaining_service_life(jack_lifed(30.0), usage, 2.0, install)
+        assert result.overconsumed and result.fraction_consumed == 1.0
+
+    def test_rate_projects_past_the_last_point(self):
+        install = InstallationRecord(install_date=date(2025, 1, 1), cycle_log=JACK_LOG)
+        usage = UsageProfile({"jack_cycles": 0.5})
+        result = remaining_service_life(jack_lifed(200.0), usage, 2.0, install)
+        assert result.remaining == 200.0 - (40.0 + 0.5 * (730 - 485))
+
+    def test_a_logged_counter_needs_no_rate(self):
+        install = InstallationRecord(install_date=date(2025, 1, 1), cycle_log=JACK_LOG)
+        result = remaining_service_life(jack_lifed(30.0), UsageProfile({}), 0.5, install)
+        assert result.remaining == 15.0 and result.fraction_consumed == 0.5
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        steps=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 40)), max_size=8),
+        life=st.integers(1, 200),
+        rate=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0)),
+        elapsed=st.floats(min_value=0.0, max_value=5.0),
+    )
+    def test_overconsumed_exactly_when_the_schedule_expires_the_life(
+        self, steps, life, rate, elapsed
+    ):
+        # repeated dates and counts come from zero steps; a log may run past the horizon
+        log, day, count = [], 0, 0.0
+        for gap, added in steps:
+            day, count = day + gap, count + added
+            log.append((START + timedelta(days=day), count))
+        install = InstallationRecord(install_date=START, cycle_log={"jack_cycles": log})
+        usage = UsageProfile({"jack_cycles": rate} if rate else {})  # rate 0: log-only
+        registry = Registry(components=(jack_lifed(float(life)),))
+        expired = [e.due_date for e in generate_schedule(registry, install, usage, elapsed + 1)
+                   if e.reason == LIFE_EXPIRED]
+        elapsed_days = elapsed * DAYS_PER_YEAR
+        if expired:
+            expired_day = (expired[0] - START).days
+            assume(abs(expired_day - elapsed_days) > 1)
+        due = bool(expired) and expired_day <= elapsed_days
+        result = remaining_service_life(jack_lifed(float(life)), usage, elapsed, install)
+        assert (result.overconsumed or result.fraction_consumed == 1.0) == due
 
 
 class TestReports:

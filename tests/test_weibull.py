@@ -120,6 +120,21 @@ class TestTwoQuantileFit:
         with pytest.raises(ValidationError):
             fit_two_quantiles(QuantilePoint(10.0, 9.0), QuantilePoint(50.0, 5.0))
 
+    @pytest.mark.parametrize("p, bp, q, bq, budget", [
+        # lives within a factor of 2: ln(bp) - ln(bq) cancelled to a 9.3e-8 error in beta
+        (10.0, 5e10, 90.0, 5.0000001e10, 4e-16),
+        # percents close as well: the rounding of -log1p(-p/100) is left, over u1 - u2 ~ 1e-7 u1
+        (10.0, 1000.0, 10.000001, 1000.0000001, 1e-9),
+    ], ids=["close_lives", "close_percents"])
+    def test_shape_against_mpmath(self, p, bp, q, bq, budget):
+        beta = fit_two_quantiles(QuantilePoint(p, bp), QuantilePoint(q, bq)).shape_beta
+        with mpmath.workdps(60):
+            def u(percent):
+                return -mpmath.log1p(-mpmath.mpf(percent) / 100)
+
+            exact = mpmath.log(u(p) / u(q)) / mpmath.log(mpmath.mpf(bp) / mpmath.mpf(bq))
+            assert abs((beta - exact) / exact) < budget
+
     @settings(max_examples=200)
     @given(
         beta=st.floats(min_value=0.5, max_value=5.0),
