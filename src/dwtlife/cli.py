@@ -104,13 +104,15 @@ def _fmt(value: float) -> str:
 
 
 def _display(args, value, dim) -> tuple:
-    """value in the --units mode's unit for dim, and that unit ("" for none)."""
-    if dim is None or not isinstance(value, (int, float)):
-        return value, ""
-    from .units import from_si
+    """value in the --units mode's unit for dim, and that unit ("" for none); a
+    float gains 0.0, so a negative zero shows as 0 and any other value as it is."""
+    unit = ""
+    if dim is not None and isinstance(value, (int, float)):
+        from .units import from_si
 
-    unit = _DISPLAY_UNITS[args.units][dim]
-    return from_si(value, unit), unit
+        unit = _DISPLAY_UNITS[args.units][dim]
+        value = from_si(value, unit)
+    return (value + 0.0 if isinstance(value, float) else value), unit
 
 
 def _emit(args, result) -> None:

@@ -163,6 +163,15 @@ def known_keys(doc: dict, required: tuple, optional: tuple = ()) -> dict:
     return doc
 
 
+def named_numbers(doc: dict, wrapper: str, what: str) -> dict[str, float]:
+    """The name -> number mapping of {wrapper: {name: n}} or of the bare mapping,
+    each number read as "<what> for '<name>'"."""
+    mapping = doc.get(wrapper, doc)
+    if mapping is not doc:  # the wrapped form holds wrapper alone
+        known_keys(doc, (wrapper,))
+    return {str(k): number(f"{what} for {k!r}", v) for k, v in mapping.items()}
+
+
 def number(name: str, value, kind=float):
     """A document's JSON number as kind (float or int). kind() alone reads true as 1
     and "inf" as inf; here any bool, text or null is rejected, text that reads as

@@ -44,7 +44,7 @@ from typing import Optional, Union
 
 from .errors import ValidationError
 from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, _require_nonnegative
-from .model import _require_positive, known_keys, number, read_document, tagged, text
+from .model import _require_positive, known_keys, named_numbers, number, read_document, tagged, text
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -293,12 +293,7 @@ def default_registry() -> Registry:
 
 def usage_from_document(document: dict) -> UsageProfile:
     def build(doc):
-        counters = doc.get("counters", doc)
-        if counters is not doc:  # the wrapped form holds "counters" alone
-            known_keys(doc, ("counters",))
-        return UsageProfile(
-            counters={str(k): number(f"usage rate for {k!r}", v) for k, v in counters.items()}
-        )
+        return UsageProfile(counters=named_numbers(doc, "counters", "usage rate"))
 
     return read_document("usage document", build, document)
 

@@ -13,20 +13,16 @@ counter-based; Salmon et al., SC'11), so each leaf's draws are fixed by the
 seed alone, whoever draws them and in what order. A fixed-life leaf needs no
 draws and gets none; skipping its block leaves every other leaf's unchanged.
 
-The samples are walked in fixed chunks of _CHUNK (2**15), and each chunk
-is folded whole into one chunk buffer of failure times. Per chunk, each
-drawn leaf draws into a preallocated buffer and LifeModel.failure_times
-turns the uniforms into failure times in place; a group's first child
-writes straight into the group's buffer and the later children are folded
-in with in-place minimum/maximum. A fixed life needs no buffer: it is
-folded in as a scalar, and fills the group's buffer only as its first
-child. Each group folds its hungriest child first, so a worker holds the
-chunk buffer and need - 1 scratch buffers of one chunk each, need being the
-Sethi-Ullman count of the tree, planned once per estimate. Min and max are
-exact and commutative, and split draws from a generator consume the same
-words as one draw, so the fold order changes no bit. The chunk's (count,
-mean, M2) is then computed in place over the chunk buffer. Memory therefore
-stays flat as samples grow, at need chunks per worker.
+The samples are walked in fixed chunks of _CHUNK (2**15). Each chunk is
+folded whole into one buffer of failure times by a depth-first walk of the
+topology: a leaf fills a preallocated chunk buffer through
+LifeModel.failure_times (a drawn leaf from its uniforms, a fixed life with
+its life), a group's first child writes straight into the group's buffer,
+and each later child is folded in with in-place minimum/maximum. Min and
+max are exact, so the fold changes no bit. The chunk's (count, mean, M2) is
+then computed in place over the chunk buffer. A worker therefore holds
+1 + h chunk buffers, h being the tree's group levels, however many samples
+there are.
 
 The chunks are split into one contiguous run per CPU, each with its own
 positioned generators and buffers. The calling thread works the first run
@@ -53,7 +49,7 @@ from typing import Optional, Union
 
 from .errors import NumericError, ValidationError
 from .model import Record, _require_finite, _require_nonnegative, _require_positive, number
-from .model import known_keys, read_document, tagged, text, whole
+from .model import known_keys, named_numbers, read_document, tagged, text, whole
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
 EXPONENTIAL = "exponential"
@@ -211,81 +207,59 @@ def _positioned_stream(seed: int, offset: int) -> np.random.Generator:
     return rng
 
 
-def _plan(topo: SystemTopology, index) -> tuple[int, object]:
-    """(need, plan) of topo's fold; index counts the leaves depth-first.
+def _height(topo: SystemTopology) -> int:
+    """Group levels above topo's deepest leaf: 0 for a leaf."""
+    if isinstance(topo, Component):
+        return 0
+    return 1 + max(map(_height, topo.children))
 
-    A drawn leaf's plan is (its depth-first index, its model); a fixed-life
-    leaf's plan is its life as a float, folded in as a scalar. A group's plan is (np.minimum or
-    np.maximum, its children's plans), hungriest child first. need counts
-    the buffers the fold holds at once, its own output included (Sethi &
-    Ullman, 1970): 1 for a drawn leaf, 0 for a fixed life, and for a group
-    the larger of the first child's need and 1 + the second child's.
+
+def _fold(topo: SystemTopology, streams, out: np.ndarray, scratch: list[np.ndarray]) -> None:
+    """Write one chunk of topo's failure times into out, in place.
+
+    streams yields each leaf's positioned generator in depth-first order,
+    None for a fixed life, which draws nothing. A group's first child writes
+    straight into out; each later child writes into scratch[0], which is
+    folded into out before the next child reuses it, and deeper groups use
+    scratch[1:].
     """
     import numpy as np
 
     if isinstance(topo, Component):
-        i = next(index)
-        if topo.model.kind == FIXED_LIFE:
-            return 0, float(topo.model.life)
-        return 1, (i, topo.model)
-    children = sorted((_plan(c, index) for c in topo.children), key=lambda c: -c[0])
-    needs = [need for need, _ in children]
-    combine = np.minimum if isinstance(topo, Series) else np.maximum
-    need = max(needs[0], 1 + (needs[1] if len(needs) > 1 else 0))
-    return need, (combine, [plan for _, plan in children])
-
-
-def _fold(plan, streams, out: np.ndarray, scratch: list[np.ndarray]) -> None:
-    """Write one chunk of a _plan's failure times into out, in place.
-
-    streams[i] is leaf i's positioned generator. A fixed life fills out
-    only as a group's first child (or the root); later it is folded in as
-    a scalar. A group's first child writes straight into out; each later
-    drawn child or group writes into scratch[0], which is folded into out
-    before the next child reuses it, and deeper groups use scratch[1:].
-    """
-    if isinstance(plan, float):
-        out.fill(plan)
+        rng = next(streams)
+        if rng is not None:
+            rng.random(out=out)
+        topo.model.failure_times(out)
         return
-    head, rest = plan
-    if isinstance(head, int):
-        streams[head].random(out=out)
-        rest.failure_times(out)
-        return
-    first, *later = rest
+    first, *later = topo.children
     _fold(first, streams, out, scratch)
+    combine = np.minimum if isinstance(topo, Series) else np.maximum
     for child in later:
-        if isinstance(child, float):
-            head(out, child, out=out)
-        else:
-            _fold(child, streams, scratch[0], scratch[1:])
-            head(out, scratch[0], out=out)
+        _fold(child, streams, scratch[0], scratch[1:])
+        combine(out, scratch[0], out=out)
 
 
 def _chunk_moments(
-    topo: SystemTopology, plan: tuple[int, object], samples: int, seed: int, lo: int, hi: int
+    topo: SystemTopology, samples: int, seed: int, lo: int, hi: int
 ) -> list[tuple[int, float, float]]:
     """(count, mean, M2) of each chunk of samples [lo, hi); lo is _CHUNK-aligned.
 
-    plan is topo's (need, plan) from _plan. Each chunk is folded whole into
-    one chunk buffer of failure times, with need - 1 chunk buffers of
-    scratch.
+    Each chunk is folded whole into one chunk buffer of failure times, with
+    one chunk buffer of scratch per group level.
     """
     import numpy as np
 
-    need, root = plan
     streams = [
         None if leaf.model.kind == FIXED_LIFE else _positioned_stream(seed, i * samples + lo)
         for i, leaf in enumerate(_leaves(topo))
     ]
-    buffer = np.empty(min(_CHUNK, hi - lo))
-    scratch = [np.empty(buffer.size) for _ in range(need - 1)]
+    buffers = [np.empty(min(_CHUNK, hi - lo)) for _ in range(1 + _height(topo))]
     moments = []
     with np.errstate(all="ignore"):  # thread-local: every worker enters it
         for start in range(lo, hi, _CHUNK):
             size = min(_CHUNK, hi - start)
-            times = buffer[:size]
-            _fold(root, streams, times, [s[:size] for s in scratch])
+            times, *scratch = (b[:size] for b in buffers)
+            _fold(topo, iter(streams), times, scratch)
             chunk_mean = float(times.mean())
             np.subtract(times, chunk_mean, out=times)
             moments.append((size, chunk_mean, float(np.square(times, out=times).sum())))
@@ -314,7 +288,6 @@ def monte_carlo_mttf(
     if not 0 <= seed < 2**128:  # the Philox key is two 64-bit words
         raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     samples, seed = whole("samples", samples), whole("seed", seed)
-    plan = _plan(topo, itertools.count())
     chunks = -(-samples // _CHUNK)
     workers = min(_worker_count(), chunks)
     edges = [min(chunks * w // workers * _CHUNK, samples) for w in range(workers + 1)]
@@ -322,7 +295,7 @@ def monte_carlo_mttf(
 
     def work(w):
         try:
-            runs[w] = _chunk_moments(topo, plan, samples, seed, edges[w], edges[w + 1])
+            runs[w] = _chunk_moments(topo, samples, seed, edges[w], edges[w + 1])
         except BaseException as exc:  # raised below, once every thread has joined
             runs[w] = exc
 
@@ -433,14 +406,7 @@ SERVICE_LIFE_SUMMARY_YEARS = {
 
 def lives_from_document(document) -> dict[str, float]:
     """Component lives (years) of a lives document: {"lives": {id: years}} or the bare mapping."""
-
-    def build(doc):
-        lives = doc.get("lives", doc)
-        if lives is not doc:  # the wrapped form holds "lives" alone
-            known_keys(doc, ("lives",))
-        return {str(k): number(f"life for {k!r}", v) for k, v in lives.items()}
-
-    return read_document("lives document", build, document)
+    return read_document("lives document", lambda d: named_numbers(d, "lives", "life"), document)
 
 
 def system_service_life(lives: dict[str, float]) -> tuple[float, str]:

@@ -158,6 +158,7 @@ CASES = {
     "weibull_fit_json": (_argv("weibull fit --p 5 --bp 3 --q 63.2 --bq 12 --json"), {}),
     "weibull_cdf": (_argv("weibull cdf --beta 2 --eta 5 --t 3"), {}),
     "weibull_cdf_json": (_argv("weibull cdf --beta 0.7 --eta 40 --t 10 --json"), {}),
+    "weibull_cdf_negative_zero_json": (_argv("weibull cdf --beta 1 --eta 5 --t -0 --json"), {}),
     "weibull_quantile": (_argv("weibull quantile --beta 1 --eta 1 --p 10"), {}),
     "weibull_quantile_json": (_argv("weibull quantile --beta 3.2 --eta 38 --p 1 --json"), {}),
     "weibull_hazard": (_argv("weibull hazard --beta 2 --eta 5 --t 1 --t2 4"), {}),
@@ -347,6 +348,7 @@ CASES = {
     # schedule rul
     "schedule_rul_generator": ([*RUL, "Generator", "--elapsed", "5"], {}),
     "schedule_rul_slip_ring_json": ([*RUL, "Slip Ring", "--elapsed", "3", "--json"], {}),
+    "schedule_rul_negative_zero": ([*RUL, "Generator", "--elapsed", "-0"], {}),
     "schedule_rul_usage_config": (
         _argv("schedule rul --registry registry.json --component jack --elapsed 0.001 "
               "--config usage_flat.json"),

@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -177,6 +178,21 @@ class TestExitCodes:
         code, out, err = run_lines(capsys, ["weibull", "sample", "--beta", "2", "--eta", "10"])
         assert (code, out) == (2, "")
         assert err.startswith("numeric failure: out of memory") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["weibull", "cdf", "--beta", "1", "--eta", "5", "--t", "-0"], "probability"),
+    (["blade", "torsion", "--torque", "-0"], "max_shear"),
+    (["tower", "column", "--load", "1e4", "--eccentricity", "-0", "--centroid", "0.05",
+      "--gyration", "0.05", "--inertia", "1e-5", "--height", "6", "--area", "0.01"], "deflection"),
+    (["schedule", "rul", "--component", "Generator", "--elapsed", "-0", "--json"],
+     "fraction_consumed"),
+], ids=["weibull_cdf", "blade_torsion", "tower_column", "schedule_rul_json"])
+def test_zero_prints_without_a_sign(capsys, argv, key):
+    code, out, err = run_lines(capsys, argv)
+    assert (code, err) == (0, "")
+    shown = json.loads(out)[key] if "--json" in argv else float(parse_kv(out)[key].split()[0])
+    assert shown == 0 and math.copysign(1.0, shown) == 1.0, out
 
 
 class TestAeroCommands:

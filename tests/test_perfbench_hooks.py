@@ -1,9 +1,12 @@
-"""The names the benchmark harness reaches into the program by.
+"""The names the benchmark harness reaches into the program by, and the
+Monte Carlo estimates it checks.
 
 perfbench/run.py wraps library functions by name and reads two data names,
 and perfbench/cli_probe.py imports each module by name. A renamed one makes
 every traced benchmark run fail; these tests catch it without running the
-benchmark, and change nothing under perfbench/.
+benchmark, and change nothing under perfbench/. Each mc_mttf run also checks
+its mean against perfbench/refs/mc_mttf.json, so a drift in the Monte Carlo
+path fails here first.
 """
 
 import importlib
@@ -57,3 +60,17 @@ def test_schedule_workload_data_exists():
 
     assert isinstance(presets.DEFAULT_USAGE, UsageProfile)
     assert default_registry.DEFAULT_REGISTRY_DOC["components"]
+
+
+# one tree from each of four mc_mttf strata (8, 11, 13 and 16 leaves): two
+# three levels deep, and the two with the most fixed lives
+@pytest.mark.parametrize("case_id", ["n8/0", "n11/3", "n13/0", "n16/3"])
+def test_monte_carlo_reproduces_the_benchmark_refs(harness, case_id):
+    from dwtlife import system
+
+    W = harness.W
+    case = next(c for stratum in W.mc_strata() for c in stratum if c.id == case_id)
+    topo = system.topology_from_document(case.params["doc"])
+    mean, _ = system.monte_carlo_mttf(topo, W.MC_SAMPLES, case.params["seed"])
+    want = harness.load_refs(PERFBENCH / "refs", "mc_mttf")[case_id]["mean"]
+    assert W.rel_close(mean, want, harness.MC_REPRO_RTOL), (mean, want)

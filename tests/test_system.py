@@ -389,10 +389,10 @@ class TestWorkerThreads:
         set_workers(monkeypatch, 2)
         original = system._chunk_moments
 
-        def failing(topo, plan, samples, seed, lo, hi):
+        def failing(topo, samples, seed, lo, hi):
             if (lo > 0) == failing_run:
                 raise MemoryError(f"run {failing_run}")
-            return original(topo, plan, samples, seed, lo, hi)
+            return original(topo, samples, seed, lo, hi)
 
         monkeypatch.setattr(system, "_chunk_moments", failing)
         before = threading.active_count()
@@ -454,9 +454,8 @@ ALL_FIXED_DOC = {"series": [
     leaf_doc("a", "exponential", rate=0.2),
 ]}
 
-# 16 leaves, 3 group levels. Hungriest first, the root's children need 3
-# (the first parallel), 2, 1, 1, 1 and 0 buffers, so the root needs
-# max(3, 1 + 2) = 3; in depth-first order it would need 1 + 3 = 4.
+# 16 leaves, 3 group levels (series > parallel > series > leaf), so a
+# worker folds each chunk in 1 + 3 = 4 chunk buffers.
 WORKING_SET_DOC = {"series": [
     leaf_doc("a", "exponential", rate=0.1),
     leaf_doc("b", "fixed_life", life=30.0),
@@ -511,17 +510,21 @@ class TestTiledFold:
     def test_working_set_is_need_chunks(self, monkeypatch):
         set_workers(monkeypatch, 2)
         topo = topology_from_document(WORKING_SET_DOC)
-        need = 3
-        assert system._plan(topo, itertools.count())[0] == need
-        samples = 4 * system._CHUNK  # two chunks per worker
-        monte_carlo_mttf(topo, samples, seed=1)  # first-use imports outside the trace
-        tracemalloc.start()
-        try:
-            monte_carlo_mttf(topo, samples, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * 2 * need * system._CHUNK * 8
+        need = 1 + system._height(topo)
+        assert need == 4
+
+        def peak(samples):
+            monte_carlo_mttf(topo, samples, seed=1)  # first-use imports outside the trace
+            tracemalloc.start()
+            try:
+                monte_carlo_mttf(topo, samples, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(4 * system._CHUNK)  # two chunks per worker
+        assert small <= 1.1 * 2 * need * system._CHUNK * 8
+        assert abs(peak(16 * system._CHUNK) - small) <= 0.1 * small  # flat in samples
 
 
 OVERFLOWING_DOC = {"parallel": [leaf_doc("a", "weibull", beta=0.05, eta=1e300)]}
