@@ -14,15 +14,17 @@ seed alone, whoever draws them and in what order. A fixed-life leaf needs no
 draws and gets none; skipping its block leaves every other leaf's unchanged.
 
 The samples are walked in fixed chunks of _CHUNK (2**15). Each chunk is
-folded whole into one buffer of failure times by a depth-first walk of the
-topology: a leaf fills a preallocated chunk buffer through
-LifeModel.failure_times (a drawn leaf from its uniforms, a fixed life with
-its life), a group's first child writes straight into the group's buffer,
-and each later child is folded in with in-place minimum/maximum. Min and
-max are exact, so the fold changes no bit. The chunk's (count, mean, M2) is
-then computed in place over the chunk buffer. A worker therefore holds
-1 + h chunk buffers, h being the tree's group levels, however many samples
-there are.
+folded whole into one buffer of failure times by a walk of the topology: a
+leaf fills a preallocated chunk buffer through LifeModel.failure_times (a
+drawn leaf from its uniforms, a fixed life with its life), a group's first
+child writes straight into the group's buffer, and each later child is
+folded in with in-place minimum/maximum; a fixed life that is a later child
+is folded in as a scalar and fills no buffer. Each group visits its
+hungriest child first, ranked once per run, so a worker holds as many chunk
+buffers as the tree's Sethi-Ullman need (Sethi & Ullman, 1970), however many
+samples there are. Min and max are exact and commutative, and each drawn
+leaf draws from its own stream, so the visit order changes no bit. The
+chunk's (count, mean, M2) is then computed in place over the chunk buffer.
 
 The chunks are split into one contiguous run per CPU, each with its own
 positioned generators and buffers. The calling thread works the first run
@@ -207,35 +209,47 @@ def _positioned_stream(seed: int, offset: int) -> np.random.Generator:
     return rng
 
 
-def _height(topo: SystemTopology) -> int:
-    """Group levels above topo's deepest leaf: 0 for a leaf."""
+def _need(topo: SystemTopology, ranks: dict) -> int:
+    """Chunk buffers topo's fold holds at once, its own output included.
+
+    0 for a fixed life, 1 for a drawn leaf, and for a group the larger of
+    its hungriest child's need and 1 + the next child's (Sethi & Ullman,
+    1970). Records each group's children, hungriest first, in
+    ranks[id(group)].
+    """
     if isinstance(topo, Component):
-        return 0
-    return 1 + max(map(_height, topo.children))
+        return 0 if topo.model.kind == FIXED_LIFE else 1
+    needs = sorted(((_need(c, ranks), c) for c in topo.children), key=lambda nc: -nc[0])
+    ranks[id(topo)] = [c for _, c in needs]
+    return max(needs[0][0], 1 + (needs[1][0] if len(needs) > 1 else 0))
 
 
-def _fold(topo: SystemTopology, streams, out: np.ndarray, scratch: list[np.ndarray]) -> None:
+def _fold(topo: SystemTopology, ranks: dict, streams: dict, out: np.ndarray, scratch: list) -> None:
     """Write one chunk of topo's failure times into out, in place.
 
-    streams yields each leaf's positioned generator in depth-first order,
-    None for a fixed life, which draws nothing. A group's first child writes
-    straight into out; each later child writes into scratch[0], which is
-    folded into out before the next child reuses it, and deeper groups use
-    scratch[1:].
+    ranks orders each group's children as _need ranked them; streams maps
+    each drawn leaf's id to its positioned generator (a fixed life has none
+    and draws nothing). A group's first child writes straight into out; a later
+    fixed life is folded in as a scalar, and each other later child writes
+    into scratch[0], which is folded into out before the next child reuses
+    it, and deeper groups use scratch[1:].
     """
     import numpy as np
 
     if isinstance(topo, Component):
-        rng = next(streams)
+        rng = streams.get(topo.component_id)
         if rng is not None:
             rng.random(out=out)
         topo.model.failure_times(out)
         return
-    first, *later = topo.children
-    _fold(first, streams, out, scratch)
+    first, *later = ranks[id(topo)]
+    _fold(first, ranks, streams, out, scratch)
     combine = np.minimum if isinstance(topo, Series) else np.maximum
     for child in later:
-        _fold(child, streams, scratch[0], scratch[1:])
+        if isinstance(child, Component) and child.model.kind == FIXED_LIFE:
+            combine(out, child.model.life, out=out)
+            continue
+        _fold(child, ranks, streams, scratch[0], scratch[1:])
         combine(out, scratch[0], out=out)
 
 
@@ -245,21 +259,20 @@ def _chunk_moments(
     """(count, mean, M2) of each chunk of samples [lo, hi); lo is _CHUNK-aligned.
 
     Each chunk is folded whole into one chunk buffer of failure times, with
-    one chunk buffer of scratch per group level.
+    need - 1 chunk buffers of scratch, need being topo's _need.
     """
     import numpy as np
 
-    streams = [
-        None if leaf.model.kind == FIXED_LIFE else _positioned_stream(seed, i * samples + lo)
-        for i, leaf in enumerate(_leaves(topo))
-    ]
-    buffers = [np.empty(min(_CHUNK, hi - lo)) for _ in range(1 + _height(topo))]
+    streams = {leaf.component_id: _positioned_stream(seed, i * samples + lo)
+               for i, leaf in enumerate(_leaves(topo)) if leaf.model.kind != FIXED_LIFE}
+    ranks = {}
+    buffers = [np.empty(min(_CHUNK, hi - lo)) for _ in range(max(1, _need(topo, ranks)))]
     moments = []
     with np.errstate(all="ignore"):  # thread-local: every worker enters it
         for start in range(lo, hi, _CHUNK):
             size = min(_CHUNK, hi - start)
             times, *scratch = (b[:size] for b in buffers)
-            _fold(topo, iter(streams), times, scratch)
+            _fold(topo, ranks, streams, times, scratch)
             chunk_mean = float(times.mean())
             np.subtract(times, chunk_mean, out=times)
             moments.append((size, chunk_mean, float(np.square(times, out=times).sum())))

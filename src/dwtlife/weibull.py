@@ -20,6 +20,7 @@ with a change to the benchmark.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import NumericError, SingularityError, ValidationError
 from .model import Record, _require_finite, _require_nonnegative, _require_positive, whole
@@ -88,6 +89,12 @@ def fit_two_quantiles(q1: QuantilePoint, q2: QuantilePoint) -> WeibullParams:
             "inconsistent quantile ordering: the smaller percent must have "
             "the smaller life"
         )
+    for q in (q1, q2):
+        fraction = q.percent_p / 100.0
+        if fraction < sys.float_info.min:  # subnormal or 0: digits lost
+            raise NumericError(
+                f"percent {q.percent_p} underflows: p/100 = {fraction} is not a normal double"
+            )
     u1, u2 = (-math.log1p(-q.percent_p / 100.0) for q in (q1, q2))
     beta = _log_ratio(u1, u2) / _log_ratio(q1.life_Bp, q2.life_Bp)
     eta = q1.life_Bp / u1 ** (1.0 / beta)

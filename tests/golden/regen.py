@@ -156,6 +156,7 @@ CASES = {
     # weibull
     "weibull_fit": (_argv("weibull fit --p 10 --bp 10 --q 50 --bq 20"), {}),
     "weibull_fit_json": (_argv("weibull fit --p 5 --bp 3 --q 63.2 --bq 12 --json"), {}),
+    "error_weibull_fit_percent_underflow": (_argv("weibull fit --p 2e-322 --bp 10 --q 50 --bq 20"), {}),
     "weibull_cdf": (_argv("weibull cdf --beta 2 --eta 5 --t 3"), {}),
     "weibull_cdf_json": (_argv("weibull cdf --beta 0.7 --eta 40 --t 10 --json"), {}),
     "weibull_cdf_negative_zero_json": (_argv("weibull cdf --beta 1 --eta 5 --t -0 --json"), {}),

@@ -638,6 +638,41 @@ class TestInputFileErrors:
         )
 
 
+# Validation branches the CLI reaches and no other test runs: argv (a trailing
+# dict is the --config document) and the exact error line.
+VALIDATION_BRANCHES = [
+    (["fatigue", "life", "--stress", "200MPa", "--a", "900MPa", "--b", "0.1"],
+     "S-N exponent b must be negative, got 0.1"),
+    (["aero", "torque", "--cp", "1.5"], "power coefficient must lie in (0, 1), got 1.5"),
+    (["weibull", "fit", "--p", "150", "--bp", "10", "--q", "50", "--bq", "20"],
+     "percent must lie in (0, 100), got 150.0"),
+    (["blade", "bending", "--mount-angle", "95"], "mount_angle_phi must be in [0, 90] deg, got 95.0"),
+    (["schedule", "generate", "--horizon", "1", "--config", {"install": {
+        "install_date": "2025-01-01",
+        "events": [{"date": "2025-06-01", "kind": "high_load"},
+                   {"date": "2025-03-01", "kind": "high_load"}],
+    }}], "installation document: event log dates must be nondecreasing"),
+    (["bearing", "life", "--config",
+      {**BEARING_DOC, "geometry": {**BEARING_DOC["geometry"], "rows": 0}}],
+     "bearing document: rows_i and ball_count_Z must be >= 1"),
+    (["bearing", "life", "--config",
+      {**BEARING_DOC, "factors": {"a1": 3, "a2": 1, "a3": 1, "a4": 1}}],
+     "bearing document: life factor a1=3.0 outside (0, 2]"),
+]
+
+
+@pytest.mark.parametrize("argv, message", VALIDATION_BRANCHES, ids=[
+    "sn_exponent_positive", "cp_above_one", "percent_above_100", "mount_angle_95",
+    "events_back_in_date", "zero_rows", "life_factor_3",
+])
+def test_validation_branch_error_line(capsys, tmp_path, argv, message):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(path)]
+    assert run_lines(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 # Runs in a fresh interpreter: every command but the Monte Carlo and sampling
 # ones must leave numpy unloaded.
 LAZY_NUMPY_CHILD = """

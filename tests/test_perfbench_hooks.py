@@ -11,6 +11,7 @@ path fails here first.
 
 import importlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,23 @@ def test_monte_carlo_reproduces_the_benchmark_refs(harness, case_id):
     mean, _ = system.monte_carlo_mttf(topo, W.MC_SAMPLES, case.params["seed"])
     want = harness.load_refs(PERFBENCH / "refs", "mc_mttf")[case_id]["mean"]
     assert W.rel_close(mean, want, harness.MC_REPRO_RTOL), (mean, want)
+
+
+def test_monte_carlo_holds_its_need_in_chunk_buffers(harness, monkeypatch):
+    """n8/0 is three group levels deep, so a fold in listed order would hold
+    1 + 3 = 4 chunk buffers per worker; hungriest child first it holds its
+    need of 3."""
+    from dwtlife import system
+
+    W = harness.W
+    case = next(c for stratum in W.mc_strata() for c in stratum if c.id == "n8/0")
+    topo = system.topology_from_document(case.params["doc"])
+    monkeypatch.setattr(system, "_worker_count", lambda: 2)
+    system.monte_carlo_mttf(topo, 4 * system._CHUNK, 1)  # first-use imports outside the trace
+    tracemalloc.start()
+    try:
+        system.monte_carlo_mttf(topo, W.MC_SAMPLES, case.params["seed"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2 * 3 * system._CHUNK * 8

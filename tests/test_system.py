@@ -454,8 +454,28 @@ ALL_FIXED_DOC = {"series": [
     leaf_doc("a", "exponential", rate=0.2),
 ]}
 
-# 16 leaves, 3 group levels (series > parallel > series > leaf), so a
-# worker folds each chunk in 1 + 3 = 4 chunk buffers.
+# Ranked hungriest first, the drawn leaf "a" follows the deeper parallel.
+DRAWN_BEFORE_GROUP_DOC = {"series": [
+    leaf_doc("a", "exponential", rate=0.1),
+    {"parallel": [
+        {"series": [
+            leaf_doc("b", "weibull", beta=1.5, eta=20.0),
+            leaf_doc("c", "exponential", rate=0.05),
+        ]},
+        leaf_doc("d", "exponential", rate=0.04),
+    ]},
+]}
+
+# Ranked hungriest first, each fixed life listed first goes last.
+FIXED_LISTED_FIRST_DOC = {"parallel": [
+    leaf_doc("f", "fixed_life", life=6.0),
+    leaf_doc("a", "weibull", beta=0.8, eta=6.0),
+    {"series": [leaf_doc("g", "fixed_life", life=11.0), leaf_doc("b", "exponential", rate=0.1)]},
+]}
+
+# 16 leaves, 3 group levels. Hungriest first, the root's children need 3
+# (the first parallel), 2, 1, 1, 1 and 0 buffers, so the root needs
+# max(3, 1 + 2) = 3; in depth-first order it would need 1 + 3 = 4.
 WORKING_SET_DOC = {"series": [
     leaf_doc("a", "exponential", rate=0.1),
     leaf_doc("b", "fixed_life", life=30.0),
@@ -500,6 +520,12 @@ class TestTiledFold:
     @example(topo=topology_from_document(FIXED_FIRST_DOC), chunk=97, workers=2, samples=1001, seed=4)
     @example(topo=topology_from_document(ALL_FIXED_DOC), chunk=97, workers=3, samples=2000, seed=9)
     @example(topo=topology_from_document(WORKING_SET_DOC), chunk=1000, workers=2, samples=2500, seed=1)
+    @example(
+        topo=topology_from_document(DRAWN_BEFORE_GROUP_DOC), chunk=97, workers=2, samples=1500, seed=7
+    )
+    @example(
+        topo=topology_from_document(FIXED_LISTED_FIRST_DOC), chunk=97, workers=3, samples=1200, seed=5
+    )
     def test_bit_identical_to_whole_chunk_fold(self, topo, chunk, workers, samples, seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(system, "_CHUNK", chunk)
@@ -507,11 +533,29 @@ class TestTiledFold:
             got = monte_carlo_mttf(topo, samples, seed)
             assert got == whole_chunk_mttf(topo, samples, seed, workers)
 
+    # FIXED_FIRST_DOC ranks both its fixed lives after a drawn sibling;
+    # ALL_FIXED_DOC ranks "g" (life 4) first in its group, "f" and "h" later
+    @pytest.mark.parametrize("doc, filled", [(FIXED_FIRST_DOC, set()), (ALL_FIXED_DOC, {4.0})],
+                             ids=["fixed_first", "all_fixed"])
+    def test_later_fixed_life_fills_no_buffer(self, monkeypatch, doc, filled):
+        monkeypatch.setattr(system, "_CHUNK", 97)
+        set_workers(monkeypatch, 2)
+        models = []
+        original = LifeModel.failure_times
+
+        def spy(model, u):
+            models.append(model)
+            return original(model, u)
+
+        monkeypatch.setattr(LifeModel, "failure_times", spy)
+        monte_carlo_mttf(topology_from_document(doc), samples=5001, seed=1)
+        assert {m.life for m in models if m.kind == system.FIXED_LIFE} == filled
+
     def test_working_set_is_need_chunks(self, monkeypatch):
         set_workers(monkeypatch, 2)
         topo = topology_from_document(WORKING_SET_DOC)
-        need = 1 + system._height(topo)
-        assert need == 4
+        need = system._need(topo, {})
+        assert need == 3
 
         def peak(samples):
             monte_carlo_mttf(topo, samples, seed=1)  # first-use imports outside the trace

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from dwtlife.errors import SingularityError, ValidationError
+from dwtlife.errors import NumericError, SingularityError, ValidationError
 from dwtlife.weibull import (
     EARLY_LIFE,
     RANDOM,
@@ -119,6 +120,21 @@ class TestTwoQuantileFit:
             fit_two_quantiles(QuantilePoint(10.0, 5.0), QuantilePoint(50.0, 5.0))
         with pytest.raises(ValidationError):
             fit_two_quantiles(QuantilePoint(10.0, 9.0), QuantilePoint(50.0, 5.0))
+
+    # p/100 underflows to 0 (log of 0 was a ValueError) or to a subnormal that keeps few digits
+    @pytest.mark.parametrize("p, bp, q, bq", [
+        (2e-322, 10.0, 50.0, 20.0),
+        (50.0, 20.0, 1e-322, 10.0),
+        (3e-322, 10.0, 50.0, 20.0),
+    ], ids=["p_to_zero", "q_to_zero", "p_subnormal"])
+    def test_underflowing_percent_is_numeric_error(self, p, bp, q, bq):
+        with pytest.raises(NumericError, match=r"underflows: p/100 = .* is not a normal double"):
+            fit_two_quantiles(QuantilePoint(p, bp), QuantilePoint(q, bq))
+
+    def test_smallest_normal_fraction_fits(self):
+        p = 100 * sys.float_info.min
+        assert p / 100 == sys.float_info.min
+        assert fit_two_quantiles(QuantilePoint(p, 10.0), QuantilePoint(50.0, 20.0)).shape_beta > 0
 
     @pytest.mark.parametrize("p, bp, q, bq, budget", [
         # lives within a factor of 2: ln(bp) - ln(bq) cancelled to a 9.3e-8 error in beta
