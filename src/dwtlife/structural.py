@@ -11,6 +11,7 @@ alone: S_yc and E are two of its fields.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import BucklingError, NumericError, ValidationError
 from .model import ColumnSpec, Record, RectSection, _require_finite
@@ -114,7 +115,8 @@ def secant_allowable_load(col: ColumnSpec) -> float:
     Solves the implicit secant-column equation for P by bisection on
     (0, P_buckle) to 1e-9 relative tolerance. With zero eccentricity ratio
     it gives the limit as the ratio falls to 0: the smaller of the yield
-    load A * S_yc and the Euler load P_buckle.
+    load A * S_yc and the Euler load P_buckle. An Euler load below the
+    smallest normal double is a NumericError.
     """
     s_yc = col.yield_strength_compressive
     modulus = col.elastic_modulus
@@ -122,6 +124,8 @@ def secant_allowable_load(col: ColumnSpec) -> float:
 
     # Secant argument (l/2k)*sqrt(P/AE) reaches pi/2 at the Euler load.
     p_buckle = col.area_A * modulus * (math.pi * col.gyration_k / col.height_l) ** 2
+    if p_buckle < sys.float_info.min:  # subnormal or 0: digits lost, and no bisection ends
+        raise NumericError(f"buckling load underflows: {p_buckle} N is not a normal double")
     if ratio == 0:
         return min(col.area_A * s_yc, p_buckle)
     if not math.isfinite(p_buckle):

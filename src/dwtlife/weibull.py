@@ -5,10 +5,11 @@ F(t) = 1 - exp(-(t/eta)^beta), with the two-quantile fit
     beta = [ln(-ln(1 - p/100)) - ln(-ln(1 - q/100))] / [ln(B_p) - ln(B_q)]
     B_p  = eta * (-ln(1 - p/100))^(1/beta)
 
-Time carries whatever unit the life measure uses; rates are its inverse.
-Only the array functions, inverse_transform() and sample(), need numpy;
-they import it themselves, so the closed-form functions run without
-loading it.
+_percent_hazard() is the one rule for a percent p: outside (0, 100) is a validation
+error, and a p/100 that is not a normal double (digits lost) is a numeric failure.
+Time carries whatever unit the life measure uses; rates are its inverse. Only the
+array functions, inverse_transform() and sample(), need numpy; they import it
+themselves, so the closed-form functions run without loading it.
 
 sample() draws from PCG64 (numpy.random.default_rng), not from the Philox
 streams of the system Monte Carlo: the benchmark's cold-CLI references
@@ -48,10 +49,7 @@ class QuantilePoint(Record):
     life_Bp: float
 
     def __post_init__(self):
-        if not 0 < self.percent_p < 100:
-            raise ValidationError(
-                f"percent must lie in (0, 100), got {self.percent_p}"
-            )
+        _percent_hazard(self.percent_p)
         _require_positive("life", self.life_Bp)
 
 
@@ -67,11 +65,18 @@ def pdf(t: float, w: WeibullParams) -> float:
     return hazard(t, w) * math.exp(-cumulative_hazard(t, w))
 
 
-def quantile_Bp(p: float, w: WeibullParams) -> float:
-    """B_p life: the p-th percentile of the distribution."""
+def _percent_hazard(p: float) -> float:
+    """-ln(1 - p/100), the cumulative hazard at the B_p life, of a percent in (0, 100)."""
     if not 0 < p < 100:
         raise ValidationError(f"percent must lie in (0, 100), got {p}")
-    return w.scale_eta * (-math.log1p(-p / 100.0)) ** (1.0 / w.shape_beta)
+    if p / 100.0 < sys.float_info.min:  # subnormal or 0: digits lost
+        raise NumericError(f"percent {p} underflows: p/100 = {p / 100.0} is not a normal double")
+    return -math.log1p(-p / 100.0)
+
+
+def quantile_Bp(p: float, w: WeibullParams) -> float:
+    """B_p life: the p-th percentile of the distribution."""
+    return w.scale_eta * _percent_hazard(p) ** (1.0 / w.shape_beta)
 
 
 def fit_two_quantiles(q1: QuantilePoint, q2: QuantilePoint) -> WeibullParams:
@@ -89,13 +94,7 @@ def fit_two_quantiles(q1: QuantilePoint, q2: QuantilePoint) -> WeibullParams:
             "inconsistent quantile ordering: the smaller percent must have "
             "the smaller life"
         )
-    for q in (q1, q2):
-        fraction = q.percent_p / 100.0
-        if fraction < sys.float_info.min:  # subnormal or 0: digits lost
-            raise NumericError(
-                f"percent {q.percent_p} underflows: p/100 = {fraction} is not a normal double"
-            )
-    u1, u2 = (-math.log1p(-q.percent_p / 100.0) for q in (q1, q2))
+    u1, u2 = _percent_hazard(q1.percent_p), _percent_hazard(q2.percent_p)
     beta = _log_ratio(u1, u2) / _log_ratio(q1.life_Bp, q2.life_Bp)
     eta = q1.life_Bp / u1 ** (1.0 / beta)
     return WeibullParams(shape_beta=beta, scale_eta=eta)

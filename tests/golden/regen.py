@@ -118,6 +118,11 @@ CASES = {
               "--height 240 --area 0.01 --inertia 1e-5 --units imperial"),
         {},
     ),
+    "error_tower_column_buckling_underflow": (
+        _argv("tower column --load 13095 --eccentricity 0.01 --centroid 0.05 --gyration 0.05 "
+              "--height 7.65 --area 5e-324 --inertia 1e-5"),
+        {},
+    ),
     "tower_life": (_argv("tower life"), {}),
     "tower_life_json": (_argv("tower life --stress 60MPa --cycles-per-day 2000 --json"), {}),
     "tower_life_imperial": (_argv("tower life --units imperial"), {}),
@@ -162,6 +167,9 @@ CASES = {
     "weibull_cdf_negative_zero_json": (_argv("weibull cdf --beta 1 --eta 5 --t -0 --json"), {}),
     "weibull_quantile": (_argv("weibull quantile --beta 1 --eta 1 --p 10"), {}),
     "weibull_quantile_json": (_argv("weibull quantile --beta 3.2 --eta 38 --p 1 --json"), {}),
+    "error_weibull_quantile_percent_underflow": (
+        _argv("weibull quantile --beta 2 --eta 5 --p 2e-322"), {}
+    ),
     "weibull_hazard": (_argv("weibull hazard --beta 2 --eta 5 --t 1 --t2 4"), {}),
     "weibull_hazard_json": (_argv("weibull hazard --beta 1 --eta 5 --t 0 --json"), {}),
     "weibull_sample": (_argv("weibull sample --beta 2 --eta 5 --seed 3 --samples 5"), {}),

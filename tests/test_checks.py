@@ -168,6 +168,14 @@ def test_only_model_writes_the_non_negative_message():
     assert writers == [], "call model._require_nonnegative instead"
 
 
+def test_only_weibull_writes_the_percent_range_message():
+    package = Path(dwtlife.__file__).parent
+    writers = [path.name for path in sorted(package.glob("*.py"))
+               for line in path.read_text(encoding="utf-8").splitlines()
+               if "percent must lie in" in line]
+    assert writers == ["weibull.py"], "call weibull._percent_hazard instead"
+
+
 def test_only_fatigue_divides_by_the_days_per_year():
     """fatigue.cycles_to_calendar is the one rule that turns a count into years. The one
     other division, generate_schedule's recurrence bound, divides the horizon's days by

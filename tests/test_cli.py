@@ -4,6 +4,8 @@ import importlib
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -14,6 +16,9 @@ import pytest
 from dwtlife import cli
 from dwtlife.presets import DEFAULT_USAGE
 from oracles import PARENT_PRESETS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+import regen  # noqa: E402
 
 LIFE_ARGV = ["fatigue", "life", "--stress", "200MPa", "--a", "1000MPa", "--b"]
 COLUMN = ["tower", "column", "--load", "1e4", "--eccentricity", "0.01", "--centroid", "0.05",
@@ -193,6 +198,66 @@ def test_zero_prints_without_a_sign(capsys, argv, key):
     assert (code, err) == (0, "")
     shown = json.loads(out)[key] if "--json" in argv else float(parse_kv(out)[key].split()[0])
     assert shown == 0 and math.copysign(1.0, shown) == 1.0, out
+
+
+# A subnormal Euler load, 4.2e-316 N: a bisection to 1e-9 of it, 0, would not end.
+COLUMN_HANG = ["tower", "column", "--load", "13095", "--eccentricity", "0.01", "--centroid",
+               "0.05", "--gyration", "0.05", "--height", "7.65", "--area", "5e-324",
+               "--inertia", "1e-5"]
+EDGE_VALUES = "0 -0 5e-324 2e-322 1e-300 1e300 1e308 -1 inf -inf nan".split()
+
+
+def edge_probes() -> list:
+    """Each float or quantity flag of each command set in turn to each edge value, in the
+    first golden argv of that command that exits 0; a flag the argv leaves out is added."""
+    probes = []
+    for path, (_, _, flags) in cli.COMMANDS.items():
+        argv, options = next(
+            (argv, options) for name, (argv, options) in regen.CASES.items()
+            if argv[:len(path.split())] == path.split() and "--help" not in argv
+            and "\nexit 0\n" in (regen.EXPECTED / f"{name}.txt").read_text(encoding="utf-8")
+        )
+        for flag, spec in flags.items():
+            if spec.get("type") is not float and "dim" not in spec:
+                continue
+            for value in EDGE_VALUES:
+                probe = [*argv]
+                if flag in probe:
+                    probe[probe.index(flag) + 1] = value
+                else:
+                    probe += [flag, value]
+                probes.append(pytest.param(probe, options, id=f"{path} {flag} {value}"))
+    return [*probes, pytest.param(COLUMN_HANG, {}, id="tower column subnormal buckling load")]
+
+
+@pytest.mark.parametrize("argv, options", edge_probes())
+def test_edge_value_gives_one_of_three_results(capsys, argv, options):
+    """A finite answer (exit 0), or one error line (exit 1) or numeric failure line (exit 2),
+    within 5 s."""
+    def expire(signum, frame):  # pytest.fail's exception is no Exception that run() catches
+        pytest.fail(f"no result within 5 s: {argv}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with regen._environment(options.get("env", {}), options.get("stdin")):
+            code, out, err = run_lines(capsys, argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out), out
+    if code:
+        reasons = [line for line in err.splitlines()
+                   if line.startswith(("error: ", "numeric failure: "))]
+        assert len(reasons) == 1, err
+
+
+def test_subnormal_buckling_load_ends_in_a_fresh_process(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "dwtlife.cli", *COLUMN_HANG], cwd=tmp_path,
+                          env=cold_env(), capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("numeric failure: ") and proc.stderr.count("\n") == 1
 
 
 class TestAeroCommands:

@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from dwtlife.errors import BucklingError, ValidationError
+from dwtlife.errors import BucklingError, NumericError, ValidationError
 from dwtlife.model import ColumnSpec, RectSection
 from dwtlife.structural import (
     FLAT,
@@ -182,6 +182,15 @@ class TestSecantAllowableLoad:
             for e in (0.01, 0.02, 0.05, 0.10)
         ]
         assert loads == sorted(loads, reverse=True)
+
+    # A subnormal Euler load has lost digits. With an eccentricity the bisection's 1e-9 * hi
+    # tolerance is 0 as well; test_cli runs that case under a time limit.
+    def test_subnormal_euler_load_is_a_numeric_failure(self):
+        col = ColumnSpec(load_P=1e4, eccentricity_e=0.0, centroid_c=0.05,
+                         gyration_k=0.05, height_l=7.65, area_A=5e-324, moment_I=1e-5,
+                         yield_strength_compressive=250e6, elastic_modulus=200e9)
+        with pytest.raises(NumericError, match="buckling load underflows"):
+            secant_allowable_load(col)
 
 
 class TestBladeBending:

@@ -95,6 +95,16 @@ class TestQuantile:
         with pytest.raises(ValidationError):
             quantile_Bp(100.0, WeibullParams(1.0, 1.0))
 
+    # p/100 is 0 at 2e-322 and rounds to the smallest subnormal, 4.9e-324, at 3e-322
+    @pytest.mark.parametrize("p", [2e-322, 3e-322])
+    def test_underflowing_percent_is_a_numeric_failure(self, p):
+        with pytest.raises(NumericError, match=f"percent {p} underflows"):
+            quantile_Bp(p, WeibullParams(2.0, 5.0))
+
+    def test_smallest_normal_fraction_gives_a_life(self):
+        life = quantile_Bp(100 * sys.float_info.min, WeibullParams(2.0, 5.0))
+        assert math.isfinite(life) and life > 0
+
 
 class TestTwoQuantileFit:
     def test_b10_b50_fit(self):
