@@ -17,8 +17,8 @@ import math
 
 from .errors import ValidationError
 from .fatigue import cycles_to_calendar
-from .model import Record, _require_finite_fields, _require_nonnegative, _require_positive
-from .model import known_keys, number, read_document, whole
+from .model import Record, _require_finite_fields, _require_nonnegative, _require_normal
+from .model import _require_positive, known_keys, number, read_document, whole
 
 BALL_EXPONENT = 3.0  # load-life exponent p of a ball bearing (ISO 281), the one p used here
 
@@ -107,11 +107,10 @@ def equivalent_axial_load(loads: BearingLoads, dm: float) -> float:
 
 
 def l10_life(ca_osc: float, pea: float) -> float:
-    """L10 = (C_a,osc / P_ea)^p, a cycle count on the rating's oscillation basis."""
+    """L10 = (C_a,osc / P_ea)^p, a cycle count on the rating's oscillation basis (a power
+    past the largest float raises OverflowError, as float ** does)."""
     _require_positive("equivalent load", pea)
-    if not ca_osc / pea < 1e100:  # so that the cube stays below the largest float
-        raise ValidationError(f"L10 overflows a float: C_a,osc / P_ea = {ca_osc / pea:g}")
-    return (ca_osc / pea) ** BALL_EXPONENT
+    return _require_normal("L10", (ca_osc / pea) ** BALL_EXPONENT)
 
 
 def modified_life(l10: float, f: LifeModFactors) -> float:
@@ -166,7 +165,9 @@ def summary_from_document(document) -> dict:
     """life_summary of a bearing document (README, "Bearing life"). Its "factors"
     object, or presets.BEARING_LIFE_FACTORS if absent or null, builds the LifeModFactors;
     an absent "oscillations_per_day" takes presets.DEFAULT_USAGE's yaw_oscillations rate,
-    and a present one must be positive."""
+    and a present one must be positive. Only the typed inputs are read as the document:
+    a value the pipeline computes past a float's range is a numeric failure, not a
+    malformed document."""
     from . import presets
 
     def build(doc):
@@ -179,7 +180,7 @@ def summary_from_document(document) -> dict:
         rate = number("oscillations_per_day", doc.get(
             "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]))
         _require_positive("oscillations_per_day", rate)
-        return life_summary(
+        return (
             SlewingBearingGeometry(
                 number("fcm", geo["fcm"]),
                 whole("rows", geo.get("rows", 1)),
@@ -192,4 +193,4 @@ def summary_from_document(document) -> dict:
             rate,
         )
 
-    return read_document("bearing document", build, document)
+    return life_summary(*read_document("bearing document", build, document))

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericError, ValidationError
-from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_positive
+from .errors import ValidationError
+from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_normal
+from .model import _require_positive
 
 
 class MarinFactors(Record):
@@ -100,12 +101,9 @@ def sn_constants(s_ut: float, s_e: float, f: float = 0.9) -> SnConstants:
         raise ValidationError(
             f"f*S_ut = {f * s_ut} must exceed S_e = {s_e} for a finite-life fit"
         )
-    a = (f * s_ut) ** 2 / s_e
-    b = -math.log10(f * s_ut / s_e) / 3.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NumericError(f"S-N fit is not finite (a = {a} Pa, b = {b})")
-    if a == 0:  # f*S_ut > S_e > 0, so (f*S_ut)² underflowed
-        raise NumericError(f"S-N intercept a underflows to 0 Pa (f*S_ut = {f * s_ut} Pa)")
+    square = _require_normal("(f*S_ut)²", (f * s_ut) ** 2, " Pa²")
+    a = _require_normal("S-N intercept a", square / s_e, " Pa")
+    b = _require_normal("S-N exponent b", -math.log10(f * s_ut / s_e) / 3.0)
     return SnConstants(a=a, b=b)
 
 

@@ -1,7 +1,9 @@
 """Shared domain types, the Record base of every value type, the one
 JSON document reader (read_document, tagged, known_keys, number, whole,
-text), the one positive-and-finite check (_require_positive) and the one
-non-negative check (_require_nonnegative).
+text), the one positive-and-finite check (_require_positive), the one
+non-negative check (_require_nonnegative) and the one check of a value that
+a formula has formed (_require_normal): an overflow or an underflow there is
+a NumericError, not a ValidationError.
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -10,9 +12,10 @@ conversions use the one 365-day year below.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import repeat
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 DAYS_PER_YEAR = 365
 
@@ -27,6 +30,19 @@ def _require_positive(name: str, value: float) -> None:
     if not value > 0:
         raise ValidationError(f"{name} must be positive, got {value}")
     _require_finite(name, value)
+
+
+def _require_normal(what: str, value: float, unit: str = "", from_nonzero: bool = True) -> float:
+    """value, once it is finite and, when formed from nonzero inputs, a normal double.
+
+    A formula's result that overflows, or that underflows to a subnormal or to 0 from
+    nonzero inputs (its digits lost), is a NumericError. unit is printed after the value.
+    """
+    if not math.isfinite(value):
+        raise NumericError(f"{what} is not finite ({value}{unit})")
+    if from_nonzero and abs(value) < sys.float_info.min:
+        raise NumericError(f"{what} underflows: {value}{unit} is not a normal double")
+    return value
 
 
 def _require_nonnegative(name: str, value: float) -> None:

@@ -11,15 +11,17 @@ alone: S_yc and E are two of its fields.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import BucklingError, NumericError, ValidationError
 from .model import ColumnSpec, Record, RectSection, _require_finite
-from .model import _require_nonnegative, _require_positive
+from .model import _require_nonnegative, _require_normal, _require_positive
 from .units import GRAVITY
 
 FLAT = "flat"  # bending about the wide axis: I = b t³/12, y = t/2
 UPRIGHT = "upright"  # bending about the narrow axis: I = t b³/12, y = b/2
+# Halvings that take secant_allowable_load's bracket, 1e-15 to 1 - 1e-12 of the Euler
+# load, to 1e-9 of a root above its lower end: log2(1e24) < 80.
+_HALVINGS = 80
 
 
 class BallastSpec(Record):
@@ -68,16 +70,10 @@ class BladeSpec(Record):
 
 def ballast_required_weight(spec: BallastSpec) -> float:
     """Ballast weight (N) balancing the turbine tipping moment with margin."""
-    weight = (
-        spec.turbine_thrust
-        * spec.nacelle_diameter
-        * spec.safety_factor
-        / spec.base_diameter
-    )
-    if not math.isfinite(weight):
-        raise NumericError(f"ballast weight is not finite ({weight} N)")
-    if weight == 0:  # each factor is positive, so the product underflowed
-        raise NumericError("ballast weight underflows to 0 N")
+    moment = spec.turbine_thrust * spec.nacelle_diameter
+    weight = moment * spec.safety_factor / spec.base_diameter
+    _require_normal("ballast weight", weight, " N")  # first: an infinite moment gives it too
+    _require_normal("tipping moment", moment, " N·m")
     return weight
 
 
@@ -87,10 +83,9 @@ def ballast_height_for_weight(weight: float, spec: BallastSpec) -> float:
     Linear in the weight: h = W / (rho * g * A_base).
     """
     _require_positive("weight", weight)
-    height = weight / (spec.ballast_mass_density * GRAVITY * spec.base_area)
-    if height == 0:
-        raise NumericError(f"ballast height underflows to 0 m (weight = {weight} N)")
-    return height
+    per_metre = spec.ballast_mass_density * GRAVITY * spec.base_area
+    _require_normal("ballast weight per metre of fill", per_metre, " N/m")
+    return _require_normal("ballast height", weight / per_metre, " m")
 
 
 def secant_deflection(col: ColumnSpec) -> float:
@@ -115,8 +110,8 @@ def secant_allowable_load(col: ColumnSpec) -> float:
     Solves the implicit secant-column equation for P by bisection on
     (0, P_buckle) to 1e-9 relative tolerance. With zero eccentricity ratio
     it gives the limit as the ratio falls to 0: the smaller of the yield
-    load A * S_yc and the Euler load P_buckle. An Euler load below the
-    smallest normal double is a NumericError.
+    load A * S_yc and the Euler load P_buckle. An Euler load that is not a
+    normal double is a NumericError, but for an infinite one at zero ratio.
     """
     s_yc = col.yield_strength_compressive
     modulus = col.elastic_modulus
@@ -124,12 +119,10 @@ def secant_allowable_load(col: ColumnSpec) -> float:
 
     # Secant argument (l/2k)*sqrt(P/AE) reaches pi/2 at the Euler load.
     p_buckle = col.area_A * modulus * (math.pi * col.gyration_k / col.height_l) ** 2
-    if p_buckle < sys.float_info.min:  # subnormal or 0: digits lost, and no bisection ends
-        raise NumericError(f"buckling load underflows: {p_buckle} N is not a normal double")
+    if ratio or p_buckle != math.inf:  # an unbounded Euler load leaves the yield load
+        _require_normal("buckling load", p_buckle, " N")
     if ratio == 0:
         return min(col.area_A * s_yc, p_buckle)
-    if not math.isfinite(p_buckle):
-        raise NumericError(f"buckling load is not finite ({p_buckle} N)")
 
     def residual(load: float) -> float:
         arg = (col.height_l / (2 * col.gyration_k)) * math.sqrt(
@@ -143,12 +136,16 @@ def secant_allowable_load(col: ColumnSpec) -> float:
         raise NumericError(
             "column unstable: no yield-limited load below the buckling bound"
         )
-    while (hi - lo) > 1e-9 * hi:
+    for _ in range(_HALVINGS):  # hi - lo starts near P_buckle, far above 1e-9 * hi
         mid = 0.5 * (lo + hi)
         if residual(mid) > 0:
             hi = mid
         else:
             lo = mid
+        if not (hi - lo) > 1e-9 * hi:
+            break
+    else:
+        raise NumericError(f"allowable load not bracketed to 1e-9 in {_HALVINGS} halvings")
     return 0.5 * (lo + hi)
 
 

@@ -49,8 +49,9 @@ import os
 import threading
 from typing import Optional, Union
 
-from .errors import NumericError, ValidationError
-from .model import Record, _require_finite, _require_nonnegative, _require_positive, number
+from .errors import ValidationError
+from .model import Record, _require_finite, _require_nonnegative, _require_normal
+from .model import _require_positive, number
 from .model import known_keys, named_numbers, read_document, tagged, text, whole
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
@@ -294,7 +295,7 @@ def monte_carlo_mttf(
 
     Standard error is the sample standard deviation over sqrt(samples).
     Raises NumericError when either is not finite, e.g. when failure times
-    overflow double precision.
+    overflow double precision, or when the mean is not a normal double.
     """
     if samples < 100:
         raise ValidationError(f"need at least 100 samples, got {samples}")
@@ -330,12 +331,8 @@ def monte_carlo_mttf(
         m2 += chunk_m2 + delta * delta * count * size / (count + size)
         count += size
     std_err = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
-    if not (math.isfinite(mean) and math.isfinite(std_err)):
-        raise NumericError(
-            f"Monte Carlo MTTF is not finite (mean {mean}, standard error {std_err}); "
-            "failure times overflow double precision"
-        )
-    return mean, std_err
+    _require_normal("Monte Carlo MTTF", mean)
+    return mean, _require_normal("Monte Carlo standard error", std_err, from_nonzero=False)
 
 
 def _numbers(body: dict, *keys) -> list[float]:
@@ -389,10 +386,8 @@ def expected_repairs(rate: float, horizon: float) -> float:
     _require_nonnegative("repair rate", rate)
     _require_finite("horizon", horizon)
     _require_nonnegative("horizon", horizon)
-    mean = rate * horizon
-    if not math.isfinite(mean):
-        raise NumericError(f"expected repair count is not finite ({rate} * {horizon})")
-    return mean
+    return _require_normal("expected repair count", rate * horizon,
+                           from_nonzero=rate > 0 and horizon > 0)
 
 
 def poisson_pmf(k: int, mean: float) -> float:

@@ -6,7 +6,8 @@ F(t) = 1 - exp(-(t/eta)^beta), with the two-quantile fit
     B_p  = eta * (-ln(1 - p/100))^(1/beta)
 
 _percent_hazard() is the one rule for a percent p: outside (0, 100) is a validation
-error, and a p/100 that is not a normal double (digits lost) is a numeric failure.
+error, and a p/100 that is not a normal double (digits lost) is a numeric failure
+(model._require_normal).
 Time carries whatever unit the life measure uses; rates are its inverse. Only the
 array functions, inverse_transform() and sample(), need numpy; they import it
 themselves, so the closed-form functions run without loading it.
@@ -21,10 +22,10 @@ with a change to the benchmark.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import NumericError, SingularityError, ValidationError
-from .model import Record, _require_finite, _require_nonnegative, _require_positive, whole
+from .model import Record, _require_finite, _require_nonnegative, _require_normal
+from .model import _require_positive, whole
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
 RANDOM = "random"  # beta = 1, constant hazard
@@ -58,20 +59,11 @@ def cdf(t: float, w: WeibullParams) -> float:
     return -math.expm1(-cumulative_hazard(t, w))
 
 
-def pdf(t: float, w: WeibullParams) -> float:
-    """Failure density h(t) exp(-H(t))."""
-    if t == math.inf:
-        return 0.0  # the limit; the formula gives inf * 0
-    return hazard(t, w) * math.exp(-cumulative_hazard(t, w))
-
-
 def _percent_hazard(p: float) -> float:
     """-ln(1 - p/100), the cumulative hazard at the B_p life, of a percent in (0, 100)."""
     if not 0 < p < 100:
         raise ValidationError(f"percent must lie in (0, 100), got {p}")
-    if p / 100.0 < sys.float_info.min:  # subnormal or 0: digits lost
-        raise NumericError(f"percent {p} underflows: p/100 = {p / 100.0} is not a normal double")
-    return -math.log1p(-p / 100.0)
+    return -math.log1p(-_require_normal(f"p/100 of percent {p}", p / 100.0))
 
 
 def quantile_Bp(p: float, w: WeibullParams) -> float:

@@ -1,9 +1,10 @@
 """Golden corpus of the CLI: every subcommand, every --help and usage errors.
 
-Each case runs ``dwtlife.cli.run`` in-process with ``inputs/`` as the
-working directory and records its exact stdout, stderr and exit code in
-``expected/<name>.txt``; ``tests/test_golden.py`` diffs every file byte for
-byte. Rewrite the files after a deliberate output change with
+Each case runs ``dwtlife.cli.run`` in-process (run_cli, under a time limit)
+with ``inputs/`` as the working directory and records its exact stdout,
+stderr and exit code in ``expected/<name>.txt``; ``tests/test_golden.py``
+diffs every file byte for byte. Rewrite the files after a deliberate output
+change with
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -17,6 +18,7 @@ import contextlib
 import io
 import os
 import shlex
+import signal
 import sys
 from pathlib import Path
 
@@ -74,6 +76,10 @@ CASES = {
     "fatigue_sn_imperial": (_argv("fatigue sn --sut 45 --se 17.6 --units imperial"), {}),
     "error_fatigue_sn_overflow": (_argv("fatigue sn --sut 1.2e150Pa --se 1e-10Pa"), {}),
     "error_fatigue_sn_underflow": (_argv("fatigue sn --sut 1e-200Pa --se 1e-201Pa"), {}),
+    # (f*S_ut)² = 8.1e-321 is subnormal: a = 8.09773593533803e-166 Pa lost its digits
+    "error_fatigue_sn_square_subnormal": (
+        _argv("fatigue sn --sut 1e-160Pa --se 1e-161Pa --json"), {}
+    ),
     "fatigue_life": (
         _argv("fatigue life --stress 6.48ksi --a 93.196ksi --b -0.1206 --cycles-per-day 144000"),
         {},
@@ -118,6 +124,12 @@ CASES = {
               "--height 240 --area 0.01 --inertia 1e-5 --units imperial"),
         {},
     ),
+    # A * E overflows: an unbounded Euler load leaves the yield load at zero eccentricity
+    "tower_column_unbounded_euler_load": (
+        _argv("tower column --load 1e4 --eccentricity 0 --centroid 0.05 --gyration 0.05 "
+              "--height 6 --area 1e10 --inertia 1e-5 --modulus 1e302"),
+        {},
+    ),
     "error_tower_column_buckling_underflow": (
         _argv("tower column --load 13095 --eccentricity 0.01 --centroid 0.05 --gyration 0.05 "
               "--height 7.65 --area 5e-324 --inertia 1e-5"),
@@ -146,6 +158,22 @@ CASES = {
     ),
     "error_ballast_height_underflow": (
         _argv("ballast --thrust 1e-300 --nacelle-diameter 1e-20 --base-diameter 3 "
+              "--base-area 1e10"),
+        {},
+    ),
+    "error_ballast_weight_subnormal": (
+        _argv("ballast --thrust 1e-300 --nacelle-diameter 1e-20 --base-diameter 3 "
+              "--base-area 1e-10 --density 1"),
+        {},
+    ),
+    # thrust * nacelle diameter = 1e-320 is subnormal: the weight lost its digits
+    "error_ballast_moment_subnormal": (
+        _argv("ballast --thrust 1e-300 --nacelle-diameter 1e-20 --base-diameter 1e-30 "
+              "--base-area 1 --json"),
+        {},
+    ),
+    "error_ballast_height_subnormal": (
+        _argv("ballast --thrust 1e-300 --nacelle-diameter 1e-5 --base-diameter 1 "
               "--base-area 1e10"),
         {},
     ),
@@ -229,6 +257,9 @@ CASES = {
         _argv("system reliability --config topology.json --t 10 --repair-rate 1e308 --events 1"),
         {},
     ),
+    "error_reliability_repairs_underflow": (
+        _argv("system reliability --config topology.json --t 1e-200 --repair-rate 1e-200"), {}
+    ),
     "error_reliability_events_without_repair_rate": (
         _argv("system reliability --config topology.json --t 2 --events 1"), {}
     ),
@@ -254,6 +285,12 @@ CASES = {
     ),
     "error_bearing_empty_factors": (_argv("bearing life --config bearing_empty_factors.json"), {}),
     "error_bearing_misspelt_key": (_argv("bearing life --config bearing_misspelt_key.json"), {}),
+    # the loads are an axial 1e-98 N alone: L10 = 1.54e305 is finite
+    "bearing_life_tiny_load": (_argv("bearing life --config bearing_tiny_load.json"), {}),
+    "error_bearing_l10_overflow": (_argv("bearing life --config bearing_l10_overflow.json"), {}),
+    "error_bearing_rating_overflow": (
+        _argv("bearing life --config bearing_rating_overflow.json"), {}
+    ),
     # schedule generate
     "schedule_generate_csv": ([*GENERATE, "--horizon", "2"], {}),
     "schedule_generate_markdown": ([*GENERATE, "--format", "markdown"], {}),
@@ -389,19 +426,16 @@ CASES = {
 
 
 @contextlib.contextmanager
-def _environment(env: dict, stdin: str | None):
-    """Run with inputs/ as cwd, only the given dwtlife env vars, and stdin from a file."""
-    saved_cwd, saved_stdin = os.getcwd(), sys.stdin
+def _environment(env: dict):
+    """Run with inputs/ as cwd and only the given dwtlife env vars."""
+    saved_cwd = os.getcwd()
     saved_env = {key: os.environ.get(key) for key in ("DWT_REGISTRY", "COLUMNS", *env)}
     os.environ.pop("DWT_REGISTRY", None)
     os.environ.update({"COLUMNS": "80", **env})
     try:
         os.chdir(INPUTS)
-        if stdin is not None:
-            sys.stdin = io.StringIO((INPUTS / stdin).read_text(encoding="utf-8"))
         yield
     finally:
-        sys.stdin = saved_stdin
         os.chdir(saved_cwd)
         for key, value in saved_env.items():
             if value is None:
@@ -410,21 +444,58 @@ def _environment(env: dict, stdin: str | None):
                 os.environ[key] = value
 
 
-def render(name: str) -> bytes:
-    """The golden file text of one case: command, exit code, stdout, stderr."""
+TIME_LIMIT_S = 5.0
+# the values the edge sweeps give each number in turn
+EDGE_VALUES = "0 -0 5e-324 2e-322 1e-300 1e300 1e308 -1 inf -inf nan".split()
+
+
+class Hang(BaseException):
+    """A command still running at its time limit: no Exception, so cli.run's handlers pass it."""
+
+
+def run_cli(argv: list, stdin: str | None = None, limit: float = TIME_LIMIT_S):
+    """(exit code, stdout, stderr) of dwtlife.cli.run(argv) in process, stdin read from text.
+
+    A SIGALRM after limit seconds raises Hang, naming argv, in the command: a command that
+    does not end fails its own case, and the cases after it still run.
+    """
     from dwtlife import cli
 
-    argv, options = CASES[name]
+    def expire(signum, frame):
+        raise Hang(f"no result within {limit} s: dwtlife {shlex.join(argv)}")
+
     out, err = io.StringIO(), io.StringIO()
-    with _environment(options.get("env", {}), options.get("stdin")):
+    saved_stdin = sys.stdin
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        if stdin is not None:
+            sys.stdin = io.StringIO(stdin)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv: list, options: dict):
+    """run_cli(argv) with a case's options: inputs/ as cwd, its env vars and its stdin file."""
+    stdin = options.get("stdin")
+    with _environment(options.get("env", {})):
+        return run_cli(argv, stdin and (INPUTS / stdin).read_text(encoding="utf-8"))
+
+
+def render(name: str) -> bytes:
+    """The golden file text of one case: command, exit code, stdout, stderr."""
+    argv, options = CASES[name]
+    code, out, err = run_case(argv, options)
     header = [f"$ dwtlife {shlex.join(argv)}"]
     header += [f"env {key}={value}" for key, value in options.get("env", {}).items()]
     if "stdin" in options:
         header.append(f"stdin {options['stdin']}")
-    text = "\n".join([*header, f"exit {code}", "--- stdout", out.getvalue() + "--- stderr",
-                      err.getvalue()])
+    text = "\n".join([*header, f"exit {code}", "--- stdout", out + "--- stderr", err])
     return text.encode("utf-8")
 
 

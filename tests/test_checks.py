@@ -1,6 +1,7 @@
 """The one positive-and-finite check (model._require_positive) and the one
-non-negative check (model._require_nonnegative) at every field they guard, and
-the one document number and text readers (model.number, model.text)."""
+non-negative check (model._require_nonnegative) at every field they guard, the
+one check of a formed value (model._require_normal), and the one document
+number and text readers (model.number, model.text)."""
 
 import ast
 import math
@@ -11,7 +12,7 @@ import pytest
 import dwtlife
 from dwtlife import bearing, fatigue, structural, system, weibull
 from dwtlife.errors import NumericError, ValidationError
-from dwtlife.model import ColumnSpec, RectSection, UsageProfile, number, text
+from dwtlife.model import ColumnSpec, RectSection, UsageProfile, _require_normal, number, text
 from dwtlife.rotor import RotorState
 from dwtlife.schedule import CalendarInterval, CycleInterval, ServiceLife, WhicheverFirst
 from dwtlife.schedule import ComponentRecord, remaining_service_life
@@ -105,7 +106,7 @@ LIFED = ComponentRecord("a", "Control", service_life=ServiceLife(value=4.0, unit
 #  whether a finite check runs first and so reports NaN as not finite)
 NON_NEGATIVE = [
     *(("time", lambda v, f=f: f(v, WEIBULL), False)
-      for f in (weibull.cdf, weibull.pdf, weibull.hazard, weibull.cumulative_hazard)),
+      for f in (weibull.cdf, weibull.hazard, weibull.cumulative_hazard)),
     ("seed", lambda v: weibull.sample(WEIBULL, v, 3), False),
     ("time", EXPONENTIAL.survival, False),
     ("time", lambda v: system.system_reliability_at(v, system.Component("a", EXPONENTIAL)), False),
@@ -194,12 +195,13 @@ TINY_BALLAST = {**BALLAST, "turbine_thrust": 1e-300}
 
 # (the numeric failure's message, a call of valid inputs whose result underflows to 0)
 UNDERFLOWS = [
-    ("ballast weight underflows to 0 N", lambda: structural.ballast_required_weight(
-        structural.BallastSpec(**{**TINY_BALLAST, "nacelle_diameter": 1e-300}))),
-    ("ballast height underflows to 0 m (weight = 1e-300 N)",
+    ("ballast weight underflows: 0.0 N is not a normal double",
+     lambda: structural.ballast_required_weight(
+         structural.BallastSpec(**{**TINY_BALLAST, "nacelle_diameter": 1e-300}))),
+    ("ballast height underflows: 0.0 m is not a normal double",
      lambda: structural.ballast_height_for_weight(
          1e-300, structural.BallastSpec(**{**TINY_BALLAST, "base_area": 1e300}))),
-    ("S-N intercept a underflows to 0 Pa (f*S_ut = 9e-201 Pa)",
+    ("(f*S_ut)² underflows: 0.0 Pa² is not a normal double",
      lambda: fatigue.sn_constants(1e-200, 1e-201)),
 ]
 
@@ -209,6 +211,46 @@ def test_underflow_to_zero_is_a_numeric_failure(message, call):
     with pytest.raises(NumericError) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_formed_value_is_a_numeric_failure(value):
+    for from_nonzero in (True, False):
+        with pytest.raises(NumericError) as caught:
+            _require_normal("load", value, " N", from_nonzero)
+        assert str(caught.value) == f"load is not finite ({value} N)"
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -2.2e-308])
+def test_formed_value_below_the_smallest_normal_underflows(value):
+    with pytest.raises(NumericError) as caught:
+        _require_normal("load", value, " N")
+    assert str(caught.value) == f"load underflows: {value} N is not a normal double"
+    assert _require_normal("load", value, " N", from_nonzero=False) == value
+
+
+@pytest.mark.parametrize("value", [2.2250738585072014e-308, -2.2250738585072014e-308, 1.0,
+                                   1.7976931348623157e308])
+def test_normal_formed_value_is_returned(value):
+    assert _require_normal("load", value) == value
+
+
+def package_sources():
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(Path(dwtlife.__file__).parent.glob("*.py"))}
+
+
+def test_only_model_tests_for_a_normal_double():
+    writers = [name for name, source in package_sources().items()
+               if "float_info" in source or "underflows: " in source]
+    assert writers == ["model.py"], "call model._require_normal instead"
+
+
+def test_no_while_loop():
+    """Every loop of the package is bounded: a for loop over a finite range or collection."""
+    loops = [(name, node.lineno) for name, source in package_sources().items()
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)]
+    assert loops == []
 
 
 class TestNumber:

@@ -6,8 +6,6 @@ line on stderr. Documents are either free-form JSON over the readers' own
 vocabulary or a valid document from the golden corpus with one node replaced.
 """
 
-import contextlib
-import io
 import json
 import re
 import sys
@@ -24,7 +22,10 @@ from dwtlife.schedule import installation_from_document, load_registry, usage_fr
 from dwtlife.schedule import usage_from_site
 from dwtlife.system import lives_from_document, topology_from_document
 
-INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+import regen  # noqa: E402
+
+INPUTS = regen.INPUTS
 
 WORDS = [
     "series", "parallel", "component", "id", "model", "exponential", "weibull", "fixed_life",
@@ -262,29 +263,18 @@ def registry_row(**fields):
     return json.dumps({"components": [{"id": "a", "group": "Control", **fields}]})
 
 
-def run_with_stdin(argv, text):
-    out, err = io.StringIO(), io.StringIO()
-    saved, sys.stdin = sys.stdin, io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
-
-
 class TestCommands:
     @FUZZ
     @given(documents("bearing.json"))
     def test_bearing_life(self, doc):
-        code, _, err = run_with_stdin(["bearing", "life", "--config", "-"], json.dumps(doc))
+        code, _, err = regen.run_cli(["bearing", "life", "--config", "-"], json.dumps(doc))
         assert code in (0, 1, 2)
         assert err.count("\n") == (code != 0), err
 
     @FUZZ
     @given(documents("lives.json"))
     def test_system_life(self, doc):
-        code, _, err = run_with_stdin(["system", "life", "--config", "-"], json.dumps(doc))
+        code, _, err = regen.run_cli(["system", "life", "--config", "-"], json.dumps(doc))
         assert code in (0, 1)
         assert err.count("\n") == (code != 0), err
 
@@ -299,7 +289,6 @@ class TestCommands:
         # an "exponent" key is unknown, whatever its value: p is bearing.BALL_EXPONENT
         (["bearing", "life", "--config"], bearing_with(exponent=0)),
         (["bearing", "life", "--config"], bearing_with(exponent=False)),
-        (["bearing", "life", "--config"], bearing_with(fcm=1e200)),
         (["bearing", "life", "--config"], bearing_with(balls=10**400)),
         (["bearing", "life", "--config"], bearing_with(balls=30.9)),
         (["bearing", "life", "--config"], bearing_with(balls=True)),
@@ -313,17 +302,43 @@ class TestCommands:
             tasks=[{"description": "x",
                     "trigger": {"cycle_interval": {"cycles": 10, "counter": None}}}])),
     ], ids=["deep_config", "deep_registry", "config_string", "config_list", "long_integer",
-            "not_utf8", "bearing_zero_exponent", "bearing_false_exponent", "bearing_overflow",
+            "not_utf8", "bearing_zero_exponent", "bearing_false_exponent",
             "bearing_huge_ball_count", "bearing_fractional_balls", "bearing_bool_balls",
             "bearing_text_rows", "registry_text_flag", "registry_text_failure_modes",
             "registry_number_specification", "registry_null_description", "registry_null_counter"])
-    def test_malformed_json_file(self, capsys, tmp_path, argv, text):
+    def test_malformed_json_file(self, tmp_path, argv, text):
         path = tmp_path / "input.json"
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:
             path.write_text(text)
-        code = cli.run([*argv, str(path)])
-        out, err = capsys.readouterr()
+        code, out, err = regen.run_cli([*argv, str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    # a well-formed document whose pipeline computes a value past a float's range
+    @pytest.mark.parametrize("text", [
+        bearing_with(fcm=1e200),
+        bearing_with(ball_diameter_mm=1e200, raceway_center_diameter_mm=1e201),
+    ], ids=["bearing_overflow", "bearing_rating_pow"])
+    def test_computed_overflow_is_a_numeric_failure(self, text):
+        code, out, err = regen.run_cli(["bearing", "life", "--config", "-"], text)
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
+
+
+BEARING = json.loads((INPUTS / "bearing.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("value", regen.EDGE_VALUES)
+@pytest.mark.parametrize("path", [path for path in _paths(BEARING)
+                                  if type(_at(BEARING, path)) in (int, float)], ids="/".join)
+def test_bearing_number_edge_value_gives_one_of_three_results(path, value):
+    """Each number of the golden bearing document set to each edge value: exit 0, or one
+    reason line that carries no errno tuple such as "(34, 'Numerical result out of range')"."""
+    code, out, err = regen.run_cli(["bearing", "life", "--config", "-"],
+                                   json.dumps(_replace(BEARING, path, float(value))))
+    assert code in (0, 1, 2)
+    assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out), out
+    assert err.count("\n") == (code != 0), err
+    assert not re.search(r"\(\d+, '", err), err

@@ -15,6 +15,18 @@ def test_golden_output(name):
     assert regen.render(name) == expected
 
 
+def test_a_hang_fails_its_case_and_names_the_argv(monkeypatch):
+    from dwtlife import cli
+
+    def never_ends(args):
+        while True:
+            pass
+
+    monkeypatch.setitem(cli.COMMANDS, "aero betz", (never_ends, *cli.COMMANDS["aero betz"][1:]))
+    with pytest.raises(regen.Hang, match=r"^no result within 0.05 s: dwtlife aero betz --a0 0$"):
+        regen.run_cli(["aero", "betz", "--a0", "0"], limit=0.05)
+
+
 def test_every_input_is_named_by_a_case():
     """No orphan input: each file in inputs/ is an argv word, stdin or env value of a case."""
     named = {

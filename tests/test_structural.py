@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from dwtlife.errors import BucklingError, NumericError, ValidationError
+from dwtlife import structural
 from dwtlife.model import ColumnSpec, RectSection
 from dwtlife.structural import (
     FLAT,
@@ -191,6 +192,27 @@ class TestSecantAllowableLoad:
                          yield_strength_compressive=250e6, elastic_modulus=200e9)
         with pytest.raises(NumericError, match="buckling load underflows"):
             secant_allowable_load(col)
+
+    @pytest.mark.parametrize("eccentricity", [0.0, 0.01])
+    def test_unbounded_euler_load_is_the_yield_load_at_zero_eccentricity(self, eccentricity):
+        col = ColumnSpec(load_P=1e4, eccentricity_e=eccentricity, centroid_c=0.05,
+                         gyration_k=0.05, height_l=6.0, area_A=1e10, moment_I=1e-5,
+                         yield_strength_compressive=250e6, elastic_modulus=1e302)
+        if eccentricity == 0:  # A * E overflows: P_buckle = inf
+            assert secant_allowable_load(col) == 1e10 * 250e6
+        else:
+            with pytest.raises(NumericError, match=r"^buckling load is not finite \(inf N\)$"):
+                secant_allowable_load(col)
+
+    def test_stocky_column_is_solved_within_the_halving_bound(self):
+        # the root lies near 5e-14 of the Euler load: about 75 halvings
+        load = secant_allowable_load(column(length=1e-6))
+        assert load == pytest.approx(0.01 * 250e6 / (1 + 0.01 * 0.05 / 0.05**2), rel=1e-8)
+
+    def test_bisection_past_its_halving_bound_is_a_numeric_failure(self, monkeypatch):
+        monkeypatch.setattr(structural, "_HALVINGS", 5)
+        with pytest.raises(NumericError, match="not bracketed to 1e-9 in 5 halvings"):
+            secant_allowable_load(column())
 
 
 class TestBladeBending:

@@ -21,12 +21,18 @@ from dwtlife.weibull import (
     fit_two_quantiles,
     hazard,
     inverse_transform,
-    pdf,
     quantile_Bp,
     sample,
 )
 
 from oracles import empirical_cdf_distance
+
+
+def density(t: float, w: WeibullParams) -> float:
+    """The Weibull density (beta/eta)(t/eta)^(beta-1) exp(-(t/eta)^beta), in mpmath."""
+    with mpmath.workdps(30):
+        beta, z = mpmath.mpf(w.shape_beta), mpmath.mpf(t) / w.scale_eta
+        return float(beta / w.scale_eta * z ** (beta - 1) * mpmath.exp(-(z**beta)))
 
 
 class TestCdf:
@@ -60,12 +66,11 @@ class TestNanTime:
 
     @pytest.mark.parametrize("call", [
         lambda w: cdf(math.nan, w),
-        lambda w: pdf(math.nan, w),
         lambda w: hazard(math.nan, w),
         lambda w: cumulative_hazard(math.nan, w),
         lambda w: average_failure_rate(math.nan, 1.0, w),
         lambda w: average_failure_rate(1.0, math.nan, w),
-    ], ids=["cdf", "pdf", "hazard", "cumulative_hazard", "average_t1", "average_t2"])
+    ], ids=["cdf", "hazard", "cumulative_hazard", "average_t1", "average_t2"])
     def test_nan_time_rejected(self, call):
         with pytest.raises(ValidationError):
             call(self.W)
@@ -100,6 +105,11 @@ class TestQuantile:
     def test_underflowing_percent_is_a_numeric_failure(self, p):
         with pytest.raises(NumericError, match=f"percent {p} underflows"):
             quantile_Bp(p, WeibullParams(2.0, 5.0))
+
+    def test_fraction_below_the_smallest_normal_is_a_numeric_failure(self):
+        # p/100 = 1e-308 is subnormal, while p * 100 = 1e-304 is normal
+        with pytest.raises(NumericError, match=r"^p/100 of percent 1e-306 underflows: 1e-308 "):
+            quantile_Bp(1e-306, WeibullParams(2.0, 5.0))
 
     def test_smallest_normal_fraction_gives_a_life(self):
         life = quantile_Bp(100 * sys.float_info.min, WeibullParams(2.0, 5.0))
@@ -138,7 +148,8 @@ class TestTwoQuantileFit:
         (3e-322, 10.0, 50.0, 20.0),
     ], ids=["p_to_zero", "q_to_zero", "p_subnormal"])
     def test_underflowing_percent_is_numeric_error(self, p, bp, q, bq):
-        with pytest.raises(NumericError, match=r"underflows: p/100 = .* is not a normal double"):
+        with pytest.raises(NumericError,
+                           match=r"^p/100 of percent .* underflows: .* is not a normal double$"):
             fit_two_quantiles(QuantilePoint(p, bp), QuantilePoint(q, bq))
 
     def test_smallest_normal_fraction_fits(self):
@@ -195,6 +206,9 @@ class TestHazard:
         with pytest.raises(SingularityError):
             hazard(0.0, WeibullParams(0.5, 1.0))
 
+    def test_wear_out_hazard_is_zero_at_zero(self):
+        assert hazard(0.0, WeibullParams(2.0, 5.0)) == 0.0
+
     @given(
         beta=st.floats(min_value=0.3, max_value=6.0),
         eta=st.floats(min_value=0.01, max_value=1e4),
@@ -207,15 +221,11 @@ class TestHazard:
         survival = math.exp(-cumulative_hazard(t, w))
         if survival < 1e-300:
             return
-        assert hazard(t, w) == pytest.approx(pdf(t, w) / survival, rel=1e-9)
+        assert hazard(t, w) == pytest.approx(density(t, w) / survival, rel=1e-9)
 
 
 class TestInfiniteTime:
     W = WeibullParams(shape_beta=2.0, scale_eta=5.0)
-
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
-    def test_pdf_at_infinity_is_its_limit(self, beta):
-        assert pdf(math.inf, WeibullParams(shape_beta=beta, scale_eta=5.0)) == 0.0
 
     def test_average_rate_to_infinity_rejected(self):
         with pytest.raises(ValidationError):
@@ -310,7 +320,7 @@ class TestPdfAndRegime:
     def test_pdf_integrates_to_cdf(self, beta, eta):
         w = WeibullParams(shape_beta=beta, scale_eta=eta)
         for horizon in (0.5 * eta, eta, 3 * eta):
-            integral, _ = quad(lambda t: pdf(t, w), 0.0, horizon, limit=200)
+            integral, _ = quad(lambda t: density(t, w), 0.0, horizon, limit=200)
             assert integral == pytest.approx(cdf(horizon, w), abs=1e-8)
 
     def test_regimes(self):
