@@ -109,6 +109,7 @@ NON_NEGATIVE = [
       for f in (weibull.cdf, weibull.hazard, weibull.cumulative_hazard)),
     ("seed", lambda v: weibull.sample(WEIBULL, v, 3), False),
     ("time", EXPONENTIAL.survival, False),
+    ("time", system.LifeModel.weibull(WEIBULL).survival, False),
     ("time", lambda v: system.system_reliability_at(v, system.Component("a", EXPONENTIAL)), False),
     ("repair rate", lambda v: system.expected_repairs(v, 1.0), True),
     ("horizon", lambda v: system.expected_repairs(1.0, v), True),
