@@ -17,8 +17,7 @@ import math
 
 from .errors import ValidationError
 from .fatigue import cycles_to_calendar
-from .model import Record, _require_finite_fields, _require_nonnegative, _require_normal
-from .model import _require_positive, known_keys, number, read_document, whole
+from .model import Record, _require_in, _require_normal, known_keys, number, read_document, whole
 
 BALL_EXPONENT = 3.0  # load-life exponent p of a ball bearing (ISO 281), the one p used here
 
@@ -32,19 +31,14 @@ class SlewingBearingGeometry(Record):
     raceway_center_diameter_dm: float  # mm
 
     def __post_init__(self):
-        _require_positive("groove_factor_fcm", self.groove_factor_fcm)
-        _require_finite_fields(self)
-        if self.rows_i < 1 or self.ball_count_Z < 1:
-            raise ValidationError("rows_i and ball_count_Z must be >= 1")
-        if not 0 < self.contact_angle_alpha < 90:
-            raise ValidationError(
-                f"contact angle must lie in (0, 90) deg, got {self.contact_angle_alpha}"
-            )
-        if not 0 < self.ball_diameter_Dr < self.raceway_center_diameter_dm:
-            raise ValidationError(
-                "ball diameter must be positive and smaller than the raceway "
-                "center diameter"
-            )
+        _require_in("groove_factor_fcm", self.groove_factor_fcm, "(0, inf)")
+        _require_in("rows_i", self.rows_i, "[1, inf)")
+        _require_in("ball_count_Z", self.ball_count_Z, "[1, inf)")
+        _require_in("ball_diameter_Dr", self.ball_diameter_Dr, "(0, inf)")
+        _require_in("contact angle", self.contact_angle_alpha, "(0, 90)")
+        _require_in("raceway_center_diameter_dm", self.raceway_center_diameter_dm, "(0, inf)")
+        if not self.ball_diameter_Dr < self.raceway_center_diameter_dm:
+            raise ValidationError("ball diameter must be smaller than the raceway center diameter")
 
 
 class BearingLoads(Record):
@@ -53,9 +47,8 @@ class BearingLoads(Record):
     moment_M: float  # N·m
 
     def __post_init__(self):
-        _require_finite_fields(self)
         for name in self._fields:
-            _require_nonnegative(name, getattr(self, name))
+            _require_in(name, getattr(self, name), "[0, inf)")
 
 
 class LifeModFactors(Record):
@@ -68,11 +61,8 @@ class LifeModFactors(Record):
     a4: float
 
     def __post_init__(self):
-        _require_finite_fields(self)
-        for name in ("a1", "a2", "a3", "a4"):
-            value = getattr(self, name)
-            if not 0 < value <= 2:
-                raise ValidationError(f"life factor {name}={value} outside (0, 2]")
+        for name in self._fields:
+            _require_in(f"life factor {name}", getattr(self, name), "(0, 2]")
 
     def product(self) -> float:
         return self.a1 * self.a2 * self.a3 * self.a4
@@ -93,37 +83,33 @@ def basic_dynamic_axial_rating(g: SlewingBearingGeometry) -> float:
 def oscillating_rating(ca: float, theta_deg: float) -> float:
     """Rating uplift C_a * (180/theta)^(1/p) for a bearing dithering over
     an arc of half-amplitude theta instead of rotating."""
-    if not 0 < theta_deg <= 180:
-        raise ValidationError(
-            f"oscillation half-arc must lie in (0, 180] deg, got {theta_deg}"
-        )
+    _require_in("oscillation half-arc", theta_deg, "(0, 180]")
     return ca * (180.0 / theta_deg) ** (1.0 / BALL_EXPONENT)
 
 
 def equivalent_axial_load(loads: BearingLoads, dm: float) -> float:
     """P_ea = 0.75 F_r + F_a + 2 M / d_m, with M and d_m in consistent units."""
-    _require_positive("raceway center diameter", dm)
+    _require_in("raceway center diameter", dm, "(0, inf)")
     return 0.75 * loads.radial_Fr + loads.axial_Fa + 2.0 * loads.moment_M / dm
 
 
 def l10_life(ca_osc: float, pea: float) -> float:
     """L10 = (C_a,osc / P_ea)^p, a cycle count on the rating's oscillation basis (a power
     past the largest float raises OverflowError, as float ** does)."""
-    _require_positive("equivalent load", pea)
+    _require_in("equivalent load", pea, "(0, inf)")
     return _require_normal("L10", (ca_osc / pea) ** BALL_EXPONENT)
 
 
 def modified_life(l10: float, f: LifeModFactors) -> float:
     """Standard modified rating life L_nm = a1 a2 a3 a4 L10."""
-    _require_nonnegative("L10", l10)
-    return f.product() * l10
+    _require_in("L10", l10, "[0, inf]")
+    return _require_normal("modified life", f.product() * l10, from_nonzero=l10 != 0)
 
 
 def raceway_stress_cycles(lnm: float, ball_count_z: int) -> float:
     """Raceway stress cycles: each oscillation loads every ball once."""
-    if ball_count_z < 1:
-        raise ValidationError(f"ball count must be >= 1, got {ball_count_z}")
-    return lnm * ball_count_z
+    _require_in("ball count", ball_count_z, "[1, inf]")
+    return _require_normal("raceway stress cycles", lnm * ball_count_z, from_nonzero=lnm != 0)
 
 
 def life_summary(
@@ -165,7 +151,7 @@ def summary_from_document(document) -> dict:
     """life_summary of a bearing document (README, "Bearing life"). Its "factors"
     object, or presets.BEARING_LIFE_FACTORS if absent or null, builds the LifeModFactors;
     an absent "oscillations_per_day" takes presets.DEFAULT_USAGE's yaw_oscillations rate,
-    and a present one must be positive. Only the typed inputs are read as the document:
+    and a present one lies in (0, inf). Only the typed inputs are read as the document:
     a value the pipeline computes past a float's range is a numeric failure, not a
     malformed document."""
     from . import presets
@@ -179,7 +165,7 @@ def summary_from_document(document) -> dict:
             factors = presets.BEARING_LIFE_FACTORS
         rate = number("oscillations_per_day", doc.get(
             "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]))
-        _require_positive("oscillations_per_day", rate)
+        _require_in("oscillations_per_day", rate, "(0, inf)")
         return (
             SlewingBearingGeometry(
                 number("fcm", geo["fcm"]),

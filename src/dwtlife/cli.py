@@ -116,7 +116,7 @@ def _display(args, value, dim) -> tuple:
 
 
 def _emit(args, result) -> None:
-    """Print a handler's result; every number printed must be finite.
+    """Print a handler's result; a number that is not finite is a NumericError, never printed.
 
     result is a list of (key, value, dimension-or-None) rows, printed as one
     JSON object or as ``key = value [unit]`` lines; or, for the list-shaped
@@ -194,15 +194,26 @@ def _cmd_fatigue_sn(args):
     return [("a", constants.a, "stress"), ("b", constants.b, None), ("f", args.f, None)]
 
 
+def _life_rows(constants, args) -> list:
+    """The cycles and flags rows of args.stress on the S-N curve, and the years row when args
+    holds a daily rate. A refused rate is named before any formed value."""
+    from . import fatigue
+    from .model import _require_in
+
+    rate = args.cycles_per_day
+    if rate is not None:
+        _require_in("cycles_per_day", rate, "(0, inf)")
+    life = fatigue.cycles_to_failure(args.stress, constants)
+    rows = [("cycles", life.cycles, None), ("flags", ",".join(life.flags) or "none", None)]
+    if rate is not None:
+        rows.append(("years", fatigue.cycles_to_calendar(life.cycles, rate), None))
+    return rows
+
+
 def _cmd_fatigue_life(args):
     from . import fatigue
 
-    constants = fatigue.SnConstants(a=args.a, b=args.b)
-    life = fatigue.cycles_to_failure(args.stress, constants)
-    rows = [("cycles", life.cycles, None), ("flags", ",".join(life.flags) or "none", None)]
-    if args.cycles_per_day is not None:
-        rows.append(("years", fatigue.cycles_to_calendar(life.cycles, args.cycles_per_day), None))
-    return rows
+    return _life_rows(fatigue.SnConstants(a=args.a, b=args.b), args)
 
 
 def _life_chain(s_ut_text: str, marin: dict, args):
@@ -213,15 +224,12 @@ def _life_chain(s_ut_text: str, marin: dict, args):
     se_prime = fatigue.endurance_limit_unmodified(s_ut)
     se = fatigue.marin_modified_endurance(se_prime, fatigue.MarinFactors(**marin))
     constants = fatigue.sn_constants(s_ut, se)
-    life = fatigue.cycles_to_failure(args.stress, constants)
     return [
         ("se", se, "stress"),
         ("a", constants.a, "stress"),
         ("b", constants.b, None),
         ("stress", args.stress, "stress"),
-        ("cycles", life.cycles, None),
-        ("flags", ",".join(life.flags) or "none", None),
-        ("years", fatigue.cycles_to_calendar(life.cycles, args.cycles_per_day), None),
+        *_life_rows(constants, args),
     ]
 
 

@@ -16,15 +16,14 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, _require_finite_fields, _require_normal
-from .model import _require_positive
+from .model import DAYS_PER_YEAR, Record, _require_in, _require_normal
 
 
 class MarinFactors(Record):
     """Multiplicative endurance-limit corrections.
 
     ka surface, kb size, kc load, kd temperature, ke reliability,
-    kf miscellaneous. Each must lie in (0, 1.5].
+    kf miscellaneous. Each lies in (0, 1.5].
     """
 
     ka: float
@@ -35,11 +34,8 @@ class MarinFactors(Record):
     kf: float
 
     def __post_init__(self):
-        _require_finite_fields(self)
-        for name in ("ka", "kb", "kc", "kd", "ke", "kf"):
-            value = getattr(self, name)
-            if not 0 < value <= 1.5:
-                raise ValidationError(f"Marin factor {name}={value} outside (0, 1.5]")
+        for name in self._fields:
+            _require_in(f"Marin factor {name}", getattr(self, name), "(0, 1.5]")
 
     def product(self) -> float:
         return self.ka * self.kb * self.kc * self.kd * self.ke * self.kf
@@ -53,10 +49,8 @@ class SnConstants(Record):
     b: float  # dimensionless, negative
 
     def __post_init__(self):
-        _require_positive("S-N intercept a", self.a)
-        _require_finite_fields(self)
-        if not self.b < 0:
-            raise ValidationError(f"S-N exponent b must be negative, got {self.b}")
+        _require_in("S-N intercept a", self.a, "(0, inf)")
+        _require_in("S-N exponent b", self.b, "(-inf, 0)")
 
     @property
     def low_cycle_stress(self) -> float:
@@ -78,13 +72,13 @@ class CycleLife(Record):
 
 def endurance_limit_unmodified(s_ut: float) -> float:
     """Unmodified endurance limit: half the ultimate tensile strength S_ut (Pa)."""
-    _require_positive("ultimate_tensile_strength", s_ut)
+    _require_in("ultimate_tensile_strength", s_ut, "(0, inf)")
     return 0.5 * s_ut
 
 
 def marin_modified_endurance(se_prime: float, k: MarinFactors) -> float:
     """Apply the six Marin corrections to an unmodified endurance limit."""
-    _require_positive("endurance limit", se_prime)
+    _require_in("endurance limit", se_prime, "(0, inf)")
     return k.product() * se_prime
 
 
@@ -94,9 +88,8 @@ def sn_constants(s_ut: float, s_e: float, f: float = 0.9) -> SnConstants:
     Requires f in (0, 1] and f*S_ut > S_e > 0, otherwise the log10 slope is
     undefined.
     """
-    _require_positive("endurance limit", s_e)
-    if not 0 < f <= 1:
-        raise ValidationError(f"fatigue strength fraction f={f} outside (0, 1]")
+    _require_in("endurance limit", s_e, "(0, inf)")
+    _require_in("fatigue strength fraction f", f, "(0, 1]")
     if not f * s_ut > s_e:
         raise ValidationError(
             f"f*S_ut = {f * s_ut} must exceed S_e = {s_e} for a finite-life fit"
@@ -114,8 +107,8 @@ def cycles_to_failure(sigma_rev: float, c: SnConstants) -> CycleLife:
     endurance knee) but the result is flagged "below_endurance_extrapolation";
     stresses above f*S_ut are flagged "low_cycle".
     """
-    _require_positive("stress", sigma_rev)
-    cycles = (sigma_rev / c.a) ** (1.0 / c.b)
+    _require_in("stress", sigma_rev, "(0, inf)")
+    cycles = _require_normal("cycles to failure", (sigma_rev / c.a) ** (1.0 / c.b))
     flags = []
     if sigma_rev < c.endurance_stress:
         flags.append("below_endurance_extrapolation")
@@ -126,5 +119,7 @@ def cycles_to_failure(sigma_rev: float, c: SnConstants) -> CycleLife:
 
 def cycles_to_calendar(n_cycles: float, cycles_per_day: float) -> float:
     """Convert a cycle count to years at a constant daily usage rate."""
-    _require_positive("cycles_per_day", cycles_per_day)
-    return n_cycles / (cycles_per_day * DAYS_PER_YEAR)
+    _require_in("cycles_per_day", cycles_per_day, "(0, inf)")
+    _require_normal("cycles per year", cycles_per_day * DAYS_PER_YEAR)
+    return _require_normal("years", n_cycles / (cycles_per_day * DAYS_PER_YEAR),
+                           from_nonzero=n_cycles != 0)

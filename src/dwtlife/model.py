@@ -1,9 +1,8 @@
 """Shared domain types, the Record base of every value type, the one
 JSON document reader (read_document, tagged, known_keys, number, whole,
-text), the one positive-and-finite check (_require_positive), the one
-non-negative check (_require_nonnegative) and the one check of a value that
-a formula has formed (_require_normal): an overflow or an underflow there is
-a NumericError, not a ValidationError.
+text) and the two checks of a value: _require_in, the one domain rule of an
+input (a ValidationError), and _require_normal, the one rule of a value that a
+formula has formed (an overflow or an underflow there is a NumericError).
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -18,18 +17,28 @@ from itertools import repeat
 from .errors import NumericError, ValidationError
 
 DAYS_PER_YEAR = 365
+_INTERVALS = {}  # domain text -> (low, high, low closed, high closed)
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-
-
-def _require_positive(name: str, value: float) -> None:
-    """ValidationError unless value is positive and finite: NaN fails as not positive."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive, got {value}")
-    _require_finite(name, value)
+def _require_in(name: str, value: float, domain: str) -> float:
+    """value, once it lies in domain, an interval written as the docs write it: "(0, inf)",
+    "[0, inf]", "(0, 1.5]". A bracket is a closed end, a parenthesis an open one. NaN lies in
+    no interval, and an open infinite end holds the doubles short of it, so an int past the
+    largest double lies outside. Otherwise a ValidationError
+    "<name> must lie in <domain>, got <value>"."""
+    if domain not in _INTERVALS:
+        low, high = map(float, domain[1:-1].split(","))
+        low_closed, high_closed = domain[0] == "[", domain[-1] == "]"
+        if low == -math.inf and not low_closed:
+            low, low_closed = -sys.float_info.max, True
+        if high == math.inf and not high_closed:
+            high, high_closed = sys.float_info.max, True
+        _INTERVALS[domain] = low, high, low_closed, high_closed
+    low, high, low_closed, high_closed = _INTERVALS[domain]
+    if (low <= value if low_closed else low < value) and (
+            value <= high if high_closed else value < high):
+        return value
+    raise ValidationError(f"{name} must lie in {domain}, got {value}")
 
 
 def _require_normal(what: str, value: float, unit: str = "", from_nonzero: bool = True) -> float:
@@ -43,18 +52,6 @@ def _require_normal(what: str, value: float, unit: str = "", from_nonzero: bool 
     if from_nonzero and abs(value) < sys.float_info.min:
         raise NumericError(f"{what} underflows: {value}{unit} is not a normal double")
     return value
-
-
-def _require_nonnegative(name: str, value: float) -> None:
-    """ValidationError unless value >= 0: NaN fails, infinity passes."""
-    if not value >= 0:
-        raise ValidationError(f"{name} must be >= 0, got {value}")
-
-
-def _require_finite_fields(record: Record) -> None:
-    """_require_finite on each field of record."""
-    for name in record._fields:
-        _require_finite(name, getattr(record, name))
 
 
 _set = object.__setattr__
@@ -226,8 +223,8 @@ class RectSection(Record):
     thickness_t: float  # m
 
     def __post_init__(self):
-        _require_finite("width_b", self.width_b)
-        _require_positive("thickness_t", self.thickness_t)
+        _require_in("width_b", self.width_b, "(0, inf)")
+        _require_in("thickness_t", self.thickness_t, "(0, inf)")
         if self.width_b < self.thickness_t:
             raise ValidationError(
                 f"width_b {self.width_b} must be >= thickness_t {self.thickness_t}"
@@ -249,13 +246,10 @@ class ColumnSpec(Record):
     elastic_modulus: float  # Pa
 
     def __post_init__(self):
-        _require_finite("eccentricity_e", self.eccentricity_e)
-        _require_nonnegative("eccentricity_e", self.eccentricity_e)
-        for field in (
-            "load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I",
-            "yield_strength_compressive", "elastic_modulus",
-        ):
-            _require_positive(field, getattr(self, field))
+        _require_in("eccentricity_e", self.eccentricity_e, "[0, inf)")
+        for field in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I",
+                      "yield_strength_compressive", "elastic_modulus"):
+            _require_in(field, getattr(self, field), "(0, inf)")
 
     @property
     def eccentricity_ratio(self) -> float:
@@ -270,5 +264,4 @@ class UsageProfile(Record):
 
     def __post_init__(self):
         for counter, rate in self.counters.items():
-            _require_finite(f"usage rate for {counter!r}", rate)
-            _require_nonnegative(f"usage rate for {counter!r}", rate)
+            _require_in(f"usage rate for {counter!r}", rate, "[0, inf)")

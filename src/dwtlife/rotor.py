@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import Record, _require_positive
+from .model import Record, _require_in
 
 
 class RotorState(Record):
@@ -19,11 +19,8 @@ class RotorState(Record):
 
     def __post_init__(self):
         for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho"):
-            _require_positive(name, getattr(self, name))
-        if not 0 < self.power_coefficient_Cp < 1:
-            raise ValidationError(
-                f"power coefficient must lie in (0, 1), got {self.power_coefficient_Cp}"
-            )
+            _require_in(name, getattr(self, name), "(0, inf)")
+        _require_in("power coefficient", self.power_coefficient_Cp, "(0, 1)")
 
     @property
     def rotor_area(self) -> float:
@@ -66,6 +63,5 @@ def ducted_betz_limit(a0: float) -> float:
 
     a0 = 0 recovers the classical open-rotor Betz limit.
     """
-    if not 0 <= a0 <= 1:
-        raise ValidationError(f"axial induction factor must lie in [0, 1], got {a0}")
+    _require_in("axial induction factor", a0, "[0, 1]")
     return (16.0 / 27.0) * (1.0 - a0)

@@ -43,8 +43,8 @@ from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_finite, _require_nonnegative
-from .model import _require_positive, known_keys, named_numbers, number, read_document, tagged, text
+from .model import DAYS_PER_YEAR, Record, UsageProfile, _require_in, known_keys, named_numbers
+from .model import number, read_document, tagged, text
 
 GROUPS = ("Structural", "Electromechanical", "Control", "Fasteners")
 EVENT_KINDS = ("high_load", "post_install_inspection")
@@ -70,7 +70,7 @@ class CalendarInterval(Record):
     years: float
 
     def __post_init__(self):
-        _require_positive("calendar interval", self.years)
+        _require_in("calendar interval", self.years, "(0, inf)")
 
 
 class CycleInterval(Record):
@@ -78,7 +78,7 @@ class CycleInterval(Record):
     counter: str
 
     def __post_init__(self):
-        _require_positive("cycle interval", self.cycles)
+        _require_in("cycle interval", self.cycles, "(0, inf)")
 
 
 class WhicheverFirst(Record):
@@ -87,8 +87,8 @@ class WhicheverFirst(Record):
     counter: str
 
     def __post_init__(self):
-        _require_positive("whichever_first years", self.years)
-        _require_positive("whichever_first cycles", self.cycles)
+        _require_in("whichever_first years", self.years, "(0, inf)")
+        _require_in("whichever_first cycles", self.cycles, "(0, inf)")
 
 
 class EventTrigger(Record):
@@ -117,7 +117,7 @@ class ServiceLife(Record):
     def __post_init__(self):
         if self.unit not in (YEARS, CYCLES):
             raise ValidationError(f"service life unit must be years or cycles, got {self.unit!r}")
-        _require_positive("service life", self.value)
+        _require_in("service life", self.value, "(0, inf)")
         if self.unit == CYCLES and not self.counter:
             raise ValidationError("cycles-based service life needs a counter id")
         if self.unit == YEARS and self.counter is not None:
@@ -181,7 +181,7 @@ class InstallationRecord(Record):
         for counter, entries in self.cycle_log.items():
             prev_date, prev_count = self.install_date, 0.0
             for when, count in entries:
-                _require_finite(f"cycle log count for {counter!r}", count)
+                _require_in(f"cycle log count for {counter!r}", count, "(-inf, inf)")
                 if when < prev_date or not count >= prev_count:
                     raise ValidationError(
                         f"cycle log for {counter!r} must be nondecreasing in date and count"
@@ -424,8 +424,7 @@ def generate_schedule(
     end by date.max; a recurrence that would pass it is never due. A
     trigger that could take the schedule past MAX_ENTRIES is a ValidationError.
     """
-    if not 0 < horizon_years < math.inf:
-        raise ValidationError(f"horizon must be positive and finite, got {horizon_years}")
+    _require_in("horizon", horizon_years, "(0, inf)")
     start = install.install_date
     end = _days_after(start, round(horizon_years * DAYS_PER_YEAR))
     if end is None:
@@ -485,8 +484,7 @@ def remaining_service_life(component: ComponentRecord, usage: UsageProfile, elap
     install record. Without one (None) the count is the rate times those days.
     Overconsumption clamps the fraction to 1 and sets the flag.
     """
-    _require_finite("elapsed_years", elapsed_years)
-    _require_nonnegative("elapsed_years", elapsed_years)
+    _require_in("elapsed_years", elapsed_years, "[0, inf)")
     life = component.service_life
     if life is None:
         raise ValidationError(f"component {component.id!r} is not lifed")

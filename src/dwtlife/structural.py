@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import BucklingError, NumericError, ValidationError
-from .model import ColumnSpec, Record, RectSection, _require_finite
-from .model import _require_nonnegative, _require_normal, _require_positive
+from .model import ColumnSpec, Record, RectSection, _require_in, _require_normal
 from .units import GRAVITY
 
 FLAT = "flat"  # bending about the wide axis: I = b t³/12, y = t/2
@@ -35,19 +34,10 @@ class BallastSpec(Record):
     ballast_mass_density: float  # kg/m³
 
     def __post_init__(self):
-        for name in (
-            "turbine_thrust",
-            "nacelle_diameter",
-            "base_diameter",
-            "base_area",
-            "ballast_mass_density",
-        ):
-            _require_positive(name, getattr(self, name))
-        _require_finite("safety_factor", self.safety_factor)
-        if self.safety_factor < 1:
-            raise ValidationError(
-                f"safety_factor must be >= 1, got {self.safety_factor}"
-            )
+        for name in ("turbine_thrust", "nacelle_diameter", "base_diameter", "base_area",
+                     "ballast_mass_density"):
+            _require_in(name, getattr(self, name), "(0, inf)")
+        _require_in("safety_factor", self.safety_factor, "[1, inf)")
 
 
 class BladeSpec(Record):
@@ -59,13 +49,9 @@ class BladeSpec(Record):
     mass: float  # kg
 
     def __post_init__(self):
-        _require_positive("span_L", self.span_L)
-        _require_finite("mount_angle_phi", self.mount_angle_phi)
-        _require_positive("mass", self.mass)
-        if not 0 <= self.mount_angle_phi <= 90:
-            raise ValidationError(
-                f"mount_angle_phi must be in [0, 90] deg, got {self.mount_angle_phi}"
-            )
+        _require_in("span_L", self.span_L, "(0, inf)")
+        _require_in("mount_angle_phi", self.mount_angle_phi, "[0, 90]")
+        _require_in("mass", self.mass, "(0, inf)")
 
 
 def ballast_required_weight(spec: BallastSpec) -> float:
@@ -82,7 +68,7 @@ def ballast_height_for_weight(weight: float, spec: BallastSpec) -> float:
 
     Linear in the weight: h = W / (rho * g * A_base).
     """
-    _require_positive("weight", weight)
+    _require_in("weight", weight, "(0, inf)")
     per_metre = spec.ballast_mass_density * GRAVITY * spec.base_area
     _require_normal("ballast weight per metre of fill", per_metre, " N/m")
     return _require_normal("ballast height", weight / per_metre, " m")
@@ -164,7 +150,7 @@ def rect_bending_stress(moment: float, s: RectSection, orientation: str) -> floa
     orientation "flat" bends about the wide (b) axis, "upright" about the
     narrow (t) axis.
     """
-    _require_nonnegative("moment", moment)
+    _require_in("moment", moment, "[0, inf]")
     if orientation == FLAT:
         inertia = s.width_b * s.thickness_t**3 / 12.0
         y = s.thickness_t / 2.0
@@ -181,6 +167,6 @@ def rect_torsion_max_shear(torque: float, s: RectSection) -> float:
 
     Consistent SI units throughout (torque N·m, section m, result Pa).
     """
-    _require_nonnegative("torque", torque)
+    _require_in("torque", torque, "[0, inf]")
     b, t = s.width_b, s.thickness_t
     return torque * (3.0 + 1.8 * t / b) / (b * t**2)

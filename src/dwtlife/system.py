@@ -50,8 +50,7 @@ import threading
 from typing import Optional, Union
 
 from .errors import ValidationError
-from .model import Record, _require_finite, _require_nonnegative, _require_normal
-from .model import _require_positive, number
+from .model import Record, _require_in, _require_normal, number
 from .model import known_keys, named_numbers, read_document, tagged, text, whole
 from .weibull import WeibullParams, cumulative_hazard, inverse_transform
 
@@ -80,7 +79,7 @@ class LifeModel(Record):
             if other != field and getattr(self, other) is not None:
                 raise ValidationError(f"{self.kind} model takes no {other}")
         if field != "params":  # "exponential rate", "fixed_life life"
-            _require_positive(f"{self.kind} {field}", getattr(self, field))
+            _require_in(f"{self.kind} {field}", getattr(self, field), "(0, inf)")
 
     @classmethod
     def exponential(cls, rate: float) -> "LifeModel":
@@ -96,7 +95,7 @@ class LifeModel(Record):
 
     def survival(self, t: float) -> float:
         """Probability the component is still functioning at time t."""
-        _require_nonnegative("time", t)
+        _require_in("time", t, "[0, inf]")
         if self.kind == EXPONENTIAL:
             return math.exp(-self.rate * t)
         if self.kind == WEIBULL:
@@ -169,9 +168,7 @@ def series_reliability(reliabilities: list[float]) -> float:
     """Product of child reliabilities; the empty product is 1."""
     out = 1.0
     for r in reliabilities:
-        if not 0 <= r <= 1:
-            raise ValidationError(f"reliability {r} outside [0, 1]")
-        out *= r
+        out *= _require_in("reliability", r, "[0, 1]")
     return out
 
 
@@ -180,8 +177,7 @@ def parallel_reliability(reliabilities: list[float]) -> float:
     no cancellation when every child is near certain failure."""
     log_failure = 0.0
     for r in reliabilities:
-        if not 0 <= r <= 1:
-            raise ValidationError(f"reliability {r} outside [0, 1]")
+        _require_in("reliability", r, "[0, 1]")
         log_failure += math.log1p(-r) if r < 1 else -math.inf  # log1p(-1) is a domain error
     return 0.0 - math.expm1(log_failure)  # 0.0 - x, not -x: no surviving child gives 0.0, not -0.0
 
@@ -297,10 +293,9 @@ def monte_carlo_mttf(
     Raises NumericError when either is not finite, e.g. when failure times
     overflow double precision, or when the mean is not a normal double.
     """
-    if samples < 100:
-        raise ValidationError(f"need at least 100 samples, got {samples}")
+    _require_in("samples", samples, "[100, inf]")
     if not 0 <= seed < 2**128:  # the Philox key is two 64-bit words
-        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+        raise ValidationError(f"seed must be a Philox key, in [0, 2**128), got {seed}")
     samples, seed = whole("samples", samples), whole("seed", seed)
     chunks = -(-samples // _CHUNK)
     workers = min(_worker_count(), chunks)
@@ -382,20 +377,16 @@ def topology_from_document(doc: dict) -> SystemTopology:
 
 def expected_repairs(rate: float, horizon: float) -> float:
     """Expected Poisson repair-event count over the horizon: rate * horizon."""
-    _require_finite("repair rate", rate)
-    _require_nonnegative("repair rate", rate)
-    _require_finite("horizon", horizon)
-    _require_nonnegative("horizon", horizon)
+    _require_in("repair rate", rate, "[0, inf)")
+    _require_in("horizon", horizon, "[0, inf)")
     return _require_normal("expected repair count", rate * horizon,
                            from_nonzero=rate > 0 and horizon > 0)
 
 
 def poisson_pmf(k: int, mean: float) -> float:
     """P(N = k) for a Poisson count, evaluated in log space."""
-    _require_nonnegative("count", k)
-    k = whole("count", k)
-    _require_nonnegative("mean", mean)
-    _require_finite("mean", mean)
+    k = whole("count", _require_in("count", k, "[0, inf]"))
+    _require_in("mean", mean, "[0, inf)")
     if mean == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
@@ -425,6 +416,6 @@ def system_service_life(lives: dict[str, float]) -> tuple[float, str]:
     if not lives:
         raise ValidationError("service-life mapping must not be empty")
     for cid, years in lives.items():
-        _require_positive(f"life for {cid!r}", years)
+        _require_in(f"life for {cid!r}", years, "(0, inf)")
     limiting = min(sorted(lives), key=lambda cid: lives[cid])
     return lives[limiting], limiting

@@ -13,7 +13,7 @@ import math
 import re
 
 from .errors import ValidationError
-from .model import _require_finite
+from .model import _require_in
 
 # Standard gravity, used wherever a weight is derived from a mass.
 GRAVITY = 9.80665  # m/s²
@@ -94,7 +94,7 @@ def parse_quantity(text: str, default_unit: str) -> float:
     if not m or not re.fullmatch(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", m.group(1)):
         raise ValidationError(f"cannot parse quantity {text!r}")
     value = float(m.group(1))
-    _require_finite(f"quantity {text!r}", value)
+    _require_in(f"quantity {text!r}", value, "(-inf, inf)")
     dimension, factor = _UNITS[canonical_unit(m.group(2) or default_unit)]
     expected = _UNITS[canonical_unit(default_unit)][0]
     if dimension != expected:

@@ -5,7 +5,7 @@ F(t) = 1 - exp(-(t/eta)^beta), with the two-quantile fit
     beta = [ln(-ln(1 - p/100)) - ln(-ln(1 - q/100))] / [ln(B_p) - ln(B_q)]
     B_p  = eta * (-ln(1 - p/100))^(1/beta)
 
-_percent_hazard() is the one rule for a percent p: outside (0, 100) is a validation
+_percent_hazard() is the one rule for a percent p: one not in (0, 100) is a validation
 error, and a p/100 that is not a normal double (digits lost) is a numeric failure
 (model._require_normal).
 Time carries whatever unit the life measure uses; rates are its inverse. Only the
@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericError, SingularityError, ValidationError
-from .model import Record, _require_finite, _require_nonnegative, _require_normal
-from .model import _require_positive, whole
+from .model import Record, _require_in, _require_normal, whole
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
 RANDOM = "random"  # beta = 1, constant hazard
@@ -39,8 +38,8 @@ class WeibullParams(Record):
     scale_eta: float
 
     def __post_init__(self):
-        _require_positive("shape", self.shape_beta)
-        _require_positive("scale", self.scale_eta)
+        _require_in("shape", self.shape_beta, "(0, inf)")
+        _require_in("scale", self.scale_eta, "(0, inf)")
 
 
 class QuantilePoint(Record):
@@ -51,7 +50,7 @@ class QuantilePoint(Record):
 
     def __post_init__(self):
         _percent_hazard(self.percent_p)
-        _require_positive("life", self.life_Bp)
+        _require_in("life", self.life_Bp, "(0, inf)")
 
 
 def cdf(t: float, w: WeibullParams) -> float:
@@ -61,8 +60,7 @@ def cdf(t: float, w: WeibullParams) -> float:
 
 def _percent_hazard(p: float) -> float:
     """-ln(1 - p/100), the cumulative hazard at the B_p life, of a percent in (0, 100)."""
-    if not 0 < p < 100:
-        raise ValidationError(f"percent must lie in (0, 100), got {p}")
+    _require_in("percent", p, "(0, 100)")
     return -math.log1p(-_require_normal(f"p/100 of percent {p}", p / 100.0))
 
 
@@ -102,7 +100,7 @@ def _log_ratio(a: float, b: float) -> float:
 
 def hazard(t: float, w: WeibullParams) -> float:
     """Instantaneous failure rate h(t) = (beta/eta)(t/eta)^(beta-1)."""
-    _require_nonnegative("time", t)
+    _require_in("time", t, "[0, inf]")
     if t == 0:
         if w.shape_beta < 1:
             raise SingularityError("hazard diverges at t = 0 for shape < 1")
@@ -114,16 +112,16 @@ def hazard(t: float, w: WeibullParams) -> float:
 
 def cumulative_hazard(t: float, w: WeibullParams) -> float:
     """H(t) = (t/eta)^beta."""
-    _require_nonnegative("time", t)
+    _require_in("time", t, "[0, inf]")
     return (t / w.scale_eta) ** w.shape_beta
 
 
 def average_failure_rate(t1: float, t2: float, w: WeibullParams) -> float:
     """Average rate over [t1, t2]: (H(t2) - H(t1)) / (t2 - t1), where for t2 <= 2*t1
     the difference is H(t1)*expm1(beta*log1p(d/t1)), with d = t2 - t1 exact: no cancellation."""
+    _require_in("t2", t2, "(0, inf)")
     if not (0 <= t1 < t2):
         raise ValidationError(f"need 0 <= t1 < t2, got [{t1}, {t2}]")
-    _require_finite("t2", t2)
     d = t2 - t1
     if t2 <= 2 * t1:
         return cumulative_hazard(t1, w) * math.expm1(w.shape_beta * math.log1p(d / t1)) / d
@@ -148,10 +146,8 @@ def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
     """
     import numpy as np
 
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    _require_nonnegative("seed", seed)
-    count, seed = whole("count", count), whole("seed", seed)
+    count = whole("count", _require_in("count", count, "[1, inf]"))
+    seed = whole("seed", _require_in("seed", seed, "[0, inf]"))
     with np.errstate(all="ignore"):
         values = inverse_transform(np.random.default_rng(seed).random(count), w)
     if not np.isfinite(values).all():
@@ -161,7 +157,7 @@ def sample(w: WeibullParams, seed: int, count: int) -> np.ndarray:
 
 def failure_regime(beta: float) -> str:
     """Hazard-shape classification: early_life, random, or wear_out."""
-    _require_positive("shape", beta)
+    _require_in("shape", beta, "(0, inf)")
     if abs(beta - 1.0) <= _REGIME_TOL:
         return RANDOM
     return EARLY_LIFE if beta < 1 else WEAR_OUT

@@ -94,6 +94,14 @@ CASES = {
     "error_fatigue_life_infinite_rate": (
         _argv("fatigue life --stress 200MPa --a 1000MPa --b -0.1 --cycles-per-day inf"), {}
     ),
+    # N = (1e300)^-1000 underflows to 0: was cycles = 0
+    "error_fatigue_life_cycles_underflow": (
+        _argv("fatigue life --stress 1e300Pa --a 1Pa --b -0.001"), {}
+    ),
+    # 1e307 cycles a day is past a float's range in a year: was years = 0
+    "error_fatigue_life_cycles_per_year_overflow": (
+        _argv("fatigue life --stress 1e8Pa --a 1e9Pa --b -0.1 --cycles-per-day 1e307"), {}
+    ),
     # blade
     "blade_bending": (_argv("blade bending"), {}),
     "blade_bending_json": (_argv("blade bending --mass 5 --mount-angle 20 --json"), {}),
@@ -290,6 +298,10 @@ CASES = {
     "error_bearing_l10_overflow": (_argv("bearing life --config bearing_l10_overflow.json"), {}),
     "error_bearing_rating_overflow": (
         _argv("bearing life --config bearing_rating_overflow.json"), {}
+    ),
+    # a1 = 1e-320 makes L_nm subnormal: was modified_life_oscillations = 2.66672e-319
+    "error_bearing_modified_life_underflow": (
+        _argv("bearing life --config bearing_tiny_factor.json"), {}
     ),
     # schedule generate
     "schedule_generate_csv": ([*GENERATE, "--horizon", "2"], {}),

@@ -1,21 +1,28 @@
-"""The one positive-and-finite check (model._require_positive) and the one
-non-negative check (model._require_nonnegative) at every field they guard, the
-one check of a formed value (model._require_normal), and the one document
-number and text readers (model.number, model.text)."""
+"""The one domain rule of an input (model._require_in) at every field it guards, the
+one check of a formed value (model._require_normal), and the one document number and
+text readers (model.number, model.text).
 
+DOMAINS pins each field's interval: its probes are each finite end of the interval,
+the float on either side of that end, both infinities and NaN, and a predicate written
+here, not _require_in, decides which of them the field accepts."""
+
+import argparse
 import ast
 import math
+import operator
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 import dwtlife
-from dwtlife import bearing, fatigue, structural, system, weibull
+from dwtlife import bearing, cli, fatigue, presets, rotor, schedule, structural, system, weibull
 from dwtlife.errors import NumericError, ValidationError
-from dwtlife.model import ColumnSpec, RectSection, UsageProfile, _require_normal, number, text
+from dwtlife.model import ColumnSpec, RectSection, UsageProfile, _require_in, _require_normal
+from dwtlife.model import number, text
 from dwtlife.rotor import RotorState
 from dwtlife.schedule import CalendarInterval, CycleInterval, ServiceLife, WhicheverFirst
-from dwtlife.schedule import ComponentRecord, remaining_service_life
+from dwtlife.schedule import ComponentRecord, InstallationRecord, remaining_service_life
 from dwtlife.weibull import QuantilePoint, WeibullParams, failure_regime
 
 
@@ -31,11 +38,14 @@ BALLAST = dict(turbine_thrust=6035.0, nacelle_diameter=2.0, safety_factor=1.0,
 SECTION = dict(width_b=0.1, thickness_t=0.01)
 COLUMN = dict(load_P=1e4, eccentricity_e=0.01, centroid_c=0.05, gyration_k=0.05, height_l=6.0,
               area_A=0.01, moment_I=1e-5, yield_strength_compressive=2.5e8, elastic_modulus=2e11)
+BLADE = dict(section=RectSection(**SECTION), span_L=1.0, mount_angle_phi=0.0, mass=3.0)
 GEOMETRY = dict(groove_factor_fcm=1.0, rows_i=1, ball_count_Z=30, ball_diameter_Dr=25.0,
                 contact_angle_alpha=60.0, raceway_center_diameter_dm=1000.0)
 BEARING_LOADS = dict(radial_Fr=0.0, axial_Fa=1000.0, moment_M=100.0)
+LIFE_FACTORS = dict(a1=1.0, a2=1.0, a3=1.0, a4=1.0)
+MARIN_FACTORS = dict(ka=1.0, kb=1.0, kc=1.0, kd=1.0, ke=1.0, kf=1.0)
 LOADS = bearing.BearingLoads(**BEARING_LOADS)
-MARIN = fatigue.MarinFactors(1, 1, 1, 1, 1, 1)
+MARIN = fatigue.MarinFactors(**MARIN_FACTORS)
 SN = fatigue.SnConstants(a=1e9, b=-0.1)
 BALLAST_SPEC = structural.BallastSpec(**BALLAST)
 BEARING_DOCUMENT = {
@@ -43,110 +53,197 @@ BEARING_DOCUMENT = {
                  "raceway_center_diameter_mm": 1000.0},
     "loads": {"axial_n": 1000.0, "moment_nm": 100.0},
 }
-
-# (field name as the error message gives it, a call that checks a value for it)
-GUARDED = [
-    ("calendar interval", lambda v: CalendarInterval(years=v)),
-    ("cycle interval", lambda v: CycleInterval(cycles=v, counter="c")),
-    ("whichever_first years", lambda v: WhicheverFirst(years=v, cycles=1.0, counter="c")),
-    ("whichever_first cycles", lambda v: WhicheverFirst(years=1.0, cycles=v, counter="c")),
-    ("service life", lambda v: ServiceLife(value=v, unit="years")),
-    ("shape", lambda v: WeibullParams(shape_beta=v, scale_eta=1.0)),
-    ("scale", lambda v: WeibullParams(shape_beta=1.0, scale_eta=v)),
-    ("shape", failure_regime),
-    ("life", lambda v: QuantilePoint(percent_p=10.0, life_Bp=v)),
-    ("cycles_per_day", lambda v: fatigue.cycles_to_calendar(1e6, v)),
-    ("endurance limit", lambda v: fatigue.marin_modified_endurance(v, MARIN)),
-    ("endurance limit", lambda v: fatigue.sn_constants(4e8, v)),
-    ("stress", lambda v: fatigue.cycles_to_failure(v, SN)),
-    ("S-N intercept a", replacing(fatigue.SnConstants, dict(a=1e9, b=-0.1), "a")),
-    ("life for 'a'", lambda v: system.system_service_life({"a": v})),
-    ("exponential rate", system.LifeModel.exponential),
-    ("fixed_life life", system.LifeModel.fixed_life),
-    *((name, replacing(RotorState, ROTOR, name))
-      for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho")),
-    *((name, replacing(structural.BallastSpec, BALLAST, name))
-      for name in ("turbine_thrust", "nacelle_diameter", "base_diameter", "base_area",
-                   "ballast_mass_density")),
-    ("mass", lambda v: structural.BladeSpec(RectSection(**SECTION), 1.0, 0.0, v)),
-    ("span_L", lambda v: structural.BladeSpec(RectSection(**SECTION), v, 0.0, 3.0)),
-    ("weight", lambda v: structural.ballast_height_for_weight(v, BALLAST_SPEC)),
-    ("ultimate_tensile_strength", fatigue.endurance_limit_unmodified),
-    ("thickness_t", replacing(RectSection, SECTION, "thickness_t")),
-    *((name, replacing(ColumnSpec, COLUMN, name))
-      for name in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I",
-                   "yield_strength_compressive", "elastic_modulus")),
-    ("groove_factor_fcm", replacing(bearing.SlewingBearingGeometry, GEOMETRY, "groove_factor_fcm")),
-    ("raceway center diameter", lambda v: bearing.equivalent_axial_load(LOADS, v)),
-    ("equivalent load", lambda v: bearing.l10_life(1e5, v)),
-    ("bearing document: oscillations_per_day",
-     lambda v: bearing.summary_from_document({**BEARING_DOCUMENT, "oscillations_per_day": v})),
-]
-# a case is named by its field, without a document reader's "<document>: " prefix
-CASES = pytest.mark.parametrize("name, check", GUARDED,
-                                ids=[name.rpartition(": ")[2] for name, _ in GUARDED])
-
-
-# An exact message shows that the field's own check raised, not another check of the call.
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
-@CASES
-def test_non_positive_or_non_finite_value_names_the_field(name, check, value):
-    with pytest.raises(ValidationError) as caught:
-        check(value)
-    reason = "finite" if value == math.inf else "positive"
-    assert str(caught.value) == f"{name} must be {reason}, got {value}"
-
-
 WEIBULL = WeibullParams(shape_beta=2.0, scale_eta=10.0)
 EXPONENTIAL = system.LifeModel.exponential(1.0)
 RECT = RectSection(**SECTION)
 LIFED = ComponentRecord("a", "Control", service_life=ServiceLife(value=4.0, unit="years"))
+INSTALL = InstallationRecord(date(2025, 1, 1))
 
-# (field name as the error message gives it, a call that checks a value for it,
-#  whether a finite check runs first and so reports NaN as not finite)
-NON_NEGATIVE = [
-    *(("time", lambda v, f=f: f(v, WEIBULL), False)
+
+def fatigue_life(cycles_per_day: float):
+    return cli._cmd_fatigue_life(argparse.Namespace(
+        stress=1e8, a=1e9, b=-0.1, cycles_per_day=cycles_per_day))
+
+
+def tower_life(cycles_per_day: float):
+    return cli._life_chain(presets.TOWER_STEEL_SUT, presets.TOWER_MARIN,
+                           argparse.Namespace(stress=1e8, cycles_per_day=cycles_per_day))
+
+
+# (field name as the error message gives it, its domain, a call that checks a value for it):
+# every model._require_in call of the package but parse_quantity's, whose text can hold
+# neither NaN nor an arbitrary double (tests/test_units.py pins it).
+DOMAINS = [
+    # model
+    ("width_b", "(0, inf)", replacing(RectSection, SECTION, "width_b")),
+    ("thickness_t", "(0, inf)", replacing(RectSection, SECTION, "thickness_t")),
+    ("eccentricity_e", "[0, inf)", replacing(ColumnSpec, COLUMN, "eccentricity_e")),
+    *((name, "(0, inf)", replacing(ColumnSpec, COLUMN, name))
+      for name in ("load_P", "centroid_c", "gyration_k", "height_l", "area_A", "moment_I",
+                   "yield_strength_compressive", "elastic_modulus")),
+    ("usage rate for 'c'", "[0, inf)", lambda v: UsageProfile(counters={"c": v})),
+    # fatigue
+    *((f"Marin factor {name}", "(0, 1.5]", replacing(fatigue.MarinFactors, MARIN_FACTORS, name))
+      for name in MARIN_FACTORS),
+    ("S-N intercept a", "(0, inf)", replacing(fatigue.SnConstants, dict(a=1e9, b=-0.1), "a")),
+    ("S-N exponent b", "(-inf, 0)", replacing(fatigue.SnConstants, dict(a=1e9, b=-0.1), "b")),
+    ("ultimate_tensile_strength", "(0, inf)", fatigue.endurance_limit_unmodified),
+    ("endurance limit", "(0, inf)", lambda v: fatigue.marin_modified_endurance(v, MARIN)),
+    ("endurance limit", "(0, inf)", lambda v: fatigue.sn_constants(4e8, v)),
+    ("fatigue strength fraction f", "(0, 1]", lambda v: fatigue.sn_constants(4e8, 1e8, v)),
+    ("stress", "(0, inf)", lambda v: fatigue.cycles_to_failure(v, SN)),
+    ("cycles_per_day", "(0, inf)", lambda v: fatigue.cycles_to_calendar(1e6, v)),
+    ("cycles_per_day", "(0, inf)", fatigue_life),
+    ("cycles_per_day", "(0, inf)", tower_life),
+    # bearing
+    *((name, domain, replacing(bearing.SlewingBearingGeometry, GEOMETRY, field))
+      for name, field, domain in [
+          ("groove_factor_fcm", "groove_factor_fcm", "(0, inf)"),
+          ("rows_i", "rows_i", "[1, inf)"),
+          ("ball_count_Z", "ball_count_Z", "[1, inf)"),
+          ("ball_diameter_Dr", "ball_diameter_Dr", "(0, inf)"),
+          ("contact angle", "contact_angle_alpha", "(0, 90)"),
+          ("raceway_center_diameter_dm", "raceway_center_diameter_dm", "(0, inf)"),
+      ]),
+    *((name, "[0, inf)", replacing(bearing.BearingLoads, BEARING_LOADS, name))
+      for name in BEARING_LOADS),
+    *((f"life factor {name}", "(0, 2]", replacing(bearing.LifeModFactors, LIFE_FACTORS, name))
+      for name in LIFE_FACTORS),
+    ("oscillation half-arc", "(0, 180]", lambda v: bearing.oscillating_rating(1e5, v)),
+    ("raceway center diameter", "(0, inf)", lambda v: bearing.equivalent_axial_load(LOADS, v)),
+    ("equivalent load", "(0, inf)", lambda v: bearing.l10_life(1e5, v)),
+    ("L10", "[0, inf]", lambda v: bearing.modified_life(v, bearing.LifeModFactors(1, 1, 1, 1))),
+    ("ball count", "[1, inf]", lambda v: bearing.raceway_stress_cycles(1e6, v)),
+    ("bearing document: oscillations_per_day", "(0, inf)",
+     lambda v: bearing.summary_from_document({**BEARING_DOCUMENT, "oscillations_per_day": v})),
+    # rotor
+    *((name, "(0, inf)", replacing(RotorState, ROTOR, name))
+      for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho")),
+    ("power coefficient", "(0, 1)", replacing(RotorState, ROTOR, "power_coefficient_Cp")),
+    ("axial induction factor", "[0, 1]", rotor.ducted_betz_limit),
+    # structural
+    *((name, "(0, inf)", replacing(structural.BallastSpec, BALLAST, name))
+      for name in ("turbine_thrust", "nacelle_diameter", "base_diameter", "base_area",
+                   "ballast_mass_density")),
+    ("safety_factor", "[1, inf)", replacing(structural.BallastSpec, BALLAST, "safety_factor")),
+    ("span_L", "(0, inf)", replacing(structural.BladeSpec, BLADE, "span_L")),
+    ("mount_angle_phi", "[0, 90]", replacing(structural.BladeSpec, BLADE, "mount_angle_phi")),
+    ("mass", "(0, inf)", replacing(structural.BladeSpec, BLADE, "mass")),
+    ("weight", "(0, inf)", lambda v: structural.ballast_height_for_weight(v, BALLAST_SPEC)),
+    ("moment", "[0, inf]", lambda v: structural.rect_bending_stress(v, RECT, structural.FLAT)),
+    ("torque", "[0, inf]", lambda v: structural.rect_torsion_max_shear(v, RECT)),
+    # system
+    ("exponential rate", "(0, inf)", system.LifeModel.exponential),
+    ("fixed_life life", "(0, inf)", system.LifeModel.fixed_life),
+    ("time", "[0, inf]", EXPONENTIAL.survival),
+    ("time", "[0, inf]", system.LifeModel.weibull(WEIBULL).survival),
+    ("time", "[0, inf]",
+     lambda v: system.system_reliability_at(v, system.Component("a", EXPONENTIAL))),
+    ("reliability", "[0, 1]", lambda v: system.series_reliability([v])),
+    ("reliability", "[0, 1]", lambda v: system.parallel_reliability([v])),
+    ("samples", "[100, inf]",
+     lambda v: system.monte_carlo_mttf(system.Component("a", EXPONENTIAL), v, 1)),
+    ("repair rate", "[0, inf)", lambda v: system.expected_repairs(v, 1.0)),
+    ("horizon", "[0, inf)", lambda v: system.expected_repairs(1.0, v)),
+    ("count", "[0, inf]", lambda v: system.poisson_pmf(v, 1.0)),
+    ("mean", "[0, inf)", lambda v: system.poisson_pmf(2, v)),
+    ("mean", "[0, inf)", lambda v: system.poisson_pmf(0, v)),
+    ("life for 'a'", "(0, inf)", lambda v: system.system_service_life({"a": v})),
+    # schedule
+    ("calendar interval", "(0, inf)", lambda v: CalendarInterval(years=v)),
+    ("cycle interval", "(0, inf)", lambda v: CycleInterval(cycles=v, counter="c")),
+    ("whichever_first years", "(0, inf)",
+     lambda v: WhicheverFirst(years=v, cycles=1.0, counter="c")),
+    ("whichever_first cycles", "(0, inf)",
+     lambda v: WhicheverFirst(years=1.0, cycles=v, counter="c")),
+    ("service life", "(0, inf)", lambda v: ServiceLife(value=v, unit="years")),
+    ("cycle log count for 'c'", "(-inf, inf)",
+     lambda v: InstallationRecord(date(2025, 1, 1), cycle_log={"c": ((date(2025, 2, 1), v),)})),
+    ("horizon", "(0, inf)", lambda v: schedule.generate_schedule(
+        schedule.Registry(()), INSTALL, UsageProfile({}), v)),
+    ("elapsed_years", "[0, inf)", lambda v: remaining_service_life(LIFED, UsageProfile({}), v)),
+    # weibull
+    ("shape", "(0, inf)", lambda v: WeibullParams(shape_beta=v, scale_eta=1.0)),
+    ("scale", "(0, inf)", lambda v: WeibullParams(shape_beta=1.0, scale_eta=v)),
+    ("shape", "(0, inf)", failure_regime),
+    ("life", "(0, inf)", lambda v: QuantilePoint(percent_p=10.0, life_Bp=v)),
+    ("percent", "(0, 100)", lambda v: QuantilePoint(percent_p=v, life_Bp=1.0)),
+    ("percent", "(0, 100)", lambda v: weibull.quantile_Bp(v, WEIBULL)),
+    *(("time", "[0, inf]", lambda v, f=f: f(v, WEIBULL))
       for f in (weibull.cdf, weibull.hazard, weibull.cumulative_hazard)),
-    ("seed", lambda v: weibull.sample(WEIBULL, v, 3), False),
-    ("time", EXPONENTIAL.survival, False),
-    ("time", system.LifeModel.weibull(WEIBULL).survival, False),
-    ("time", lambda v: system.system_reliability_at(v, system.Component("a", EXPONENTIAL)), False),
-    ("repair rate", lambda v: system.expected_repairs(v, 1.0), True),
-    ("horizon", lambda v: system.expected_repairs(1.0, v), True),
-    ("count", lambda v: system.poisson_pmf(v, 1.0), False),
-    ("mean", lambda v: system.poisson_pmf(2, v), False),
-    ("moment", lambda v: structural.rect_bending_stress(v, RECT, structural.FLAT), False),
-    ("torque", lambda v: structural.rect_torsion_max_shear(v, RECT), False),
-    *((name, replacing(bearing.BearingLoads, BEARING_LOADS, name), True) for name in BEARING_LOADS),
-    ("L10", lambda v: bearing.modified_life(v, bearing.LifeModFactors(1, 1, 1, 1)), False),
-    ("eccentricity_e", replacing(ColumnSpec, COLUMN, "eccentricity_e"), True),
-    ("usage rate for 'c'", lambda v: UsageProfile(counters={"c": v}), True),
-    ("elapsed_years", lambda v: remaining_service_life(LIFED, UsageProfile({}), v), True),
+    ("t2", "(0, inf)", lambda v: weibull.average_failure_rate(0.0, v, WEIBULL)),
+    ("count", "[1, inf]", lambda v: weibull.sample(WEIBULL, 1, v)),
+    ("seed", "[0, inf]", lambda v: weibull.sample(WEIBULL, v, 3)),
 ]
-NON_NEGATIVE_CASES = pytest.mark.parametrize(
-    "name, check, finite_first", NON_NEGATIVE, ids=[name for name, *_ in NON_NEGATIVE]
-)
+
+_ENDS = {"(": operator.lt, "[": operator.le, ")": operator.lt, "]": operator.le}
 
 
-@pytest.mark.parametrize("value", [-1.0, math.nan], ids=["-1", "nan"])
-@NON_NEGATIVE_CASES
-def test_negative_or_nan_value_names_the_field(name, check, finite_first, value):
-    with pytest.raises(ValidationError) as caught:
+def inside(value: float, domain: str) -> bool:
+    """Whether value lies in the interval written as domain, "(0, 1.5]"."""
+    low, high = map(float, domain[1:-1].split(", "))
+    return _ENDS[domain[0]](low, value) and _ENDS[domain[-1]](value, high)
+
+
+def probes(domain: str) -> list[float]:
+    """Each finite end of domain and the double on either side of it, both infinities, NaN."""
+    ends = [end for end in map(float, domain[1:-1].split(", ")) if math.isfinite(end)]
+    near = [math.nextafter(end, toward) for end in ends for toward in (-math.inf, math.inf)]
+    return [*ends, *near, math.inf, -math.inf, math.nan]
+
+
+def domain_message(check, value):
+    """The message of the ValidationError that check(value) raises, if any; a formed
+    value's numeric failure (an accepted input) gives None."""
+    try:
         check(value)
-    reason = "finite" if finite_first and math.isnan(value) else ">= 0"
-    assert str(caught.value) == f"{name} must be {reason}, got {value}"
+    except ValidationError as exc:
+        return str(exc)
+    except ArithmeticError:  # NumericError, or float ** past a float's range
+        pass
+    return None
 
 
-@NON_NEGATIVE_CASES
-def test_zero_is_accepted(name, check, finite_first):
+PROBES = [pytest.param(name, domain, check, value, id=f"{name.rpartition(': ')[2]} {value!r}")
+          for name, domain, check in DOMAINS for value in probes(domain)]
+
+
+@pytest.mark.parametrize("name, domain, check, value", PROBES)
+def test_field_accepts_exactly_its_domain(name, domain, check, value):
+    """A probe outside the domain gives the field's exact message, naming the value; a probe
+    inside passes the field's check (a later check of the call may refuse it)."""
+    message = domain_message(check, value)
+    expected = f"{name} must lie in {domain}, got {value}"
+    if inside(value, domain):
+        assert message != expected
+    else:
+        assert message == expected
+
+
+@pytest.mark.parametrize("name, domain, check", [row for row in DOMAINS if inside(0, row[1])],
+                         ids=[name for name, domain, _ in DOMAINS if inside(0, domain)])
+def test_zero_is_accepted(name, domain, check):
     check(0)
 
 
+def test_an_int_past_a_float_lies_outside_an_open_infinite_end():
+    """An open infinite end holds the doubles short of it: a whole count past the largest
+    double is refused there, not by the float arithmetic after it. A closed end holds it."""
+    with pytest.raises(ValidationError, match=r"^balls must lie in \[1, inf\), got 1000"):
+        _require_in("balls", 10**400, "[1, inf)")
+    assert _require_in("seed", 10**400, "[0, inf]") == 10**400
+    with pytest.raises(ValidationError, match=r"^x must lie in \(-inf, 0\), got -1000"):
+        _require_in("x", -10**400, "(-inf, 0)")
+
+
+def test_require_in_returns_the_value():
+    assert _require_in("x", 1.5, "(0, 1.5]") == 1.5
+    assert _require_in("x", 3, "[1, inf)") == 3
+
+
 # (field name as the error message gives it, a call that checks a value for it,
-#  a value the non-negative check lets through that the field rejects, the reason)
+#  a value the count's domain lets through that the count rejects, the reason)
 OUT_OF_DOMAIN = [
-    ("mean", lambda v: system.poisson_pmf(2, v), math.inf, "finite"),
-    ("mean", lambda v: system.poisson_pmf(0, v), math.inf, "finite"),
     ("count", lambda v: system.poisson_pmf(v, 1.0), math.inf, "a whole number"),
     ("count", lambda v: system.poisson_pmf(v, 1.0), 2.5, "a whole number"),
     ("count", lambda v: system.poisson_pmf(v, 1.0), True, "a finite number"),
@@ -154,8 +251,7 @@ OUT_OF_DOMAIN = [
 
 
 @pytest.mark.parametrize(
-    "name, check, value, reason", OUT_OF_DOMAIN,
-    ids=["mean_inf", "mean_inf_count_0", "count_inf", "count_2.5", "count_true"],
+    "name, check, value, reason", OUT_OF_DOMAIN, ids=["count_inf", "count_2.5", "count_true"],
 )
 def test_value_out_of_domain_names_the_field(name, check, value, reason):
     with pytest.raises(ValidationError) as caught:
@@ -163,18 +259,41 @@ def test_value_out_of_domain_names_the_field(name, check, value, reason):
     assert str(caught.value) == f"{name} must be {reason}, got {value}"
 
 
-def test_only_model_writes_the_non_negative_message():
-    package = Path(dwtlife.__file__).parent
-    writers = [path.name for path in sorted(package.glob("*.py"))
-               if path.name != "model.py" and "must be >= 0" in path.read_text(encoding="utf-8")]
-    assert writers == [], "call model._require_nonnegative instead"
+def package_sources():
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(Path(dwtlife.__file__).parent.glob("*.py"))}
+
+
+def domain_literals() -> list:
+    """(module, domain) of each _require_in call of the package; a domain that is not a
+    string literal is given as None."""
+    return [(name, node.args[2].value if isinstance(node.args[2], ast.Constant) else None)
+            for name, source in package_sources().items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require_in"]
+
+
+def test_every_domain_is_a_literal_interval():
+    """Each _require_in call passes an interval as its text: "(" or "[", a low and a high
+    double with low < high, then ")" or "]"."""
+    calls = domain_literals()
+    assert calls
+    for module, domain in calls:
+        assert isinstance(domain, str), f"{module}: the domain must be a string literal"
+        assert domain[0] in "([" and domain[-1] in ")]", (module, domain)
+        low, high = map(float, domain[1:-1].split(", "))
+        assert low < high, (module, domain)
+
+
+def test_only_model_writes_a_domain_message():
+    phrases = ("must lie in", "must be positive", "must be >= 0", "must be finite", "outside (")
+    writers = [(name, phrase) for name, source in package_sources().items()
+               for phrase in phrases if name != "model.py" and phrase in source]
+    assert writers == [], "call model._require_in instead"
 
 
 def test_only_weibull_writes_the_percent_range_message():
-    package = Path(dwtlife.__file__).parent
-    writers = [path.name for path in sorted(package.glob("*.py"))
-               for line in path.read_text(encoding="utf-8").splitlines()
-               if "percent must lie in" in line]
+    writers = [module for module, domain in domain_literals() if domain == "(0, 100)"]
     assert writers == ["weibull.py"], "call weibull._percent_hazard instead"
 
 
@@ -234,11 +353,6 @@ def test_formed_value_below_the_smallest_normal_underflows(value):
                                    1.7976931348623157e308])
 def test_normal_formed_value_is_returned(value):
     assert _require_normal("load", value) == value
-
-
-def package_sources():
-    return {path.name: path.read_text(encoding="utf-8")
-            for path in sorted(Path(dwtlife.__file__).parent.glob("*.py"))}
 
 
 def test_only_model_tests_for_a_normal_double():

@@ -415,13 +415,13 @@ class TestBearingCommand:
 
 # (argv ending in a flag, a negative value for it, the error it gives)
 NEGATIVE_WORDS = [
-    (LIFE_ARGV, "-inf", "b must be finite, got -inf"),
-    (LIFE_ARGV, "-INFINITY", "b must be finite, got -inf"),
-    (LIFE_ARGV, "-Nan", "b must be finite, got nan"),
+    (LIFE_ARGV, "-inf", "S-N exponent b must lie in (-inf, 0), got -inf"),
+    (LIFE_ARGV, "-INFINITY", "S-N exponent b must lie in (-inf, 0), got -inf"),
+    (LIFE_ARGV, "-Nan", "S-N exponent b must lie in (-inf, 0), got nan"),
     (["fatigue", "endurance", "--sut"], "-1MPa",
-     "ultimate_tensile_strength must be positive, got -1000000.0"),
+     "ultimate_tensile_strength must lie in (0, inf), got -1000000.0"),
     (["fatigue", "endurance", "--sut"], "-.5ksi",
-     "ultimate_tensile_strength must be positive, got -3447378.5"),
+     "ultimate_tensile_strength must lie in (0, inf), got -3447378.5"),
 ]
 
 
@@ -695,11 +695,11 @@ class TestInputFileErrors:
 # dict is the --config document) and the exact error line.
 VALIDATION_BRANCHES = [
     (["fatigue", "life", "--stress", "200MPa", "--a", "900MPa", "--b", "0.1"],
-     "S-N exponent b must be negative, got 0.1"),
+     "S-N exponent b must lie in (-inf, 0), got 0.1"),
     (["aero", "torque", "--cp", "1.5"], "power coefficient must lie in (0, 1), got 1.5"),
     (["weibull", "fit", "--p", "150", "--bp", "10", "--q", "50", "--bq", "20"],
      "percent must lie in (0, 100), got 150.0"),
-    (["blade", "bending", "--mount-angle", "95"], "mount_angle_phi must be in [0, 90] deg, got 95.0"),
+    (["blade", "bending", "--mount-angle", "95"], "mount_angle_phi must lie in [0, 90], got 95.0"),
     (["schedule", "generate", "--horizon", "1", "--config", {"install": {
         "install_date": "2025-01-01",
         "events": [{"date": "2025-06-01", "kind": "high_load"},
@@ -707,10 +707,10 @@ VALIDATION_BRANCHES = [
     }}], "installation document: event log dates must be nondecreasing"),
     (["bearing", "life", "--config",
       {**BEARING_DOC, "geometry": {**BEARING_DOC["geometry"], "rows": 0}}],
-     "bearing document: rows_i and ball_count_Z must be >= 1"),
+     "bearing document: rows_i must lie in [1, inf), got 0"),
     (["bearing", "life", "--config",
       {**BEARING_DOC, "factors": {"a1": 3, "a2": 1, "a3": 1, "a4": 1}}],
-     "bearing document: life factor a1=3.0 outside (0, 2]"),
+     "bearing document: life factor a1 must lie in (0, 2], got 3.0"),
 ]
 
 

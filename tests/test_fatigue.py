@@ -97,7 +97,7 @@ class TestSnConstants:
     def test_fraction_outside_unit_interval_rejected(self, f):
         with pytest.raises(ValidationError) as caught:
             sn_constants(ksi(45.0), ksi(17.6), f)
-        assert str(caught.value) == f"fatigue strength fraction f={f} outside (0, 1]"
+        assert str(caught.value) == f"fatigue strength fraction f must lie in (0, 1], got {f}"
 
     def test_degenerate_boundary_rejected(self):
         with pytest.raises(ValidationError):

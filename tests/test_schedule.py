@@ -133,7 +133,7 @@ class TestLoadRegistry:
     ], ids=["calendar", "cycle", "whichever_years", "whichever_cycles", "life_years",
             "life_cycles"])
     def test_infinite_schedule_values_rejected(self, make):
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match=r"must lie in \(0, inf\), got inf$"):
             make(math.inf)
 
 
