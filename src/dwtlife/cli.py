@@ -483,6 +483,8 @@ def _cmd_schedule_generate(args):
         raise ValidationError("--format sets the text output; it cannot go with --json")
     registry = _load_registry_for(args)
     install, usage = schedule.site_from_document(_site(args), args.install_date)
+    if install is None:
+        raise ValidationError("need --install-date or a --config with an 'install' record")
     entries = schedule.generate_schedule(registry, install, usage, args.horizon)
     if not args.json:
         return schedule.emit_report(entries, args.format or schedule.CSV)
@@ -510,9 +512,7 @@ def _cmd_schedule_rul(args):
     from . import schedule
 
     registry = _load_registry_for(args)
-    site = _site(args)
-    usage = schedule.usage_from_site(site)
-    install = schedule.installation_from_document(site["install"]) if "install" in site else None
+    install, usage = schedule.site_from_document(_site(args), None)
     component = registry.get(args.component)
     result = schedule.remaining_service_life(component, usage, args.elapsed, install)
     return [

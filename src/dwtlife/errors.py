@@ -1,21 +1,10 @@
-"""Exception hierarchy shared by all dwtlife modules."""
+"""The two errors of the package, one per non-zero exit code of the command line."""
 
 
-class DwtLifeError(Exception):
-    """Base class for all errors raised by this package."""
+class ValidationError(ValueError):
+    """Bad input: out-of-range value, inconsistent units, malformed document (exit 1)."""
 
 
-class ValidationError(DwtLifeError, ValueError):
-    """Bad input: out-of-range value, inconsistent units, malformed document."""
-
-
-class NumericError(DwtLifeError, ArithmeticError):
-    """Numeric failure: singularity, instability, or non-convergence."""
-
-
-class BucklingError(NumericError):
-    """Compressive load at or beyond the elastic stability bound."""
-
-
-class SingularityError(NumericError):
-    """Evaluation at a point where the quantity diverges."""
+class NumericError(ArithmeticError):
+    """Numeric failure: a formed value that overflows or underflows, a singularity,
+    an instability or a non-convergence (exit 2)."""

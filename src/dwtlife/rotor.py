@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
-from .model import Record, _require_in
+from .model import Record, _require_in, _require_normal
 
 
 class RotorState(Record):
@@ -22,21 +21,16 @@ class RotorState(Record):
             _require_in(name, getattr(self, name), "(0, inf)")
         _require_in("power coefficient", self.power_coefficient_Cp, "(0, 1)")
 
-    @property
-    def rotor_area(self) -> float:
-        return math.pi * self.radius_R**2
-
 
 def tip_speed_ratio(state: RotorState) -> float:
     """lambda = R*omega/V."""
-    return state.radius_R * state.rotor_speed_omega / state.wind_speed_V
+    return _require_normal("tip-speed ratio",
+                           state.radius_R * state.rotor_speed_omega / state.wind_speed_V)
 
 
 def torque_coefficient(cp: float, lam: float) -> float:
     """C_q = C_p / lambda."""
-    if lam == 0:
-        raise ValidationError("torque coefficient undefined at zero tip-speed ratio")
-    return cp / lam
+    return cp / _require_in("tip-speed ratio", lam, "(0, inf)")
 
 
 def torque_from_coefficient(cq: float, rho: float, radius: float, wind_speed: float) -> float:
@@ -48,14 +42,14 @@ def torque_from_coefficient(cq: float, rho: float, radius: float, wind_speed: fl
 def rotor_torque(state: RotorState) -> float:
     """Rotor torque (N·m) at the given operating point."""
     cq = torque_coefficient(state.power_coefficient_Cp, tip_speed_ratio(state))
-    return torque_from_coefficient(
-        cq, state.air_density_rho, state.radius_R, state.wind_speed_V
-    )
+    torque = torque_from_coefficient(cq, state.air_density_rho, state.radius_R, state.wind_speed_V)
+    return _require_normal("rotor torque", torque, " N·m")
 
 
 def rotor_power(torque: float, omega: float) -> float:
     """Shaft power P = T * omega."""
-    return torque * omega
+    return _require_normal("shaft power", torque * omega, " W",
+                           from_nonzero=torque != 0 and omega != 0)
 
 
 def ducted_betz_limit(a0: float) -> float:

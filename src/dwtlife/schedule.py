@@ -225,11 +225,6 @@ _TRIGGERS = {
 }
 
 
-def parse_trigger(doc: dict) -> Trigger:
-    """Build a trigger from its tagged form; load_registry reports a malformed body."""
-    return tagged(doc, "trigger", _TRIGGERS)
-
-
 def _strings(row: dict, key: str) -> tuple:
     values = row.get(key, [])
     if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
@@ -262,7 +257,7 @@ def _component_record(row: dict) -> ComponentRecord:
         tasks=tuple(
             MaintenanceTask(
                 text("description", known_keys(t, ("description", "trigger"))["description"]),
-                parse_trigger(t["trigger"]),
+                tagged(t["trigger"], "trigger", _TRIGGERS),
             )
             for t in row.get("tasks", ())
         ),
@@ -319,29 +314,26 @@ def installation_from_document(document: dict) -> InstallationRecord:
     return read_document("installation document", build, document)
 
 
-def usage_from_site(site) -> UsageProfile:
-    """A site document's 'usage' rates, or presets.DEFAULT_USAGE without one."""
+def site_from_document(site, install_date: Optional[str]) -> tuple:
+    """(installation record or None, usage profile) of a site document, the schedule
+    commands' --config object. The usage is its 'usage' rates, or presets.DEFAULT_USAGE
+    without them. The record is its 'install' object, or else one dated install_date,
+    the ISO text of --install-date, or else None; giving both is refused."""
     if not isinstance(site, dict):
         raise ValidationError(f"--config must hold a JSON object, got {type(site).__name__}")
     read_document("site document", lambda doc: known_keys(doc, (), ("install", "usage")), site)
-    if "usage" not in site:
+    if "usage" in site:
+        usage = usage_from_document(site["usage"])
+    else:
         from . import presets
 
-        return presets.DEFAULT_USAGE
-    return usage_from_document(site["usage"])
-
-
-def site_from_document(site, install_date: Optional[str]) -> tuple:
-    """(installation record, usage_from_site) of a site document, the schedule
-    commands' --config object. The record is its 'install' object or else one
-    dated install_date, the ISO text of --install-date; exactly one must be given."""
-    usage = usage_from_site(site)
+        usage = presets.DEFAULT_USAGE
     if "install" in site:
         if install_date is not None:
             raise ValidationError("give --install-date or a --config 'install' record, not both")
         return installation_from_document(site["install"]), usage
     if install_date is None:
-        raise ValidationError("need --install-date or a --config with an 'install' record")
+        return None, usage
     when = read_document(f"--install-date {install_date!r}", date.fromisoformat, install_date)
     return InstallationRecord(install_date=when), usage
 
@@ -385,7 +377,7 @@ def _counter(counter: str, install: InstallationRecord, usage: UsageProfile):
     def count_at(day: float) -> float:
         if day < last_day:
             return (0.0, *counts)[bisect_right(days, day)]
-        return last_count + rate * (day - last_day)
+        return last_count + rate * (day - last_day) if rate else last_count
 
     return date_reaching, count_at
 

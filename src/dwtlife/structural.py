@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BucklingError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .model import ColumnSpec, Record, RectSection, _require_in, _require_normal
 from .units import GRAVITY
 
@@ -77,13 +77,13 @@ def ballast_height_for_weight(weight: float, spec: BallastSpec) -> float:
 def secant_deflection(col: ColumnSpec) -> float:
     """Midspan deflection of a pinned eccentric column.
 
-    Raises BucklingError once sqrt(P/EI)*l/2 reaches pi/2, where the secant
+    Raises NumericError once sqrt(P/EI)*l/2 reaches pi/2, where the secant
     diverges, a concentric column included. e*(sec x - 1) is computed as
     e*2*sin^2(x/2)/cos x, which does not cancel as x falls to 0.
     """
     arg = math.sqrt(col.load_P / (col.elastic_modulus * col.moment_I)) * col.height_l / 2.0
     if arg >= math.pi / 2:
-        raise BucklingError(
+        raise NumericError(
             f"load {col.load_P} N is at or beyond the elastic buckling bound "
             f"(secant argument {arg:.4g} >= pi/2)"
         )
@@ -141,7 +141,8 @@ def blade_root_bending_moment(blade: BladeSpec) -> float:
     The distributed weight resolves to m*g acting at mid-span of the
     cantilever, so M = m * g * L/2.
     """
-    return blade.mass * GRAVITY * blade.span_L / 2.0
+    moment = blade.mass * GRAVITY * blade.span_L / 2.0
+    return _require_normal("root bending moment", moment, " N·m")
 
 
 def rect_bending_stress(moment: float, s: RectSection, orientation: str) -> float:
@@ -159,7 +160,8 @@ def rect_bending_stress(moment: float, s: RectSection, orientation: str) -> floa
         y = s.width_b / 2.0
     else:
         raise ValidationError(f"orientation must be 'flat' or 'upright', got {orientation!r}")
-    return y * moment / inertia
+    _require_normal("second moment of area", inertia, " m⁴")
+    return _require_normal("bending stress", y * moment / inertia, " Pa", from_nonzero=moment != 0)
 
 
 def rect_torsion_max_shear(torque: float, s: RectSection) -> float:
@@ -169,4 +171,6 @@ def rect_torsion_max_shear(torque: float, s: RectSection) -> float:
     """
     _require_in("torque", torque, "[0, inf]")
     b, t = s.width_b, s.thickness_t
-    return torque * (3.0 + 1.8 * t / b) / (b * t**2)
+    bt2 = _require_normal("b·t²", b * t**2, " m³")
+    return _require_normal("max shear stress", torque * (3.0 + 1.8 * t / b) / bt2, " Pa",
+                           from_nonzero=torque != 0)

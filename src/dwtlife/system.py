@@ -47,7 +47,7 @@ import itertools
 import math
 import os
 import threading
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ValidationError
 from .model import Record, _require_in, _require_normal, number
@@ -62,45 +62,40 @@ _CHUNK = 1 << 15  # samples per streamed chunk
 
 
 class LifeModel(Record):
-    """Failure-time model of a single component."""
+    """Failure-time model of a single component: its kind and that kind's one
+    parameter, a rate (1/time, exponential), a WeibullParams (weibull) or a
+    life (time, fixed_life). Build one through its kind's factory."""
 
     kind: str
-    rate: Optional[float] = None  # 1/time, exponential
-    params: Optional[WeibullParams] = None  # weibull
-    life: Optional[float] = None  # time, fixed_life
+    value: Union[float, WeibullParams]
 
     def __post_init__(self):
-        field = {EXPONENTIAL: "rate", WEIBULL: "params", FIXED_LIFE: "life"}.get(self.kind)
-        if field is None:
+        if self.kind not in (EXPONENTIAL, WEIBULL, FIXED_LIFE):
             raise ValidationError(f"unknown life model kind {self.kind!r}")
-        if getattr(self, field) is None:
-            raise ValidationError(f"{self.kind} model needs its {field}")
-        for other in ("rate", "params", "life"):
-            if other != field and getattr(self, other) is not None:
-                raise ValidationError(f"{self.kind} model takes no {other}")
-        if field != "params":  # "exponential rate", "fixed_life life"
-            _require_in(f"{self.kind} {field}", getattr(self, field), "(0, inf)")
+        if self.kind != WEIBULL:  # "exponential rate", "fixed_life life"
+            field = "rate" if self.kind == EXPONENTIAL else "life"
+            _require_in(f"{self.kind} {field}", self.value, "(0, inf)")
 
     @classmethod
     def exponential(cls, rate: float) -> "LifeModel":
-        return cls(kind=EXPONENTIAL, rate=rate)
+        return cls(EXPONENTIAL, rate)
 
     @classmethod
     def weibull(cls, params: WeibullParams) -> "LifeModel":
-        return cls(kind=WEIBULL, params=params)
+        return cls(WEIBULL, params)
 
     @classmethod
     def fixed_life(cls, life: float) -> "LifeModel":
-        return cls(kind=FIXED_LIFE, life=life)
+        return cls(FIXED_LIFE, life)
 
     def survival(self, t: float) -> float:
         """Probability the component is still functioning at time t."""
         _require_in("time", t, "[0, inf]")
         if self.kind == EXPONENTIAL:
-            return math.exp(-self.rate * t)
+            return math.exp(-self.value * t)
         if self.kind == WEIBULL:
-            return math.exp(-cumulative_hazard(t, self.params))
-        return 1.0 if t < self.life else 0.0
+            return math.exp(-cumulative_hazard(t, self.value))
+        return 1.0 if t < self.value else 0.0
 
     def failure_times(self, u: np.ndarray) -> np.ndarray:
         """Overwrite uniforms u in [0, 1) with failure times; returns u.
@@ -114,10 +109,10 @@ class LifeModel(Record):
             # log1p(-u) / -rate is exactly -log1p(-u) / rate
             np.negative(u, out=u)
             np.log1p(u, out=u)
-            return np.divide(u, -self.rate, out=u)
+            return np.divide(u, -self.value, out=u)
         if self.kind == WEIBULL:
-            return inverse_transform(u, self.params)
-        u.fill(self.life)
+            return inverse_transform(u, self.value)
+        u.fill(self.value)
         return u
 
 
@@ -244,7 +239,7 @@ def _fold(topo: SystemTopology, ranks: dict, streams: dict, out: np.ndarray, scr
     combine = np.minimum if isinstance(topo, Series) else np.maximum
     for child in later:
         if isinstance(child, Component) and child.model.kind == FIXED_LIFE:
-            combine(out, child.model.life, out=out)
+            combine(out, child.model.value, out=out)
             continue
         _fold(child, ranks, streams, scratch[0], scratch[1:])
         combine(out, scratch[0], out=out)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericError, SingularityError, ValidationError
+from .errors import NumericError, ValidationError
 from .model import Record, _require_in, _require_normal, whole
 
 EARLY_LIFE = "early_life"  # beta < 1, decreasing hazard
@@ -54,8 +54,10 @@ class QuantilePoint(Record):
 
 
 def cdf(t: float, w: WeibullParams) -> float:
-    """Failure probability by time t: 1 - exp(-H(t))."""
-    return -math.expm1(-cumulative_hazard(t, w))
+    """Failure probability by time t: 1 - exp(-H(t)). One below the smallest normal
+    double, but for t = 0, is a NumericError: its digits are lost."""
+    return _require_normal("failure probability", -math.expm1(-cumulative_hazard(t, w)),
+                           from_nonzero=t != 0)
 
 
 def _percent_hazard(p: float) -> float:
@@ -103,7 +105,7 @@ def hazard(t: float, w: WeibullParams) -> float:
     _require_in("time", t, "[0, inf]")
     if t == 0:
         if w.shape_beta < 1:
-            raise SingularityError("hazard diverges at t = 0 for shape < 1")
+            raise NumericError("hazard diverges at t = 0 for shape < 1")
         if w.shape_beta == 1:
             return 1.0 / w.scale_eta
         return 0.0

@@ -118,6 +118,11 @@ CASES = {
     "blade_life_json": (_argv("blade life --stress 40MPa --cycles-per-day 100000 --json"), {}),
     "blade_life_imperial": (_argv("blade life --stress 6 --units imperial"), {}),
     "error_blade_bending_infinite_mass": (_argv("blade bending --mass inf"), {}),
+    # M = m g L/2 of a 5e-324 kg blade is subnormal: was moment = 3.95253e-323 N·m
+    "error_blade_bending_moment_subnormal": (_argv("blade bending --mass 5e-324"), {}),
+    "error_blade_torsion_shear_subnormal": (_argv("blade torsion --torque 5e-324"), {}),
+    # was "result is not finite (inf)", naming no quantity
+    "error_blade_torsion_shear_overflow": (_argv("blade torsion --torque 1e305"), {}),
     # tower
     "tower_column": (_argv(f"{COLUMN} --height 6 --area 0.01"), {}),
     "tower_column_json": (_argv(f"{COLUMN} --height 4 --area 0.02 --json"), {}),
@@ -194,6 +199,12 @@ CASES = {
     "aero_sweep": (_argv("aero sweep"), {}),
     "aero_sweep_json": (_argv("aero sweep --wind 40m/s --json"), {}),
     "aero_sweep_imperial": (_argv("aero sweep --wind 100 --units imperial"), {}),
+    # V² of a 1e-300 m/s wind underflows: was torque = 0 and power = 0
+    "error_aero_torque_underflow": (_argv("aero torque --wind 1e-300"), {}),
+    # R ω / V underflows to 0: was the validation error of a zero tip-speed ratio
+    "error_aero_torque_tip_speed_ratio_underflow": (
+        _argv("aero torque --radius 1e-300 --wind 1e300"), {}
+    ),
     # weibull
     "weibull_fit": (_argv("weibull fit --p 10 --bp 10 --q 50 --bq 20"), {}),
     "weibull_fit_json": (_argv("weibull fit --p 5 --bp 3 --q 63.2 --bq 12 --json"), {}),
@@ -201,6 +212,8 @@ CASES = {
     "weibull_cdf": (_argv("weibull cdf --beta 2 --eta 5 --t 3"), {}),
     "weibull_cdf_json": (_argv("weibull cdf --beta 0.7 --eta 40 --t 10 --json"), {}),
     "weibull_cdf_negative_zero_json": (_argv("weibull cdf --beta 1 --eta 5 --t -0 --json"), {}),
+    # t/η = 2e-321 is subnormal: was probability = 2.00097e-321
+    "error_weibull_cdf_subnormal": (_argv("weibull cdf --beta 1 --eta 5 --t 1e-320"), {}),
     "weibull_quantile": (_argv("weibull quantile --beta 1 --eta 1 --p 10"), {}),
     "weibull_quantile_json": (_argv("weibull quantile --beta 3.2 --eta 38 --p 1 --json"), {}),
     "error_weibull_quantile_percent_underflow": (
@@ -423,6 +436,12 @@ CASES = {
     ),
     "schedule_rul_logged_overconsumed": (
         _argv("schedule rul --registry registry_jack_life.json --component jk --elapsed 2 "
+              "--config site.json"),
+        {},
+    ),
+    # 1e308 years is an infinite day count; the log-driven counter stops at its 40 cycles
+    "schedule_rul_logged_far_past": (
+        _argv("schedule rul --registry registry_jack_life.json --component jk --elapsed 1e308 "
               "--config site.json"),
         {},
     ),

@@ -4,9 +4,8 @@ Every argv must end with exit code 0, 1 or 2 and no traceback, and a
 successful run prints only finite numbers.
 """
 
-import contextlib
-import io
 import re
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -17,7 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from dwtlife import cli
 
-INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+import regen  # noqa: E402
+
+INPUTS = regen.INPUTS
 
 # The shared flags each subcommand reads; any other shared flag is a usage error.
 SHARED_FLAGS_READ = {
@@ -47,13 +49,6 @@ UNREAD = [
 ]
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def required_flags(path):
     _, _, flags = cli.COMMANDS[path]
     return [text for flag, spec in flags.items() if spec.get("required") for text in (flag, "1")]
@@ -68,7 +63,7 @@ class TestSharedFlags:
     @pytest.mark.parametrize("path, flag", UNREAD, ids=lambda v: v.replace(" ", "_"))
     def test_unread_shared_flag_is_a_usage_error(self, path, flag):
         argv = [*path.split(), *required_flags(path), f"--{flag}", *SHARED_ARGS[flag]]
-        code, out, err = run(argv)
+        code, out, err = regen.run_cli(argv)
         assert (code, out) == (1, "")
         assert f"error: unrecognized arguments: --{flag}" in err
 
@@ -118,7 +113,7 @@ def argvs(draw):
 def test_argv_fuzz(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(argv)
+        code, out, err = regen.run_cli(argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err
     if code == 0:
@@ -152,7 +147,7 @@ def loose_argvs(draw):
 )
 @given(loose_argvs())
 def test_leaf_parser_answers_as_the_whole_parser(argv):
-    leaf = run(argv)
+    leaf = regen.run_cli(argv)
     with mock.patch.object(cli, "_build_parser", lambda _argv: oracles.whole_parser()):
-        whole = run(argv)
+        whole = regen.run_cli(argv)
     assert leaf == whole, argv

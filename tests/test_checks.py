@@ -121,6 +121,7 @@ DOMAINS = [
       for name in ("radius_R", "rotor_speed_omega", "wind_speed_V", "air_density_rho")),
     ("power coefficient", "(0, 1)", replacing(RotorState, ROTOR, "power_coefficient_Cp")),
     ("axial induction factor", "[0, 1]", rotor.ducted_betz_limit),
+    ("tip-speed ratio", "(0, inf)", lambda v: rotor.torque_coefficient(0.4, v)),
     # structural
     *((name, "(0, inf)", replacing(structural.BallastSpec, BALLAST, name))
       for name in ("turbine_thrust", "nacelle_diameter", "base_diameter", "base_area",
@@ -323,10 +324,33 @@ UNDERFLOWS = [
          1e-300, structural.BallastSpec(**{**TINY_BALLAST, "base_area": 1e300}))),
     ("(f*S_ut)² underflows: 0.0 Pa² is not a normal double",
      lambda: fatigue.sn_constants(1e-200, 1e-201)),
+    ("root bending moment underflows: 2.5e-323 N·m is not a normal double",
+     lambda: structural.blade_root_bending_moment(
+         structural.BladeSpec(**{**BLADE, "mass": 5e-324}))),
+    ("second moment of area underflows: 0.0 m⁴ is not a normal double",
+     lambda: structural.rect_bending_stress(1.0, RectSection(1.0, 1e-110), structural.FLAT)),
+    ("bending stress underflows: 0.0 Pa is not a normal double",
+     lambda: structural.rect_bending_stress(5e-324, RECT, structural.FLAT)),
+    ("b·t² underflows: 0.0 m³ is not a normal double",
+     lambda: structural.rect_torsion_max_shear(1.0, RectSection(1.0, 1e-170))),
+    ("max shear stress underflows: 1.482197e-318 Pa is not a normal double",
+     lambda: structural.rect_torsion_max_shear(5e-324, RECT)),
+    ("tip-speed ratio underflows: 0.0 is not a normal double",
+     lambda: rotor.tip_speed_ratio(
+         RotorState(**{**ROTOR, "radius_R": 1e-300, "wind_speed_V": 1e300}))),
+    ("rotor torque underflows: 0.0 N·m is not a normal double",
+     lambda: rotor.rotor_torque(RotorState(**{**ROTOR, "wind_speed_V": 1e-300}))),
+    ("shaft power underflows: 0.0 W is not a normal double",
+     lambda: rotor.rotor_power(1e-300, 1e-300)),
+    ("failure probability underflows: 2e-321 is not a normal double",
+     lambda: weibull.cdf(1e-320, WeibullParams(shape_beta=1.0, scale_eta=5.0))),
 ]
+UNDERFLOW_IDS = ["weight", "height", "sn_intercept", "blade_moment", "second_moment",
+                 "bending_stress", "bt2", "max_shear", "tip_speed_ratio", "rotor_torque",
+                 "shaft_power", "failure_probability"]
 
 
-@pytest.mark.parametrize("message, call", UNDERFLOWS, ids=["weight", "height", "sn_intercept"])
+@pytest.mark.parametrize("message, call", UNDERFLOWS, ids=UNDERFLOW_IDS)
 def test_underflow_to_zero_is_a_numeric_failure(message, call):
     with pytest.raises(NumericError) as caught:
         call()

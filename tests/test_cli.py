@@ -67,12 +67,6 @@ PUBLIC_OPERATIONS = {
 }
 
 
-def run_lines(capsys, argv):
-    code = cli.run(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def parse_kv(out):
     pairs = {}
     for line in out.strip().splitlines():
@@ -88,10 +82,10 @@ class TestOperationCoverage:
             for func in funcs:
                 assert callable(getattr(module, func)), f"{module_name}.{func}"
 
-    def test_mapped_subcommands_exist(self, capsys):
+    def test_mapped_subcommands_exist(self):
         assert set(cli.COMMANDS) == SUBCOMMANDS
         for path in SUBCOMMANDS:
-            code, _, _ = run_lines(capsys, path.split() + ["--help"])
+            code, _, _ = regen.run_cli(path.split() + ["--help"])
             assert code == 0, path
 
 
@@ -135,19 +129,19 @@ class TestNoDocumentFormat:
 
 
 class TestExitCodes:
-    def test_unknown_subcommand(self, capsys):
-        code, _, err = run_lines(capsys, ["transmogrify"])
+    def test_unknown_subcommand(self):
+        code, _, err = regen.run_cli(["transmogrify"])
         assert code == 1
         assert "usage" in err
 
-    def test_validation_error(self, capsys):
-        code, _, err = run_lines(capsys, ["weibull", "cdf", "--beta", "1", "--eta", "10", "--t", "-1"])
+    def test_validation_error(self):
+        code, _, err = regen.run_cli(["weibull", "cdf", "--beta", "1", "--eta", "10", "--t", "-1"])
         assert code == 1
         assert "error" in err
 
-    def test_numeric_failure(self, capsys):
-        code, _, err = run_lines(
-            capsys, ["weibull", "hazard", "--beta", "0.5", "--eta", "1", "--t", "0"]
+    def test_numeric_failure(self):
+        code, _, err = regen.run_cli(
+            ["weibull", "hazard", "--beta", "0.5", "--eta", "1", "--t", "0"]
         )
         assert code == 2
         assert "numeric" in err
@@ -163,23 +157,23 @@ class TestExitCodes:
         [*COLUMN, "--area", "1e200", "--height", "1e-60"],
     ], ids=["hazard_pow", "reliability_pow", "column_pow", "shear_inf", "shear_inf_json",
             "column_inf", "sample_inf", "column_buckling_inf"])
-    def test_overflow_is_one_line_numeric_failure(self, capsys, monkeypatch, argv):
+    def test_overflow_is_one_line_numeric_failure(self, monkeypatch, argv):
         monkeypatch.chdir(Path(__file__).resolve().parent / "golden" / "inputs")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_lines(capsys, argv)
+            code, out, err = regen.run_cli(argv)
         assert (code, out) == (2, "")
         assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 7.45 GiB")],
                              ids=["bare", "numpy"])
-    def test_out_of_memory_is_one_line_numeric_failure(self, capsys, monkeypatch, error):
+    def test_out_of_memory_is_one_line_numeric_failure(self, monkeypatch, error):
         def exhausted(args):
             raise error
 
         handler, *rest = cli.COMMANDS["weibull sample"]
         monkeypatch.setitem(cli.COMMANDS, "weibull sample", (exhausted, *rest))
-        code, out, err = run_lines(capsys, ["weibull", "sample", "--beta", "2", "--eta", "10"])
+        code, out, err = regen.run_cli(["weibull", "sample", "--beta", "2", "--eta", "10"])
         assert (code, out) == (2, "")
         assert err.startswith("numeric failure: out of memory") and err.count("\n") == 1, err
 
@@ -192,8 +186,8 @@ class TestExitCodes:
     (["schedule", "rul", "--component", "Generator", "--elapsed", "-0", "--json"],
      "fraction_consumed"),
 ], ids=["weibull_cdf", "blade_torsion", "tower_column", "schedule_rul_json"])
-def test_zero_prints_without_a_sign(capsys, argv, key):
-    code, out, err = run_lines(capsys, argv)
+def test_zero_prints_without_a_sign(argv, key):
+    code, out, err = regen.run_cli(argv)
     assert (code, err) == (0, "")
     shown = json.loads(out)[key] if "--json" in argv else float(parse_kv(out)[key].split()[0])
     assert shown == 0 and math.copysign(1.0, shown) == 1.0, out
@@ -249,8 +243,8 @@ def test_subnormal_buckling_load_ends_in_a_fresh_process(tmp_path):
 
 
 class TestAeroCommands:
-    def test_sweep_json_matches_published_torques(self, capsys):
-        code, out, _ = run_lines(capsys, ["aero", "sweep", "--json"])
+    def test_sweep_json_matches_published_torques(self):
+        code, out, _ = regen.run_cli(["aero", "sweep", "--json"])
         assert code == 0
         rows = json.loads(out)["rows"]
         published = {(0.5, 600.0): 4027.0, (0.6, 600.0): 4838.0, (0.4, 900.0): 2154.0}
@@ -258,43 +252,41 @@ class TestAeroCommands:
         for row in rows:
             assert row["torque"] == pytest.approx(published[(row["cp"], row["rpm"])], rel=5e-3)
 
-    def test_sweep_csv(self, capsys):
-        code, out, _ = run_lines(capsys, ["aero", "sweep"])
+    def test_sweep_csv(self):
+        code, out, _ = regen.run_cli(["aero", "sweep"])
         assert code == 0
         assert out.splitlines()[0] == "cp,rpm,torque_nm"
         assert len(out.splitlines()) == 4
 
-    def test_betz(self, capsys):
-        code, out, _ = run_lines(capsys, ["aero", "betz", "--a0", "0"])
+    def test_betz(self):
+        code, out, _ = regen.run_cli(["aero", "betz", "--a0", "0"])
         assert code == 0
         assert "0.592593" in out
 
 
 class TestWeibullCommands:
-    def test_cdf_at_zero(self, capsys):
-        code, out, _ = run_lines(capsys, ["weibull", "cdf", "--beta", "1", "--eta", "10", "--t", "0"])
+    def test_cdf_at_zero(self):
+        code, out, _ = regen.run_cli(["weibull", "cdf", "--beta", "1", "--eta", "10", "--t", "0"])
         assert code == 0
         assert parse_kv(out)["probability"] == "0"
 
-    def test_fit_json_round_trips_into_cdf(self, capsys):
-        code, out, _ = run_lines(
-            capsys,
+    def test_fit_json_round_trips_into_cdf(self):
+        code, out, _ = regen.run_cli(
             ["weibull", "fit", "--p", "10", "--bp", "10", "--q", "50", "--bq", "20", "--json"],
         )
         assert code == 0
         params = json.loads(out)
-        code, out, _ = run_lines(
-            capsys,
+        code, out, _ = regen.run_cli(
             ["weibull", "cdf", "--beta", str(params["beta"]), "--eta", str(params["eta"]),
              "--t", "10", "--json"],
         )
         assert code == 0
         assert json.loads(out)["probability"] == pytest.approx(0.10, abs=1e-9)
 
-    def test_sample_determinism_and_count(self, capsys):
+    def test_sample_determinism_and_count(self):
         argv = ["weibull", "sample", "--beta", "2", "--eta", "5", "--seed", "3", "--samples", "50"]
-        _, out1, _ = run_lines(capsys, argv)
-        _, out2, _ = run_lines(capsys, argv)
+        _, out1, _ = regen.run_cli(argv)
+        _, out2, _ = regen.run_cli(argv)
         assert out1 == out2
         assert len(out1.splitlines()) == 50
 
@@ -312,17 +304,16 @@ class TestSystemCommands:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def test_mttf_deterministic_per_seed(self, capsys, topology_file):
+    def test_mttf_deterministic_per_seed(self, topology_file):
         argv = ["system", "mttf", "--config", topology_file, "--seed", "7", "--samples", "20000"]
-        code, out1, _ = run_lines(capsys, argv)
+        code, out1, _ = regen.run_cli(argv)
         assert code == 0
-        _, out2, _ = run_lines(capsys, argv)
+        _, out2, _ = regen.run_cli(argv)
         assert out1 == out2
         assert float(parse_kv(out1)["mttf"]) == pytest.approx(2.5, rel=0.05)
 
-    def test_reliability_with_repairs(self, capsys, topology_file):
-        code, out, _ = run_lines(
-            capsys,
+    def test_reliability_with_repairs(self, topology_file):
+        code, out, _ = regen.run_cli(
             ["system", "reliability", "--config", topology_file, "--t", "2",
              "--repair-rate", "0.2", "--events", "0"],
         )
@@ -331,8 +322,8 @@ class TestSystemCommands:
         assert float(values["reliability"]) == pytest.approx(0.449329, rel=1e-4)
         assert float(values["expected_repairs"]) == pytest.approx(0.4)
 
-    def test_default_life_summary(self, capsys):
-        code, out, _ = run_lines(capsys, ["system", "life"])
+    def test_default_life_summary(self):
+        code, out, _ = regen.run_cli(["system", "life"])
         assert code == 0
         values = parse_kv(out)
         assert values["limiting_component"] == "generator"
@@ -340,9 +331,8 @@ class TestSystemCommands:
 
 
 class TestStructuralCommands:
-    def test_ballast(self, capsys):
-        code, out, _ = run_lines(
-            capsys,
+    def test_ballast(self):
+        code, out, _ = regen.run_cli(
             ["ballast", "--thrust", "6035", "--nacelle-diameter", "2",
              "--safety-factor", "1.5", "--base-diameter", "3", "--base-area", "4"],
         )
@@ -350,9 +340,8 @@ class TestStructuralCommands:
         values = parse_kv(out)
         assert float(values["weight"].split()[0]) == pytest.approx(6035.0)
 
-    def test_tower_column(self, capsys):
-        code, out, _ = run_lines(
-            capsys,
+    def test_tower_column(self):
+        code, out, _ = regen.run_cli(
             ["tower", "column", "--load", "10000", "--eccentricity", "0.01",
              "--centroid", "0.05", "--gyration", "0.05", "--height", "6",
              "--area", "0.01", "--inertia", "1e-5"],
@@ -362,9 +351,8 @@ class TestStructuralCommands:
         assert float(values["deflection"].split()[0]) == pytest.approx(2.293e-4, rel=1e-3)
         assert "allowable_load" in values
 
-    def test_imperial_output_units(self, capsys):
-        code, out, _ = run_lines(
-            capsys,
+    def test_imperial_output_units(self):
+        code, out, _ = regen.run_cli(
             ["fatigue", "endurance", "--sut", "58ksi", "--preset", "tower",
              "--units", "imperial"],
         )
@@ -374,13 +362,13 @@ class TestStructuralCommands:
         assert values["se"].endswith("ksi")
         assert float(values["se"].split()[0]) == pytest.approx(19.73, rel=1e-3)
 
-    def test_blade_torsion_accepts_unit_suffix(self, capsys):
-        code, out, _ = run_lines(capsys, ["blade", "torsion", "--torque", "300 Nm"])
+    def test_blade_torsion_accepts_unit_suffix(self):
+        code, out, _ = regen.run_cli(["blade", "torsion", "--torque", "300 Nm"])
         assert code == 0
         assert float(parse_kv(out)["max_shear"].split()[0]) == pytest.approx(308.0, rel=1e-3)
 
-    def test_tower_life_chain(self, capsys):
-        code, out, _ = run_lines(capsys, ["tower", "life"])
+    def test_tower_life_chain(self):
+        code, out, _ = regen.run_cli(["tower", "life"])
         assert code == 0
         values = parse_kv(out)
         assert float(values["cycles"]) == pytest.approx(1.4e7, rel=0.05)
@@ -388,7 +376,7 @@ class TestStructuralCommands:
 
 
 class TestBearingCommand:
-    def test_life_from_config(self, capsys, tmp_path):
+    def test_life_from_config(self, tmp_path):
         doc = {
             "geometry": {
                 "fcm": 1.0, "rows": 1, "balls": 30, "ball_diameter_mm": 25.0,
@@ -400,15 +388,15 @@ class TestBearingCommand:
         }
         path = tmp_path / "bearing.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run_lines(capsys, ["bearing", "life", "--config", str(path)])
+        code, out, _ = regen.run_cli(["bearing", "life", "--config", str(path)])
         assert code == 0
         values = parse_kv(out)
         assert float(values["basic_rating_Ca"]) == pytest.approx(3379.708, rel=1e-4)
         assert "years_raceway_basis" in values
         assert "years_oscillation_basis" in values
 
-    def test_missing_config_is_validation_error(self, capsys):
-        code, _, err = run_lines(capsys, ["bearing", "life"])
+    def test_missing_config_is_validation_error(self):
+        code, _, err = regen.run_cli(["bearing", "life"])
         assert code == 1
         assert "--config" in err
 
@@ -426,9 +414,8 @@ NEGATIVE_WORDS = [
 
 
 class TestFatigueCommands:
-    def test_sn_constants(self, capsys):
-        code, out, _ = run_lines(
-            capsys,
+    def test_sn_constants(self):
+        code, out, _ = regen.run_cli(
             ["fatigue", "sn", "--sut", "45ksi", "--se", "17.6ksi", "--units", "imperial"],
         )
         assert code == 0
@@ -436,9 +423,8 @@ class TestFatigueCommands:
         assert float(values["a"].split()[0]) == pytest.approx(93.196, rel=1e-4)
         assert float(values["b"]) == pytest.approx(-0.1206, rel=1e-3)
 
-    def test_life_from_constants(self, capsys):
-        code, out, _ = run_lines(
-            capsys,
+    def test_life_from_constants(self):
+        code, out, _ = regen.run_cli(
             ["fatigue", "life", "--stress", "6.48ksi", "--a", "93.196ksi",
              "--b", "-0.1206", "--cycles-per-day", "144000"],
         )
@@ -447,73 +433,71 @@ class TestFatigueCommands:
         assert float(values["cycles"]) == pytest.approx(4.0e9, rel=0.05)
         assert float(values["years"]) > 75.0
 
-    def test_life_takes_no_strength_fraction(self, capsys):
-        code, out, err = run_lines(
-            capsys,
+    def test_life_takes_no_strength_fraction(self):
+        code, out, err = regen.run_cli(
             ["fatigue", "life", "--stress", "200MPa", "--a", "1000MPa", "--b", "-0.1", "--f", "0.5"],
         )
         assert (code, out) == (1, "")
         assert err.endswith("error: unrecognized arguments: --f 0.5\n")
 
     @pytest.mark.parametrize("value, expected", [("-1e-3", 0), ("-1e-300", 2)])
-    def test_negative_e_notation_is_a_flag_value(self, capsys, value, expected):
+    def test_negative_e_notation_is_a_flag_value(self, value, expected):
         argv = ["fatigue", "life", "--stress", "999MPa", "--a", "1000MPa"]
-        spaced = run_lines(capsys, [*argv, "--b", value])
-        assert spaced == run_lines(capsys, [*argv, f"--b={value}"])
+        spaced = regen.run_cli([*argv, "--b", value])
+        assert spaced == regen.run_cli([*argv, f"--b={value}"])
         assert spaced[0] == expected
 
     @pytest.mark.parametrize("argv, value, message", NEGATIVE_WORDS,
                              ids=[value for _, value, _ in NEGATIVE_WORDS])
-    def test_negative_word_is_a_flag_value(self, capsys, argv, value, message):
+    def test_negative_word_is_a_flag_value(self, argv, value, message):
         """A word starting "-" then a digit, or -inf or -nan, reads as its --flag=value form."""
-        spaced = run_lines(capsys, [*argv, value])
-        assert spaced == run_lines(capsys, [*argv[:-1], f"{argv[-1]}={value}"])
+        spaced = regen.run_cli([*argv, value])
+        assert spaced == regen.run_cli([*argv[:-1], f"{argv[-1]}={value}"])
         assert spaced[2] == f"error: {message}\n"
 
 
 class TestWeibullQuantileCommand:
-    def test_quantile(self, capsys):
-        code, out, _ = run_lines(
-            capsys, ["weibull", "quantile", "--beta", "1", "--eta", "1", "--p", "10"]
+    def test_quantile(self):
+        code, out, _ = regen.run_cli(
+            ["weibull", "quantile", "--beta", "1", "--eta", "1", "--p", "10"]
         )
         assert code == 0
         assert float(parse_kv(out)["life"]) == pytest.approx(0.1053605, rel=1e-5)
 
 
 class TestScheduleCommands:
-    def test_generate_default_registry(self, capsys):
-        code, out, _ = run_lines(
-            capsys, ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "1"]
+    def test_generate_default_registry(self):
+        code, out, _ = regen.run_cli(
+            ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "1"]
         )
         assert code == 0
         assert out.splitlines()[0] == "due_date,component_id,task,reason"
         assert "2026-01-01,Ballast Foundation,Top off ballast material every year,interval_elapsed" in out
 
-    def test_generate_json(self, capsys):
-        code, out, _ = run_lines(
-            capsys,
+    def test_generate_json(self):
+        code, out, _ = regen.run_cli(
             ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "1", "--json"],
         )
         assert code == 0
         entries = json.loads(out)["entries"]
         assert any(e["component_id"] == "Ballast Foundation" for e in entries)
 
-    def test_report_markdown(self, capsys):
-        code, out, _ = run_lines(capsys, ["schedule", "report"])
+    def test_report_markdown(self):
+        code, out, _ = regen.run_cli(["schedule", "report"])
         assert code == 0
         assert "## Structural" in out
         assert "Inspect / Check torque" in out
 
-    def test_rul(self, capsys):
-        code, out, _ = run_lines(
-            capsys, ["schedule", "rul", "--component", "Generator", "--elapsed", "5"]
+    def test_rul(self):
+        code, out, _ = regen.run_cli(
+            ["schedule", "rul", "--component", "Generator", "--elapsed", "5"]
         )
         assert code == 0
         values = parse_kv(out)
         assert float(values["remaining"]) == pytest.approx(15.0)
         assert float(values["fraction_consumed"]) == pytest.approx(0.25)
 
-    def test_generate_from_full_config(self, capsys, tmp_path):
+    def test_generate_from_full_config(self, tmp_path):
         doc = {
             "install": {
                 "install_date": "2025-01-01",
@@ -531,14 +515,14 @@ class TestScheduleCommands:
         }
         path = tmp_path / "site.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run_lines(
-            capsys, ["schedule", "generate", "--config", str(path), "--horizon", "1"]
+        code, out, _ = regen.run_cli(
+            ["schedule", "generate", "--config", str(path), "--horizon", "1"]
         )
         assert code == 0
         assert "2025-06-01,Voltsys Controller,Inspect after high load events,event" in out
         assert "2025-03-15" in out  # logged jack cycles fire the 15-cycle tasks
 
-    def test_registry_env_var(self, capsys, tmp_path, monkeypatch):
+    def test_registry_env_var(self, tmp_path, monkeypatch):
         doc = {
             "components": [
                 {
@@ -554,7 +538,7 @@ class TestScheduleCommands:
         path = tmp_path / "registry.json"
         path.write_text(json.dumps(doc))
         monkeypatch.setenv("DWT_REGISTRY", str(path))
-        code, out, _ = run_lines(capsys, ["schedule", "report"])
+        code, out, _ = regen.run_cli(["schedule", "report"])
         assert code == 0
         assert "solo" in out
         assert "Ballast Foundation" not in out
@@ -593,28 +577,28 @@ class TestInputFileErrors:
         ]
 
     @staticmethod
-    def assert_one_line_error(capsys, argv):
-        code, out, err = run_lines(capsys, argv)
+    def assert_one_line_error(argv):
+        code, out, err = regen.run_cli(argv)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_missing_file(self, capsys, tmp_path):
+    def test_missing_file(self, tmp_path):
         for argv in self.commands(str(tmp_path / "missing.json")):
-            self.assert_one_line_error(capsys, argv)
+            self.assert_one_line_error(argv)
 
-    def test_malformed_json(self, capsys, tmp_path):
+    def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"series": [')
         for argv in self.commands(str(path)):
-            self.assert_one_line_error(capsys, argv)
+            self.assert_one_line_error(argv)
 
-    def test_directory_instead_of_file(self, capsys, tmp_path):
-        self.assert_one_line_error(capsys, ["system", "mttf", "--config", str(tmp_path)])
+    def test_directory_instead_of_file(self, tmp_path):
+        self.assert_one_line_error(["system", "mttf", "--config", str(tmp_path)])
 
-    def test_missing_registry_env_var(self, capsys, tmp_path, monkeypatch):
+    def test_missing_registry_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DWT_REGISTRY", str(tmp_path / "nope.json"))
-        self.assert_one_line_error(capsys, ["schedule", "report"])
+        self.assert_one_line_error(["schedule", "report"])
 
     @pytest.mark.parametrize("argv", [
         ["weibull", "cdf", "--beta", "2", "--eta", "5", "--t", "nan"],
@@ -665,12 +649,12 @@ class TestInputFileErrors:
             "rul_life_inf", "interval_inf", "rpm_inf", "base_area_inf", "column_inertia_inf",
             "repair_rate_nan", "elapsed_nan", "quantile_life_inf", "mttf_seed_negative",
             "mttf_seed_2_128", "sample_seed_negative"])
-    def test_bad_values_are_validation_errors(self, capsys, tmp_path, argv):
+    def test_bad_values_are_validation_errors(self, tmp_path, argv):
         if isinstance(argv[-1], dict):
             path = tmp_path / "config.json"
             path.write_text(json.dumps(argv[-1]))
             argv = [*argv[:-1], str(path)]
-        self.assert_one_line_error(capsys, argv)
+        self.assert_one_line_error(argv)
 
     @pytest.mark.parametrize("doc", [
         {"lives": {"a": "x"}},
@@ -678,17 +662,15 @@ class TestInputFileErrors:
         {"lives": [20.0]},
         {"lives": {"a": "inf"}},
     ], ids=["text", "null", "list", "inf"])
-    def test_bad_lives_in_system_life_config(self, capsys, tmp_path, doc):
+    def test_bad_lives_in_system_life_config(self, tmp_path, doc):
         path = tmp_path / "lives.json"
         path.write_text(json.dumps(doc))
-        self.assert_one_line_error(capsys, ["system", "life", "--config", str(path)])
+        self.assert_one_line_error(["system", "life", "--config", str(path)])
 
-    def test_nan_time_in_reliability_config(self, capsys, tmp_path):
+    def test_nan_time_in_reliability_config(self, tmp_path):
         path = tmp_path / "topology.json"
         path.write_text(json.dumps(SINGLE_LEAF_TOPOLOGY))
-        self.assert_one_line_error(
-            capsys, ["system", "reliability", "--config", str(path), "--t", "nan"]
-        )
+        self.assert_one_line_error(["system", "reliability", "--config", str(path), "--t", "nan"])
 
 
 # Validation branches the CLI reaches and no other test runs: argv (a trailing
@@ -718,12 +700,12 @@ VALIDATION_BRANCHES = [
     "sn_exponent_positive", "cp_above_one", "percent_above_100", "mount_angle_95",
     "events_back_in_date", "zero_rows", "life_factor_3",
 ])
-def test_validation_branch_error_line(capsys, tmp_path, argv, message):
+def test_validation_branch_error_line(tmp_path, argv, message):
     if isinstance(argv[-1], dict):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(argv[-1]))
         argv = [*argv[:-1], str(path)]
-    assert run_lines(capsys, argv) == (1, "", f"error: {message}\n")
+    assert regen.run_cli(argv) == (1, "", f"error: {message}\n")
 
 
 # Runs in a fresh interpreter: every command but the Monte Carlo and sampling
@@ -904,7 +886,7 @@ OPTIONAL_OPERATION_ARGV = {
 }
 
 
-def test_every_public_operation_runs_under_some_command(monkeypatch, tmp_path, capsys):
+def test_every_public_operation_runs_under_some_command(monkeypatch, tmp_path):
     """Each PUBLIC_OPERATIONS entry, replaced by a spy, is called by at least one
     subcommand's LEAF_ARGV (with its OPTIONAL_OPERATION_ARGV)."""
     public = {f"{module}.{name}" for module, names in PUBLIC_OPERATIONS.items() for name in names}
@@ -926,8 +908,8 @@ def test_every_public_operation_runs_under_some_command(monkeypatch, tmp_path, c
     (tmp_path / "bearing.json").write_text(json.dumps(BEARING_DOC))
     monkeypatch.chdir(tmp_path)
     for path, argv in LEAF_ARGV.items():
-        code, _, err = run_lines(
-            capsys, [*path.split(), *argv.split(), *OPTIONAL_OPERATION_ARGV.get(path, "").split()]
+        code, _, err = regen.run_cli(
+            [*path.split(), *argv.split(), *OPTIONAL_OPERATION_ARGV.get(path, "").split()]
         )
         assert code == 0, (path, err)
     assert public - called == set()
@@ -976,11 +958,11 @@ def test_every_defaulted_flag_has_a_value_row():
 
 @pytest.mark.parametrize("path, flag", sorted(DEFAULTED_FLAG_VALUES),
                          ids=[f"{path} {flag}" for path, flag in sorted(DEFAULTED_FLAG_VALUES)])
-def test_defaulted_flag_changes_the_output(capsys, path, flag):
+def test_defaulted_flag_changes_the_output(path, flag):
     argv = [*path.split(), *LEAF_ARGV[path].split()]
-    code, default_out, err = run_lines(capsys, argv)
+    code, default_out, err = regen.run_cli(argv)
     assert code == 0, err
-    code, out, err = run_lines(capsys, [*argv, flag, DEFAULTED_FLAG_VALUES[path, flag]])
+    code, out, err = regen.run_cli([*argv, flag, DEFAULTED_FLAG_VALUES[path, flag]])
     assert code == 0, err
     assert out != default_out
 
@@ -1078,9 +1060,9 @@ class TestOpenBlasDefault:
 class TestFastExit:
     """main() ends the process from an atexit hook with os._exit, after a flush."""
 
-    def test_stdout_bytes_match_in_process_run(self, tmp_path, capsys):
+    def test_stdout_bytes_match_in_process_run(self, tmp_path):
         argv = ["schedule", "generate", "--install-date", "2025-01-01", "--horizon", "30"]
-        code, out, err = run_lines(capsys, argv)
+        code, out, err = regen.run_cli(argv)
         proc = cold_cli(tmp_path, argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
         assert code == 0 and len(proc.stdout) > 100_000
@@ -1092,8 +1074,8 @@ class TestFastExit:
         (["aero", "betz"], 1),
         (["blade", "torsion", "--torque", "1e308"], 2),
     ], ids=["ok", "help", "validation", "usage", "numeric"])
-    def test_exit_code_and_output_survive(self, tmp_path, capsys, argv, expected):
-        code, out, err = run_lines(capsys, argv)
+    def test_exit_code_and_output_survive(self, tmp_path, argv, expected):
+        code, out, err = regen.run_cli(argv)
         proc = cold_cli(tmp_path, argv)
         assert code == expected
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())

@@ -15,11 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dwtlife import cli
 from dwtlife.bearing import summary_from_document
 from dwtlife.errors import ValidationError
 from dwtlife.schedule import installation_from_document, load_registry, usage_from_document
-from dwtlife.schedule import usage_from_site
+from dwtlife.schedule import site_from_document
 from dwtlife.system import lives_from_document, topology_from_document
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
@@ -207,7 +206,7 @@ CLOSED_OBJECTS = {
                        _row(1, "tasks", 0, "trigger", "cycle_interval")),
     "whichever_first": (load_registry, "registry.json",
                         _row(1, "tasks", 1, "trigger", "whichever_first")),
-    "site": (usage_from_site, "site.json", ()),
+    "site": (partial(site_from_document, install_date=None), "site.json", ()),
     "installation": (_install, "site.json", ("install",)),
     "install_event": (_install, "site.json", ("install", "events", 0)),
     "cycle_point": (_install, "site.json", ("install", "cycles", "jack_cycles", 0)),
@@ -247,12 +246,11 @@ def bearing_with(**changes):
     return json.dumps(doc)
 
 
-def test_bearing_exponent_is_an_unknown_key(capsys, tmp_path):
+def test_bearing_exponent_is_an_unknown_key(tmp_path):
     """The load-life exponent is bearing.BALL_EXPONENT; a document cannot set it."""
     path = tmp_path / "bearing.json"
     path.write_text(bearing_with(exponent=3.0))
-    code = cli.run(["bearing", "life", "--config", str(path)])
-    out, err = capsys.readouterr()
+    code, out, err = regen.run_cli(["bearing", "life", "--config", str(path)])
     assert (code, out) == (1, "")
     assert err == ("error: bearing document: unknown key 'exponent' (expected one of geometry, "
                    "loads, factors, theta_deg, oscillations_per_day)\n")

@@ -90,7 +90,8 @@ def test_rotor_power():
 def test_power_coefficient_closure():
     state = gust_state()
     power = rotor_power(rotor_torque(state), state.rotor_speed_omega)
-    cp = 2 * power / (state.air_density_rho * state.rotor_area * state.wind_speed_V**3)
+    area = math.pi * state.radius_R**2
+    cp = 2 * power / (state.air_density_rho * area * state.wind_speed_V**3)
     assert cp == pytest.approx(state.power_coefficient_Cp, rel=1e-9)
 
 
@@ -105,7 +106,8 @@ def test_closure_on_random_states():
             power_coefficient_Cp=rng.uniform(0.05, 0.95),
         )
         power = rotor_power(rotor_torque(state), state.rotor_speed_omega)
-        cp = 2 * power / (state.air_density_rho * state.rotor_area * state.wind_speed_V**3)
+        area = math.pi * state.radius_R**2
+        cp = 2 * power / (state.air_density_rho * area * state.wind_speed_V**3)
         assert cp == pytest.approx(state.power_coefficient_Cp, rel=1e-9)
 
 

@@ -28,8 +28,8 @@ from dwtlife.schedule import (
     generate_schedule,
     installation_from_document,
     load_registry,
-    parse_trigger,
     remaining_service_life,
+    site_from_document,
 )
 
 import oracles
@@ -120,8 +120,10 @@ class TestLoadRegistry:
             load_registry(doc)
 
     def test_trigger_parse_rejects_unknown_tag(self):
-        with pytest.raises(ValidationError):
-            parse_trigger({"lunar_phase": {}})
+        task = {"description": "x", "trigger": {"lunar_phase": {}}}
+        doc = {"components": [{"id": "a", "group": "Structural", "tasks": [task]}]}
+        with pytest.raises(ValidationError, match="unknown trigger tag 'lunar_phase'"):
+            load_registry(doc)
 
     @pytest.mark.parametrize("make", [
         lambda value: CalendarInterval(years=value),
@@ -416,9 +418,27 @@ class TestCounter:
         assert date_reaching(10.0) == date(2025, 1, 4)
         assert at_end == 4.0 * 365
 
+    def test_past_every_day_at_rate_zero_adds_nothing(self):
+        install = InstallationRecord(install_date=date(2025, 1, 1), cycle_log=self.LOG)
+        _, count_at = _counter("jack_cycles", install, UsageProfile({"jack_cycles": 0.0}))
+        assert count_at(math.inf) == 25.0  # not 25 + 0 * inf
+
     def test_unknown_counter_rejected(self):
         with pytest.raises(ValidationError, match="phantom"):
             _counter("phantom", INSTALL, DEFAULT_USAGE)
+
+
+class TestSiteFromDocument:
+    def test_no_install_record_and_no_date_gives_none(self):
+        assert site_from_document({}, None) == (None, DEFAULT_USAGE)
+
+    def test_install_date_text_gives_a_record_without_logs(self):
+        assert site_from_document({}, "2025-01-01") == (INSTALL, DEFAULT_USAGE)
+
+    def test_install_record_and_date_together_refused(self):
+        site = {"install": {"install_date": "2025-01-01"}}
+        with pytest.raises(ValidationError, match="not both"):
+            site_from_document(site, "2025-01-01")
 
 
 COUNTERS = ("jack_cycles", "yaw_cycles", "phantom")  # phantom is in no log and no usage
@@ -660,7 +680,8 @@ class TestRemainingLifeReadsTheCounter:
         result = remaining_service_life(
             jack_lifed(life), UsageProfile({"jack_cycles": rate}), elapsed, None
         )
-        consumed = elapsed * DAYS_PER_YEAR * rate  # the rate-only rule, bit for bit
+        # the rate-only rule, bit for bit; a zero rate adds nothing, even over infinite days
+        consumed = elapsed * DAYS_PER_YEAR * rate if rate else 0.0
         fraction = consumed / life
         expected = (max(life - consumed, 0.0), "cycles", min(fraction, 1.0), fraction > 1.0)
         assert repr(tuple(getattr(result, name) for name in result._fields)) == repr(expected)

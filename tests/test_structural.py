@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from dwtlife.errors import BucklingError, NumericError, ValidationError
+from dwtlife.errors import NumericError, ValidationError
 from dwtlife import structural
 from dwtlife.model import ColumnSpec, RectSection
 from dwtlife.structural import (
@@ -94,7 +94,7 @@ class TestSecantDeflection:
 
     def test_zero_eccentricity_beyond_buckling_raises(self):
         p_buckle = math.pi**2 * 200e9 * 1e-5 / 6.0**2
-        with pytest.raises(BucklingError):
+        with pytest.raises(NumericError, match=r"elastic buckling bound \(secant argument "):
             secant_deflection(column(load=1.01 * p_buckle, eccentricity=0.0))
 
     # (load N, relative budget): 1e-15, about 5 ulps, at every load. e*(sec x - 1) in floats
@@ -136,7 +136,7 @@ class TestSecantDeflection:
     def test_buckling_error(self):
         modulus, inertia, length = 200e9, 1e-5, 6.0
         p_buckle = math.pi**2 * modulus * inertia / length**2
-        with pytest.raises(BucklingError):
+        with pytest.raises(NumericError, match=r"elastic buckling bound \(secant argument "):
             secant_deflection(column(load=1.01 * p_buckle, modulus=modulus))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from dwtlife.errors import NumericError, SingularityError, ValidationError
+from dwtlife.errors import NumericError, ValidationError
 from dwtlife.weibull import (
     EARLY_LIFE,
     RANDOM,
@@ -203,7 +203,7 @@ class TestHazard:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_singularity_at_zero(self):
-        with pytest.raises(SingularityError):
+        with pytest.raises(NumericError, match=r"^hazard diverges at t = 0 for shape < 1$"):
             hazard(0.0, WeibullParams(0.5, 1.0))
 
     def test_wear_out_hazard_is_zero_at_zero(self):
