@@ -17,7 +17,8 @@ import math
 
 from .errors import ValidationError
 from .fatigue import cycles_to_calendar
-from .model import Record, _require_in, _require_normal, known_keys, number, read_document, whole
+from .model import Record, _power, _require_in, _require_normal, known_keys, number, read_document
+from .model import whole
 
 BALL_EXPONENT = 3.0  # load-life exponent p of a ball bearing (ISO 281), the one p used here
 
@@ -71,13 +72,13 @@ class LifeModFactors(Record):
 def basic_dynamic_axial_rating(g: SlewingBearingGeometry) -> float:
     """C_a = f_cm * (i cos alpha)^0.7 * Z^(2/3) * D_r^1.8 * tan alpha."""
     alpha = math.radians(g.contact_angle_alpha)
-    return (
+    return _require_normal("basic rating C_a", (
         g.groove_factor_fcm
         * (g.rows_i * math.cos(alpha)) ** 0.7
         * g.ball_count_Z ** (2.0 / 3.0)
-        * g.ball_diameter_Dr**1.8
+        * _power(g.ball_diameter_Dr, 1.8)
         * math.tan(alpha)
-    )
+    ), " N")
 
 
 def oscillating_rating(ca: float, theta_deg: float) -> float:
@@ -94,10 +95,9 @@ def equivalent_axial_load(loads: BearingLoads, dm: float) -> float:
 
 
 def l10_life(ca_osc: float, pea: float) -> float:
-    """L10 = (C_a,osc / P_ea)^p, a cycle count on the rating's oscillation basis (a power
-    past the largest float raises OverflowError, as float ** does)."""
+    """L10 = (C_a,osc / P_ea)^p, a cycle count on the rating's oscillation basis."""
     _require_in("equivalent load", pea, "(0, inf)")
-    return _require_normal("L10", (ca_osc / pea) ** BALL_EXPONENT)
+    return _require_normal("L10", _power(ca_osc / pea, BALL_EXPONENT))
 
 
 def modified_life(l10: float, f: LifeModFactors) -> float:
@@ -149,7 +149,7 @@ _OPTIONAL = ("factors", "theta_deg", "oscillations_per_day")
 
 def summary_from_document(document) -> dict:
     """life_summary of a bearing document (README, "Bearing life"). Its "factors"
-    object, or presets.BEARING_LIFE_FACTORS if absent or null, builds the LifeModFactors;
+    object, or presets.BEARING_LIFE_FACTORS if absent or null, holds a1 to a4 alone;
     an absent "oscillations_per_day" takes presets.DEFAULT_USAGE's yaw_oscillations rate,
     and a present one lies in (0, inf). Only the typed inputs are read as the document:
     a value the pipeline computes past a float's range is a numeric failure, not a
@@ -163,6 +163,7 @@ def summary_from_document(document) -> dict:
         factors = doc.get("factors")
         if factors is None:
             factors = presets.BEARING_LIFE_FACTORS
+        known_keys(factors, (), LifeModFactors._fields)  # a key left out is missing below
         rate = number("oscillations_per_day", doc.get(
             "oscillations_per_day", presets.DEFAULT_USAGE.counters["yaw_oscillations"]))
         _require_in("oscillations_per_day", rate, "(0, inf)")
@@ -175,7 +176,7 @@ def summary_from_document(document) -> dict:
             ),
             BearingLoads(*(number(key, loads.get(key, 0.0)) for key in _LOADS)),
             number("theta_deg", doc.get("theta_deg", presets.BEARING_OSC_HALF_ARC_DEG)),
-            LifeModFactors(**{k: number(k, v) for k, v in factors.items()}),
+            LifeModFactors(*(number(k, factors[k]) for k in LifeModFactors._fields)),
             rate,
         )
 

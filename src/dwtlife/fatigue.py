@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .model import DAYS_PER_YEAR, Record, _require_in, _require_normal
+from .model import DAYS_PER_YEAR, Record, _power, _require_in, _require_normal
 
 
 class MarinFactors(Record):
@@ -94,7 +94,7 @@ def sn_constants(s_ut: float, s_e: float, f: float = 0.9) -> SnConstants:
         raise ValidationError(
             f"f*S_ut = {f * s_ut} must exceed S_e = {s_e} for a finite-life fit"
         )
-    square = _require_normal("(f*S_ut)²", (f * s_ut) ** 2, " Pa²")
+    square = _require_normal("(f*S_ut)²", _power(f * s_ut, 2), " Pa²")
     a = _require_normal("S-N intercept a", square / s_e, " Pa")
     b = _require_normal("S-N exponent b", -math.log10(f * s_ut / s_e) / 3.0)
     return SnConstants(a=a, b=b)
@@ -108,7 +108,7 @@ def cycles_to_failure(sigma_rev: float, c: SnConstants) -> CycleLife:
     stresses above f*S_ut are flagged "low_cycle".
     """
     _require_in("stress", sigma_rev, "(0, inf)")
-    cycles = _require_normal("cycles to failure", (sigma_rev / c.a) ** (1.0 / c.b))
+    cycles = _require_normal("cycles to failure", _power(sigma_rev / c.a, 1.0 / c.b))
     flags = []
     if sigma_rev < c.endurance_stress:
         flags.append("below_endurance_extrapolation")

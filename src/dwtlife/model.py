@@ -3,6 +3,7 @@ JSON document reader (read_document, tagged, known_keys, number, whole,
 text) and the two checks of a value: _require_in, the one domain rule of an
 input (a ValidationError), and _require_normal, the one rule of a value that a
 formula has formed (an overflow or an underflow there is a NumericError).
+_power gives a float ** past the largest double as inf, so that check names it.
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -52,6 +53,15 @@ def _require_normal(what: str, value: float, unit: str = "", from_nonzero: bool 
     if from_nonzero and abs(value) < sys.float_info.min:
         raise NumericError(f"{what} underflows: {value}{unit} is not a normal double")
     return value
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent of a positive base, or inf where float ** raises OverflowError
+    (float * gives inf there), so the _require_normal check of what it forms names it."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 _set = object.__setattr__
@@ -254,7 +264,8 @@ class ColumnSpec(Record):
     @property
     def eccentricity_ratio(self) -> float:
         """Eccentricity ratio ec/k², the dimensionless stress amplification."""
-        return self.eccentricity_e * self.centroid_c / self.gyration_k**2
+        return self.eccentricity_e * self.centroid_c / _require_normal(
+            "k²", _power(self.gyration_k, 2), " m²")
 
 
 class UsageProfile(Record):

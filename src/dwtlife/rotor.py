@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Record, _require_in, _require_normal
+from .model import Record, _power, _require_in, _require_normal
 
 
 class RotorState(Record):
@@ -35,8 +35,8 @@ def torque_coefficient(cp: float, lam: float) -> float:
 
 def torque_from_coefficient(cq: float, rho: float, radius: float, wind_speed: float) -> float:
     """Rotor torque (N·m) from C_q: T = C_q * rho * A * V² * R / 2, A = pi R²."""
-    area = math.pi * radius**2
-    return cq * rho * area * wind_speed**2 * radius / 2.0
+    area = math.pi * _power(radius, 2)
+    return cq * rho * area * _power(wind_speed, 2) * radius / 2.0
 
 
 def rotor_torque(state: RotorState) -> float:

@@ -21,11 +21,11 @@ Registry document (JSON-shaped):
 A trigger is a single-key tagged object, calendar_interval /
 cycle_interval / whichever_first / event, read like a topology node. Any
 malformed row is one ValidationError prefixed "registry: component #i
-('id'):". A cycles-based service life names the usage counter it is
-measured against. Calendar arithmetic is whole days with a 365-day
-year; recurring intervals anchor to the install date. One recurrence rule
-dates every entry but an event's: a calendar or cycle interval is a
-whichever_first without the other side, and a service life is the first
+('id'):". Calendar arithmetic is whole days with a 365-day year; recurring
+intervals anchor to the install date. One record, Recurrence(years, cycles,
+counter), holds every recurring rule, and one recurrence rule dates every entry
+but an event's. A side left as None is never due: calendar_interval and
+cycle_interval set one, whichever_first both, and a service life is the first
 recurrence of its one side. A schedule holds at most MAX_ENTRIES entries.
 One counter model (_counter) reads a usage counter for the schedule and for
 remaining_service_life alike: logged counts are authoritative, the usage rate
@@ -66,29 +66,24 @@ MAX_ENTRIES = 1_000_000
 # triggers and registry types
 
 
-class CalendarInterval(Record):
-    years: float
+class Recurrence(Record):
+    """Due every `years`, or each time `counter` gains `cycles`, whichever is first. A side
+    left as None is never due: a calendar or cycle interval sets one side, a
+    whichever_first both, a service life its one side."""
+
+    years: Optional[float] = None
+    cycles: Optional[float] = None
+    counter: Optional[str] = None  # the usage counter the cycles side reads
 
     def __post_init__(self):
-        _require_in("calendar interval", self.years, "(0, inf)")
-
-
-class CycleInterval(Record):
-    cycles: float
-    counter: str
-
-    def __post_init__(self):
-        _require_in("cycle interval", self.cycles, "(0, inf)")
-
-
-class WhicheverFirst(Record):
-    years: float
-    cycles: float
-    counter: str
-
-    def __post_init__(self):
-        _require_in("whichever_first years", self.years, "(0, inf)")
-        _require_in("whichever_first cycles", self.cycles, "(0, inf)")
+        if self.years is None and self.cycles is None:
+            raise ValidationError("a recurrence needs years or cycles")
+        for side in (YEARS, CYCLES):
+            if getattr(self, side) is not None:
+                _require_in(side, getattr(self, side), "(0, inf)")
+        if (self.cycles is None) != (self.counter is None):
+            raise ValidationError(f"counter must be given exactly when cycles is, "
+                                  f"got counter={self.counter!r}, cycles={self.cycles}")
 
 
 class EventTrigger(Record):
@@ -96,41 +91,19 @@ class EventTrigger(Record):
 
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
-            raise ValidationError(
-                f"event kind must be one of {EVENT_KINDS}, got {self.kind!r}"
-            )
-
-
-Trigger = Union[CalendarInterval, CycleInterval, WhicheverFirst, EventTrigger]
+            raise ValidationError(f"event kind must be one of {EVENT_KINDS}, got {self.kind!r}")
 
 
 class MaintenanceTask(Record):
     description: str
-    trigger: Trigger
-
-
-class ServiceLife(Record):
-    value: float
-    unit: str  # "years" or "cycles"
-    counter: Optional[str] = None  # required for cycles
-
-    def __post_init__(self):
-        if self.unit not in (YEARS, CYCLES):
-            raise ValidationError(f"service life unit must be years or cycles, got {self.unit!r}")
-        _require_in("service life", self.value, "(0, inf)")
-        if self.unit == CYCLES and not self.counter:
-            raise ValidationError("cycles-based service life needs a counter id")
-        if self.unit == YEARS and self.counter is not None:
-            raise ValidationError(
-                f"years-based service life takes no counter, got {self.counter!r}"
-            )
+    trigger: Union[Recurrence, EventTrigger]
 
 
 class ComponentRecord(Record):
     id: str
     group: str
     failure_modes: tuple[str, ...] = ()
-    service_life: Optional[ServiceLife] = None
+    service_life: Optional[Recurrence] = None  # one side
     manufacturer_specified: bool = False
     specifications: tuple[str, ...] = ()
     tasks: tuple[MaintenanceTask, ...] = ()
@@ -138,6 +111,9 @@ class ComponentRecord(Record):
     def __post_init__(self):
         if self.group not in GROUPS:
             raise ValidationError(f"unknown group {self.group!r} (expected one of {GROUPS})")
+        life = self.service_life
+        if life is not None and life.years is not None and life.cycles is not None:
+            raise ValidationError(f"a service life has one side, got {life!r}")
         object.__setattr__(self, "failure_modes", tuple(self.failure_modes))
         object.__setattr__(self, "specifications", tuple(self.specifications))
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -207,21 +183,24 @@ class RemainingLife(Record):
 # ---------------------------------------------------------------------------
 # document parsing
 
-def _trigger(cls, *readers):
-    """Reader of a trigger body that holds cls's fields alone, each read by its reader."""
+_READERS = {YEARS: number, CYCLES: number, "counter": text, "kind": text}
+
+
+def _trigger(cls, *keys):
+    """Reader of a trigger body that holds keys alone, each read into cls's field of its name."""
 
     def read(body):
-        known_keys(body, cls._fields)
-        return cls(*(reader(name, body[name]) for name, reader in zip(cls._fields, readers)))
+        known_keys(body, keys)
+        return cls(**{key: _READERS[key](key, body[key]) for key in keys})
 
     return read
 
 
 _TRIGGERS = {
-    "calendar_interval": _trigger(CalendarInterval, number),
-    "cycle_interval": _trigger(CycleInterval, number, text),
-    "whichever_first": _trigger(WhicheverFirst, number, number, text),
-    "event": _trigger(EventTrigger, text),
+    "calendar_interval": _trigger(Recurrence, YEARS),
+    "cycle_interval": _trigger(Recurrence, CYCLES, "counter"),
+    "whichever_first": _trigger(Recurrence, YEARS, CYCLES, "counter"),
+    "event": _trigger(EventTrigger, "kind"),
 }
 
 
@@ -232,9 +211,19 @@ def _strings(row: dict, key: str) -> tuple:
     return tuple(values)
 
 
-_ROW_OPTIONAL = (
-    "failure_modes", "service_life", "manufacturer_specified", "specifications", "tasks"
-)
+_ROW_OPTIONAL = ("failure_modes", "service_life", "manufacturer_specified", "specifications",
+                 "tasks")
+
+
+def _service_life(life: dict) -> Recurrence:
+    """The one-sided Recurrence of a {"value", "unit", "counter"} service life body."""
+    value = number("value", known_keys(life, ("value", "unit"), ("counter",))["value"])
+    unit = text("unit", life["unit"])
+    if unit not in (YEARS, CYCLES):
+        raise ValidationError(f"service life unit must be years or cycles, got {unit!r}")
+    counter = life.get("counter")
+    return Recurrence(**{unit: value},
+                      counter=None if counter is None else text("counter", counter))
 
 
 def _component_record(row: dict) -> ComponentRecord:
@@ -247,11 +236,7 @@ def _component_record(row: dict) -> ComponentRecord:
         id=text("id", row["id"]),
         group=text("group", row["group"]),
         failure_modes=_strings(row, "failure_modes"),
-        service_life=None if life is None else ServiceLife(
-            value=number("value", known_keys(life, ("value", "unit"), ("counter",))["value"]),
-            unit=text("unit", life["unit"]),
-            counter=None if life.get("counter") is None else text("counter", life["counter"]),
-        ),
+        service_life=None if life is None else _service_life(life),
         manufacturer_specified=specified,
         specifications=_strings(row, "specifications"),
         tasks=tuple(
@@ -389,9 +374,7 @@ def _rules(component: ComponentRecord) -> list[tuple]:
              for t in component.tasks]
     life = component.service_life
     if life is not None:
-        side = (CalendarInterval(life.value) if life.unit == YEARS
-                else CycleInterval(life.value, life.counter))
-        rules.append((f"Service life reached ({_life_text(life)})", side,
+        rules.append((f"Service life reached ({_life_text(life)})", life,
                       LIFE_EXPIRED, LIFE_EXPIRED, 1))
     return rules
 
@@ -404,17 +387,16 @@ def generate_schedule(
 ) -> list[ScheduleEntry]:
     """Compile dated maintenance entries over the horizon.
 
-    One recurrence rule yields every entry but an event's: recurrence k of
-    a trigger is due on the install date + round(k * years * 365) days or
-    on the date its counter reaches k * cycles (found by bisecting the
-    counter's log; the entry carries the threshold as due_count), whichever
-    is first, the calendar winning ties. A calendar or cycle interval is a
-    whichever_first without the other side, and a lifed component's
-    life_expired entry is the first recurrence of its service life's one
-    side. Event triggers emit one entry per logged matching event. Output
-    is sorted by (due date, component id, task, reason). The horizon must
-    end by date.max; a recurrence that would pass it is never due. A
-    trigger that could take the schedule past MAX_ENTRIES is a ValidationError.
+    One recurrence rule yields every entry but an event's: recurrence k of a
+    Recurrence is due on the install date + round(k * years * 365) days or on
+    the date its counter reaches k * cycles (found by bisecting the counter's
+    log; the entry carries the threshold as due_count), whichever is first,
+    the calendar winning ties; a side left as None is never due. A service
+    life's life_expired entry is its first recurrence. Event triggers emit one
+    entry per logged matching event. Output is sorted by (due date, component
+    id, task, reason). The horizon must end by date.max; a recurrence that
+    would pass it is never due. A trigger that could take the schedule past
+    MAX_ENTRIES is a ValidationError.
     """
     _require_in("horizon", horizon_years, "(0, inf)")
     start = install.install_date
@@ -437,10 +419,8 @@ def generate_schedule(
                     if kind == trig.kind and when <= end
                 )
                 continue
-            # A side the trigger lacks is never due. Recurrence k is due only if k*years in
-            # days rounds to at most last - first or k*cycles <= the count at end.
-            years = getattr(trig, "years", None)
-            cycles = getattr(trig, "cycles", None)
+            # k is due only if k*years in days rounds to <= last - first or k*cycles <= count at end
+            years, cycles = trig.years, trig.cycles
             bound = 0.0 if years is None else (last - first + 1) / (years * DAYS_PER_YEAR) + 1
             if cycles is not None:
                 date_reaching, count_at = _counter(trig.counter, install, usage)
@@ -480,17 +460,18 @@ def remaining_service_life(component: ComponentRecord, usage: UsageProfile, elap
     life = component.service_life
     if life is None:
         raise ValidationError(f"component {component.id!r} is not lifed")
-    if life.unit == YEARS:
+    value, unit = _life_side(life)
+    if unit == YEARS:
         consumed = elapsed_years
     else:
         if install is None:  # a record with no log: the rate times the days
             install = InstallationRecord(install_date=date.min)
         _, count_at = _counter(life.counter, install, usage)
         consumed = count_at(elapsed_years * DAYS_PER_YEAR)
-    fraction = consumed / life.value
+    fraction = consumed / value
     return RemainingLife(
-        remaining=max(life.value - consumed, 0.0),
-        unit=life.unit,
+        remaining=max(value - consumed, 0.0),
+        unit=unit,
         fraction_consumed=min(fraction, 1.0),
         overconsumed=fraction > 1.0,
     )
@@ -533,11 +514,16 @@ def emit_report(payload, format: str) -> str:
     return _markdown_table(_SCHEDULE_COLUMNS, table)
 
 
-def _life_text(life: ServiceLife) -> str:
-    unit = life.unit
-    if life.value == 1 and unit == YEARS:
+def _life_side(life: Recurrence) -> tuple[float, str]:
+    """(value, unit) of a service life's one side."""
+    return (life.years, YEARS) if life.cycles is None else (life.cycles, CYCLES)
+
+
+def _life_text(life: Recurrence) -> str:
+    value, unit = _life_side(life)
+    if value == 1 and unit == YEARS:
         unit = "year"
-    return f"{life.value:g} {unit}"
+    return f"{value:g} {unit}"
 
 
 def _service_life_cell(component: ComponentRecord) -> str:

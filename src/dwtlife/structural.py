@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import NumericError, ValidationError
-from .model import ColumnSpec, Record, RectSection, _require_in, _require_normal
+from .model import ColumnSpec, Record, RectSection, _power, _require_in, _require_normal
 from .units import GRAVITY
 
 FLAT = "flat"  # bending about the wide axis: I = b t³/12, y = t/2
@@ -104,7 +104,7 @@ def secant_allowable_load(col: ColumnSpec) -> float:
     ratio = col.eccentricity_ratio
 
     # Secant argument (l/2k)*sqrt(P/AE) reaches pi/2 at the Euler load.
-    p_buckle = col.area_A * modulus * (math.pi * col.gyration_k / col.height_l) ** 2
+    p_buckle = col.area_A * modulus * _power(math.pi * col.gyration_k / col.height_l, 2)
     if ratio or p_buckle != math.inf:  # an unbounded Euler load leaves the yield load
         _require_normal("buckling load", p_buckle, " N")
     if ratio == 0:
@@ -153,10 +153,10 @@ def rect_bending_stress(moment: float, s: RectSection, orientation: str) -> floa
     """
     _require_in("moment", moment, "[0, inf]")
     if orientation == FLAT:
-        inertia = s.width_b * s.thickness_t**3 / 12.0
+        inertia = s.width_b * _power(s.thickness_t, 3) / 12.0
         y = s.thickness_t / 2.0
     elif orientation == UPRIGHT:
-        inertia = s.thickness_t * s.width_b**3 / 12.0
+        inertia = s.thickness_t * _power(s.width_b, 3) / 12.0
         y = s.width_b / 2.0
     else:
         raise ValidationError(f"orientation must be 'flat' or 'upright', got {orientation!r}")
@@ -171,6 +171,6 @@ def rect_torsion_max_shear(torque: float, s: RectSection) -> float:
     """
     _require_in("torque", torque, "[0, inf]")
     b, t = s.width_b, s.thickness_t
-    bt2 = _require_normal("b·t²", b * t**2, " m³")
+    bt2 = _require_normal("b·t²", b * _power(t, 2), " m³")
     return _require_normal("max shear stress", torque * (3.0 + 1.8 * t / b) / bt2, " Pa",
                            from_nonzero=torque != 0)

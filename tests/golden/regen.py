@@ -76,6 +76,8 @@ CASES = {
     "fatigue_sn_imperial": (_argv("fatigue sn --sut 45 --se 17.6 --units imperial"), {}),
     "error_fatigue_sn_overflow": (_argv("fatigue sn --sut 1.2e150Pa --se 1e-10Pa"), {}),
     "error_fatigue_sn_underflow": (_argv("fatigue sn --sut 1e-200Pa --se 1e-201Pa"), {}),
+    # (f*S_ut)² passes the largest double: was "Numerical result out of range"
+    "error_fatigue_sn_square_overflow": (_argv("fatigue sn --sut 1e160Pa --se 1e100Pa"), {}),
     # (f*S_ut)² = 8.1e-321 is subnormal: a = 8.09773593533803e-166 Pa lost its digits
     "error_fatigue_sn_square_subnormal": (
         _argv("fatigue sn --sut 1e-160Pa --se 1e-161Pa --json"), {}
@@ -148,6 +150,12 @@ CASES = {
               "--height 7.65 --area 5e-324 --inertia 1e-5"),
         {},
     ),
+    # k² of a 1e-300 m radius of gyration underflows: was "float division by zero"
+    "error_tower_column_gyration_underflow": (
+        _argv("tower column --load 1000 --eccentricity 0.01 --centroid 0.05 --gyration 1e-300 "
+              "--height 5 --area 0.01 --inertia 1e-5"),
+        {},
+    ),
     "tower_life": (_argv("tower life"), {}),
     "tower_life_json": (_argv("tower life --stress 60MPa --cycles-per-day 2000 --json"), {}),
     "tower_life_imperial": (_argv("tower life --units imperial"), {}),
@@ -205,6 +213,9 @@ CASES = {
     "error_aero_torque_tip_speed_ratio_underflow": (
         _argv("aero torque --radius 1e-300 --wind 1e300"), {}
     ),
+    # V² of a 1e200 m/s wind passes the largest double: was "Numerical result out of range"
+    "error_aero_torque_overflow": (_argv("aero torque --wind 1e200"), {}),
+    "error_aero_sweep_overflow": (_argv("aero sweep --wind 1e200"), {}),
     # weibull
     "weibull_fit": (_argv("weibull fit --p 10 --bp 10 --q 50 --bq 20"), {}),
     "weibull_fit_json": (_argv("weibull fit --p 5 --bp 3 --q 63.2 --bq 12 --json"), {}),
@@ -381,6 +392,16 @@ CASES = {
         [*GENERATE, "--registry", "registry_two_tag_trigger.json"], {}
     ),
     "error_registry_zero_interval": ([*GENERATE, "--registry", "registry_zero_interval.json"], {}),
+    # each trigger tag refuses a side it does not hold, or a side out of its domain
+    "error_registry_calendar_interval_cycles": (
+        [*GENERATE, "--registry", "registry_calendar_interval_cycles.json"], {}
+    ),
+    "error_registry_cycle_interval_years": (
+        [*GENERATE, "--registry", "registry_cycle_interval_years.json"], {}
+    ),
+    "error_registry_whichever_first_negative_cycles": (
+        [*GENERATE, "--registry", "registry_whichever_first_negative_cycles.json"], {}
+    ),
     "error_registry_vanishing_interval": (
         [*GENERATE, "--horizon", "1", "--registry", "registry_vanishing_interval.json"], {}
     ),

@@ -10,9 +10,10 @@ reference for the library's hungriest-first fold. The CLI's
 parser is built whole, every subcommand with every flag, as the reference
 for the parser the CLI builds for one argv. The maintenance schedule is
 compiled by scanning the whole cycle log for every threshold, with one
-unbounded loop per recurring trigger kind. PARENT_PRESETS holds the study
-figures as typed values, frozen from when the presets module built them
-itself, the reference for the types each reader now builds from plain data.
+unbounded loop per recurring trigger kind, picked by which sides the
+Recurrence sets. PARENT_PRESETS holds the study figures as typed values,
+frozen from when the presets module built them itself, the reference for
+the types each reader now builds from plain data.
 """
 
 import math
@@ -241,14 +242,20 @@ def threshold_scan_schedule(registry, install, usage, horizon_years):
     for component in registry.components:
         for task in component.tasks:
             trig = task.trigger
-            if isinstance(trig, S.CalendarInterval):
+            if isinstance(trig, S.EventTrigger):
+                entries.extend(
+                    S.ScheduleEntry(when, component.id, task.description, S.EVENT, None)
+                    for when, kind in install.event_log
+                    if kind == trig.kind and within(when)
+                )
+            elif trig.cycles is None:  # a calendar interval
                 first, last, k = start.toordinal(), end.toordinal(), 1
                 while (day := first + round(k * trig.years * S.DAYS_PER_YEAR)) <= last:
                     entries.append(S.ScheduleEntry(
                         date.fromordinal(day), component.id, task.description,
                         S.INTERVAL_ELAPSED, None))
                     k += 1
-            elif isinstance(trig, S.CycleInterval):
+            elif trig.years is None:  # a cycle interval
                 date_reaching = counter_model(trig.counter)
                 k = 1
                 while True:
@@ -258,7 +265,7 @@ def threshold_scan_schedule(registry, install, usage, horizon_years):
                     entries.append(S.ScheduleEntry(
                         due, component.id, task.description, S.CYCLES_ELAPSED, k * trig.cycles))
                     k += 1
-            elif isinstance(trig, S.WhicheverFirst):
+            else:  # whichever_first
                 date_reaching = counter_model(trig.counter)
                 k = 1
                 while True:
@@ -273,18 +280,12 @@ def threshold_scan_schedule(registry, install, usage, horizon_years):
                     entries.append(
                         S.ScheduleEntry(due, component.id, task.description, reason, count))
                     k += 1
-            else:
-                entries.extend(
-                    S.ScheduleEntry(when, component.id, task.description, S.EVENT, None)
-                    for when, kind in install.event_log
-                    if kind == trig.kind and within(when)
-                )
         life = component.service_life
         if life is not None:
-            if life.unit == S.YEARS:
-                due, count = days_after(start, whole_days(life.value)), None
+            if life.cycles is None:
+                due, count = days_after(start, whole_days(life.years)), None
             else:
-                due, count = counter_model(life.counter)(life.value), life.value
+                due, count = counter_model(life.counter)(life.cycles), life.cycles
             if within(due):
                 entries.append(S.ScheduleEntry(
                     due, component.id, f"Service life reached ({S._life_text(life)})",

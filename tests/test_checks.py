@@ -21,8 +21,8 @@ from dwtlife.errors import NumericError, ValidationError
 from dwtlife.model import ColumnSpec, RectSection, UsageProfile, _require_in, _require_normal
 from dwtlife.model import number, text
 from dwtlife.rotor import RotorState
-from dwtlife.schedule import CalendarInterval, CycleInterval, ServiceLife, WhicheverFirst
-from dwtlife.schedule import ComponentRecord, InstallationRecord, remaining_service_life
+from dwtlife.schedule import ComponentRecord, InstallationRecord, Recurrence
+from dwtlife.schedule import remaining_service_life
 from dwtlife.weibull import QuantilePoint, WeibullParams, failure_regime
 
 
@@ -56,7 +56,7 @@ BEARING_DOCUMENT = {
 WEIBULL = WeibullParams(shape_beta=2.0, scale_eta=10.0)
 EXPONENTIAL = system.LifeModel.exponential(1.0)
 RECT = RectSection(**SECTION)
-LIFED = ComponentRecord("a", "Control", service_life=ServiceLife(value=4.0, unit="years"))
+LIFED = ComponentRecord("a", "Control", service_life=Recurrence(years=4.0))
 INSTALL = InstallationRecord(date(2025, 1, 1))
 
 
@@ -70,7 +70,8 @@ def tower_life(cycles_per_day: float):
                            argparse.Namespace(stress=1e8, cycles_per_day=cycles_per_day))
 
 
-# (field name as the error message gives it, its domain, a call that checks a value for it):
+# (field name as the error message gives it, its domain, a call that checks a value for it,
+# and, where several rules share one field name, the rule that names the row's probes):
 # every model._require_in call of the package but parse_quantity's, whose text can hold
 # neither NaN nor an arbitrary double (tests/test_units.py pins it).
 DOMAINS = [
@@ -151,13 +152,17 @@ DOMAINS = [
     ("mean", "[0, inf)", lambda v: system.poisson_pmf(0, v)),
     ("life for 'a'", "(0, inf)", lambda v: system.system_service_life({"a": v})),
     # schedule
-    ("calendar interval", "(0, inf)", lambda v: CalendarInterval(years=v)),
-    ("cycle interval", "(0, inf)", lambda v: CycleInterval(cycles=v, counter="c")),
-    ("whichever_first years", "(0, inf)",
-     lambda v: WhicheverFirst(years=v, cycles=1.0, counter="c")),
-    ("whichever_first cycles", "(0, inf)",
-     lambda v: WhicheverFirst(years=1.0, cycles=v, counter="c")),
-    ("service life", "(0, inf)", lambda v: ServiceLife(value=v, unit="years")),
+    ("years", "(0, inf)", lambda v: Recurrence(years=v), "calendar interval"),
+    ("cycles", "(0, inf)", lambda v: Recurrence(cycles=v, counter="c"), "cycle interval"),
+    ("years", "(0, inf)", lambda v: Recurrence(years=v, cycles=1.0, counter="c"),
+     "whichever_first years"),
+    ("cycles", "(0, inf)", lambda v: Recurrence(years=1.0, cycles=v, counter="c"),
+     "whichever_first cycles"),
+    ("years", "(0, inf)", lambda v: schedule._service_life({"value": v, "unit": "years"}),
+     "service life"),
+    ("cycles", "(0, inf)",
+     lambda v: schedule._service_life({"value": v, "unit": "cycles", "counter": "c"}),
+     "service life cycles"),
     ("cycle log count for 'c'", "(-inf, inf)",
      lambda v: InstallationRecord(date(2025, 1, 1), cycle_log={"c": ((date(2025, 2, 1), v),)})),
     ("horizon", "(0, inf)", lambda v: schedule.generate_schedule(
@@ -205,8 +210,9 @@ def domain_message(check, value):
     return None
 
 
-PROBES = [pytest.param(name, domain, check, value, id=f"{name.rpartition(': ')[2]} {value!r}")
-          for name, domain, check in DOMAINS for value in probes(domain)]
+PROBES = [pytest.param(name, domain, check, value,
+                       id=f"{rule[0] if rule else name.rpartition(': ')[2]} {value!r}")
+          for name, domain, check, *rule in DOMAINS for value in probes(domain)]
 
 
 @pytest.mark.parametrize("name, domain, check, value", PROBES)
@@ -221,8 +227,8 @@ def test_field_accepts_exactly_its_domain(name, domain, check, value):
         assert message == expected
 
 
-@pytest.mark.parametrize("name, domain, check", [row for row in DOMAINS if inside(0, row[1])],
-                         ids=[name for name, domain, _ in DOMAINS if inside(0, domain)])
+@pytest.mark.parametrize("name, domain, check", [row[:3] for row in DOMAINS if inside(0, row[1])],
+                         ids=[name for name, domain, *_ in DOMAINS if inside(0, domain)])
 def test_zero_is_accepted(name, domain, check):
     check(0)
 
@@ -344,14 +350,49 @@ UNDERFLOWS = [
      lambda: rotor.rotor_power(1e-300, 1e-300)),
     ("failure probability underflows: 2e-321 is not a normal double",
      lambda: weibull.cdf(1e-320, WeibullParams(shape_beta=1.0, scale_eta=5.0))),
+    ("k² underflows: 0.0 m² is not a normal double",
+     lambda: ColumnSpec(**{**COLUMN, "gyration_k": 1e-300}).eccentricity_ratio),
 ]
 UNDERFLOW_IDS = ["weight", "height", "sn_intercept", "blade_moment", "second_moment",
                  "bending_stress", "bt2", "max_shear", "tip_speed_ratio", "rotor_torque",
-                 "shaft_power", "failure_probability"]
+                 "shaft_power", "failure_probability", "gyration_squared"]
 
 
 @pytest.mark.parametrize("message, call", UNDERFLOWS, ids=UNDERFLOW_IDS)
 def test_underflow_to_zero_is_a_numeric_failure(message, call):
+    with pytest.raises(NumericError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+# (the numeric failure's message, a call of valid inputs where a float ** passes the
+#  largest double, which float ** raises as an OverflowError naming no quantity)
+POWER_OVERFLOWS = {
+    "sn_square": ("(f*S_ut)² is not finite (inf Pa²)", lambda: fatigue.sn_constants(1e160, 1e100)),
+    "cycles_to_failure": ("cycles to failure is not finite (inf)",
+                          lambda: fatigue.cycles_to_failure(1e-300, SN)),
+    "bearing_rating": ("basic rating C_a is not finite (inf N)",
+                       lambda: bearing.basic_dynamic_axial_rating(bearing.SlewingBearingGeometry(
+                           **{**GEOMETRY, "ball_diameter_Dr": 1e200,
+                              "raceway_center_diameter_dm": 1e201}))),
+    "l10": ("L10 is not finite (inf)", lambda: bearing.l10_life(1e120, 0.1)),
+    "rotor_torque": ("rotor torque is not finite (inf N·m)",
+                     lambda: rotor.rotor_torque(RotorState(**{**ROTOR, "wind_speed_V": 1e200}))),
+    "second_moment": ("second moment of area is not finite (inf m⁴)",
+                      lambda: structural.rect_bending_stress(1.0, RectSection(1e300, 0.01),
+                                                             structural.UPRIGHT)),
+    "bt2": ("b·t² is not finite (inf m³)",
+            lambda: structural.rect_torsion_max_shear(1.0, RectSection(1e300, 1e200))),
+    "gyration_squared": ("k² is not finite (inf m²)",
+                         lambda: ColumnSpec(**{**COLUMN, "gyration_k": 1e200}).eccentricity_ratio),
+    "buckling_load": ("buckling load is not finite (inf N)",
+                      lambda: structural.secant_allowable_load(
+                          ColumnSpec(**{**COLUMN, "gyration_k": 1e150, "height_l": 1e-10}))),
+}
+
+
+@pytest.mark.parametrize("message, call", POWER_OVERFLOWS.values(), ids=POWER_OVERFLOWS)
+def test_power_past_the_largest_double_names_its_quantity(message, call):
     with pytest.raises(NumericError) as caught:
         call()
     assert str(caught.value) == message

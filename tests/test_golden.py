@@ -27,6 +27,16 @@ def test_a_hang_fails_its_case_and_names_the_argv(monkeypatch):
         regen.run_cli(["aero", "betz", "--a0", "0"], limit=0.05)
 
 
+def test_no_reason_line_is_a_python_detail():
+    """Each expected stderr is the package's own reason: no call signature of a Python
+    constructor and no float error that names no quantity."""
+    details = ("__init__()", "Numerical result out of range", "float division by zero")
+    offenders = [(path.name, detail) for path in sorted(regen.EXPECTED.glob("*.txt"))
+                 for detail in details
+                 if detail in path.read_text(encoding="utf-8").partition("\n--- stderr\n")[2]]
+    assert offenders == []
+
+
 def test_every_input_is_named_by_a_case():
     """No orphan input: each file in inputs/ is an argv word, stdin or env value of a case."""
     named = {

@@ -12,16 +12,13 @@ from dwtlife.schedule import (
     EVENT,
     INTERVAL_ELAPSED,
     LIFE_EXPIRED,
-    CalendarInterval,
     ComponentRecord,
-    CycleInterval,
     EventTrigger,
     InstallationRecord,
     MaintenanceTask,
+    Recurrence,
     Registry,
-    ServiceLife,
     UsageProfile,
-    WhicheverFirst,
     _counter,
     default_registry,
     emit_report,
@@ -75,11 +72,11 @@ class TestLoadRegistry:
     def test_table_verbatim_rows(self):
         reg = default_registry()
         tower = reg.get("Tower")
-        assert tower.service_life.value == 5
+        assert tower.service_life.years == 5
         assert tower.manufacturer_specified
         assert "Max base moment: 55000 ft-lbs*" in tower.specifications
         generator = reg.get("Generator")
-        assert generator.service_life.value == 20
+        assert generator.service_life.years == 20
         assert "Demagnetization" in generator.failure_modes
         jack = reg.get("Screw Jack (Pole Raising System)")
         assert "Inspect every 100 cycles or 5 years (whichever comes first)" in [
@@ -126,17 +123,47 @@ class TestLoadRegistry:
             load_registry(doc)
 
     @pytest.mark.parametrize("make", [
-        lambda value: CalendarInterval(years=value),
-        lambda value: CycleInterval(cycles=value, counter="jack_cycles"),
-        lambda value: WhicheverFirst(years=value, cycles=1, counter="jack_cycles"),
-        lambda value: WhicheverFirst(years=1, cycles=value, counter="jack_cycles"),
-        lambda value: ServiceLife(value=value, unit="years"),
-        lambda value: ServiceLife(value=value, unit="cycles", counter="jack_cycles"),
+        lambda value: Recurrence(years=value),
+        lambda value: Recurrence(cycles=value, counter="jack_cycles"),
+        lambda value: Recurrence(years=value, cycles=1, counter="jack_cycles"),
+        lambda value: Recurrence(years=1, cycles=value, counter="jack_cycles"),
+        lambda value: single_component_registry([], {"value": value, "unit": "years"}),
+        lambda value: single_component_registry(
+            [], {"value": value, "unit": "cycles", "counter": "jack_cycles"}),
     ], ids=["calendar", "cycle", "whichever_years", "whichever_cycles", "life_years",
             "life_cycles"])
     def test_infinite_schedule_values_rejected(self, make):
         with pytest.raises(ValidationError, match=r"must lie in \(0, inf\), got inf$"):
             make(math.inf)
+
+
+class TestRecurrence:
+    """One record holds every recurring rule: a side left as None is never due."""
+
+    def test_a_side_is_needed(self):
+        with pytest.raises(ValidationError, match="^a recurrence needs years or cycles$"):
+            Recurrence()
+
+    @pytest.mark.parametrize("sides", [{"cycles": 5.0}, {"years": 1.0, "counter": "c"}])
+    def test_counter_is_given_exactly_with_cycles(self, sides):
+        with pytest.raises(ValidationError, match="^counter must be given exactly when cycles is"):
+            Recurrence(**sides)
+
+    def test_a_service_life_has_one_side(self):
+        with pytest.raises(ValidationError, match="^a service life has one side"):
+            ComponentRecord("a", "Control", service_life=Recurrence(1.0, 5.0, "c"))
+
+    def test_each_tag_reads_into_its_sides(self):
+        tasks = [{"description": tag, "trigger": {tag: body}} for tag, body in (
+            ("calendar_interval", {"years": 2}),
+            ("cycle_interval", {"cycles": 5, "counter": "c"}),
+            ("whichever_first", {"years": 2, "cycles": 5, "counter": "c"}),
+        )]
+        reg = single_component_registry(tasks, {"value": 7, "unit": "cycles", "counter": "c"})
+        widget = reg.components[0]
+        assert [t.trigger for t in widget.tasks] == [
+            Recurrence(years=2.0), Recurrence(cycles=5.0, counter="c"), Recurrence(2.0, 5.0, "c")]
+        assert widget.service_life == Recurrence(cycles=7.0, counter="c")
 
 
 class TestGenerateSchedule:
@@ -452,11 +479,11 @@ def triggers(draw):
     cycles = draw(st.floats(1.0, 400.0))
     counter = draw(st.sampled_from(COUNTERS[:2]) if draw(st.integers(0, 9)) else st.just("phantom"))
     if kind == "calendar":
-        return CalendarInterval(years)
+        return Recurrence(years=years)
     if kind == "cycle":
-        return CycleInterval(cycles, counter)
+        return Recurrence(cycles=cycles, counter=counter)
     if kind == "whichever":
-        return WhicheverFirst(years, cycles, counter)
+        return Recurrence(years, cycles, counter)
     return EventTrigger(draw(st.sampled_from(("high_load", "post_install_inspection"))))
 
 
@@ -466,8 +493,9 @@ def lives(draw):
     if kind == "none":
         return None
     if kind == "years":
-        return ServiceLife(draw(st.floats(0.1, 25.0)), "years")
-    return ServiceLife(draw(st.floats(1.0, 5000.0)), "cycles", draw(st.sampled_from(COUNTERS[:2])))
+        return Recurrence(years=draw(st.floats(0.1, 25.0)))
+    return Recurrence(cycles=draw(st.floats(1.0, 5000.0)),
+                      counter=draw(st.sampled_from(COUNTERS[:2])))
 
 
 @st.composite
@@ -619,7 +647,7 @@ class TestRemainingLife:
         rated = ComponentRecord(
             id="slip-ring-rating",
             group="Electromechanical",
-            service_life=ServiceLife(value=40e6, unit="cycles", counter="yaw_oscillations"),
+            service_life=Recurrence(cycles=40e6, counter="yaw_oscillations"),
         )
         result = remaining_service_life(rated, DEFAULT_USAGE, 36.5)
         consumed = 1500.0 * 365 * 36.5
@@ -643,7 +671,7 @@ class TestRemainingLife:
         rated = ComponentRecord(
             id="x",
             group="Electromechanical",
-            service_life=ServiceLife(value=1e6, unit="cycles", counter="phantom"),
+            service_life=Recurrence(cycles=1e6, counter="phantom"),
         )
         with pytest.raises(ValidationError, match="phantom"):
             remaining_service_life(rated, DEFAULT_USAGE, 1.0)
@@ -663,8 +691,7 @@ JACK_LOG = {"jack_cycles": [(date(2025, 3, 15), 15.0), (date(2026, 5, 1), 40.0)]
 
 def jack_lifed(cycles):
     return ComponentRecord(id="jk", group="Structural",
-                           service_life=ServiceLife(value=cycles, unit="cycles",
-                                                    counter="jack_cycles"))
+                           service_life=Recurrence(cycles=cycles, counter="jack_cycles"))
 
 
 class TestRemainingLifeReadsTheCounter:
