@@ -67,9 +67,8 @@ MAX_ENTRIES = 1_000_000
 
 
 class Recurrence(Record):
-    """Due every `years`, or each time `counter` gains `cycles`, whichever is first. A side
-    left as None is never due: a calendar or cycle interval sets one side, a
-    whichever_first both, a service life its one side."""
+    """Due every `years` or each time `counter` gains `cycles`, whichever is first. A side
+    left as None is never due: an interval or a service life sets one, whichever_first both."""
 
     years: Optional[float] = None
     cycles: Optional[float] = None
@@ -78,9 +77,9 @@ class Recurrence(Record):
     def __post_init__(self):
         if self.years is None and self.cycles is None:
             raise ValidationError("a recurrence needs years or cycles")
-        for side in (YEARS, CYCLES):
-            if getattr(self, side) is not None:
-                _require_in(side, getattr(self, side), "(0, inf)")
+        for side, value in ((YEARS, self.years), (CYCLES, self.cycles)):
+            if value is not None:
+                _require_in(side, value, "(0, inf)")
         if (self.cycles is None) != (self.counter is None):
             raise ValidationError(f"counter must be given exactly when cycles is, "
                                   f"got counter={self.counter!r}, cycles={self.cycles}")
@@ -91,7 +90,9 @@ class EventTrigger(Record):
 
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
-            raise ValidationError(f"event kind must be one of {EVENT_KINDS}, got {self.kind!r}")
+            raise ValidationError(
+                f"event kind must be one of {EVENT_KINDS}, got {self.kind!r}"
+            )
 
 
 class MaintenanceTask(Record):
@@ -183,24 +184,21 @@ class RemainingLife(Record):
 # ---------------------------------------------------------------------------
 # document parsing
 
-_READERS = {YEARS: number, CYCLES: number, "counter": text, "kind": text}
-
-
-def _trigger(cls, *keys):
-    """Reader of a trigger body that holds keys alone, each read into cls's field of its name."""
+def _trigger(cls, **readers):
+    """Reader of a trigger body that holds readers' keys alone, each read by its reader."""
 
     def read(body):
-        known_keys(body, keys)
-        return cls(**{key: _READERS[key](key, body[key]) for key in keys})
+        known_keys(body, tuple(readers))
+        return cls(**{key: reader(key, body[key]) for key, reader in readers.items()})
 
     return read
 
 
 _TRIGGERS = {
-    "calendar_interval": _trigger(Recurrence, YEARS),
-    "cycle_interval": _trigger(Recurrence, CYCLES, "counter"),
-    "whichever_first": _trigger(Recurrence, YEARS, CYCLES, "counter"),
-    "event": _trigger(EventTrigger, "kind"),
+    "calendar_interval": _trigger(Recurrence, years=number),
+    "cycle_interval": _trigger(Recurrence, cycles=number, counter=text),
+    "whichever_first": _trigger(Recurrence, years=number, cycles=number, counter=text),
+    "event": _trigger(EventTrigger, kind=text),
 }
 
 
@@ -211,8 +209,9 @@ def _strings(row: dict, key: str) -> tuple:
     return tuple(values)
 
 
-_ROW_OPTIONAL = ("failure_modes", "service_life", "manufacturer_specified", "specifications",
-                 "tasks")
+_ROW_OPTIONAL = (
+    "failure_modes", "service_life", "manufacturer_specified", "specifications", "tasks"
+)
 
 
 def _service_life(life: dict) -> Recurrence:
