@@ -3,7 +3,8 @@ JSON document reader (read_document, tagged, known_keys, number, whole,
 text) and the two checks of a value: _require_in, the one domain rule of an
 input (a ValidationError), and _require_normal, the one rule of a value that a
 formula has formed (an overflow or an underflow there is a NumericError).
-_power gives a float ** past the largest double as inf, so that check names it.
+_power gives a float ** past the largest double, or 0 to a negative power, as inf, so
+that check names it.
 
 Structural fields are SI; usage rates are per day, and calendar
 conversions use the one 365-day year below.
@@ -56,11 +57,12 @@ def _require_normal(what: str, value: float, unit: str = "", from_nonzero: bool 
 
 
 def _power(base: float, exponent: float) -> float:
-    """base ** exponent of a positive base, or inf where float ** raises OverflowError
-    (float * gives inf there), so the _require_normal check of what it forms names it."""
+    """base ** exponent of a nonnegative base, or inf where float ** raises OverflowError
+    (float * gives inf there) or ZeroDivisionError (IEEE 754 pow(+0, y < 0) is +inf), so
+    the _require_normal check of what it forms names it."""
     try:
         return base**exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 

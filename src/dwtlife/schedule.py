@@ -29,7 +29,7 @@ cycle_interval set one, whichever_first both, and a service life is the first
 recurrence of its one side. A schedule holds at most MAX_ENTRIES entries.
 One counter model (_counter) reads a usage counter for the schedule and for
 remaining_service_life alike: logged counts are authoritative, the usage rate
-projects past the last one, and a threshold's date is found by bisecting the log.
+projects past the last one, and a threshold's due day is found by bisecting the log.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import csv
 import io
 import math
 from bisect import bisect_left, bisect_right
-from datetime import date, timedelta
+from datetime import date
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -152,8 +152,7 @@ class InstallationRecord(Record):
         for when, kind in self.event_log:
             if when < previous:
                 raise ValidationError("event log dates must be nondecreasing")
-            if kind not in EVENT_KINDS:
-                raise ValidationError(f"unknown event kind {kind!r}")
+            EventTrigger(kind)  # the one event-kind rule
             previous = when
         for counter, entries in self.cycle_log.items():
             prev_date, prev_count = self.install_date, 0.0
@@ -326,44 +325,33 @@ def site_from_document(site, install_date: Optional[str]) -> tuple:
 # schedule compilation
 
 
-def _days_after(start: date, days: float) -> Optional[date]:
-    """start + ceil(days), or None past date.max (beyond every horizon)."""
-    try:
-        return start + timedelta(days=math.ceil(days))
-    except OverflowError:
-        return None
-
-
 def _counter(counter: str, install: InstallationRecord, usage: UsageProfile):
-    """(date_reaching, count_at) of a cumulative counter: the one counter model.
-
-    date_reaching(threshold) bisects the logged (date, count) points, which are
-    authoritative; beyond the last one the counter grows at the usage rate (zero
-    rate: log-driven only). count_at(days) is the count that many days after the
-    install date: the last one logged by then, then projected at the rate.
-    """
+    """(day_reaching, count_at) of a cumulative counter, in days after install: the one
+    counter model. Its logged points, seeded with the install day's count of 0, are
+    authoritative; past the last one it grows at the usage rate (zero rate: log-driven
+    only). day_reaching(threshold) bisects them for the first day the count reaches
+    threshold, or projects it: an int, or math.inf if never. count_at(day), day >= 0, is
+    the last count logged by then, or projected."""
     if counter not in usage.counters and counter not in install.cycle_log:
         raise ValidationError(f"unknown cycle counter {counter!r}")
-    log = install.cycle_log.get(counter, ())
-    dates, counts = zip(*log) if log else ((), ())
+    start = install.install_date
+    log = [(0, 0.0), *(((when - start).days, n) for when, n in install.cycle_log.get(counter, ()))]
+    days, counts = zip(*log)
+    last_day, last_count = log[-1]
     rate = usage.counters.get(counter, 0.0)
-    last_date, last_count = log[-1] if log else (install.install_date, 0.0)
-    days = [(when - install.install_date).days for when in dates]
-    last_day = days[-1] if log else 0
 
-    def date_reaching(threshold: float) -> Optional[date]:
+    def day_reaching(threshold: float) -> float:
         if threshold <= last_count:
-            return dates[bisect_left(counts, threshold)]
-        if rate > 0:
-            return _days_after(last_date, max((threshold - last_count) / rate, 0))
-        return None
+            return days[bisect_left(counts, threshold)]
+        span = (threshold - last_count) / rate if rate else math.inf
+        return last_day + math.ceil(span) if span < math.inf else math.inf
 
     def count_at(day: float) -> float:
         if day < last_day:
-            return (0.0, *counts)[bisect_right(days, day)]
+            return counts[bisect_right(days, day) - 1]
         return last_count + rate * (day - last_day) if rate else last_count
 
-    return date_reaching, count_at
+    return day_reaching, count_at
 
 
 def _rules(component: ComponentRecord) -> list[tuple]:
@@ -386,23 +374,23 @@ def generate_schedule(
 ) -> list[ScheduleEntry]:
     """Compile dated maintenance entries over the horizon.
 
-    One recurrence rule yields every entry but an event's: recurrence k of a
-    Recurrence is due on the install date + round(k * years * 365) days or on
-    the date its counter reaches k * cycles (found by bisecting the counter's
-    log; the entry carries the threshold as due_count), whichever is first,
-    the calendar winning ties; a side left as None is never due. A service
-    life's life_expired entry is its first recurrence. Event triggers emit one
-    entry per logged matching event. Output is sorted by (due date, component
-    id, task, reason). The horizon must end by date.max; a recurrence that
-    would pass it is never due. A trigger that could take the schedule past
-    MAX_ENTRIES is a ValidationError.
+    It works in whole days after the install date, math.inf for never. One
+    recurrence rule yields every entry but an event's: recurrence k of a Recurrence
+    is due round(k * years * 365) days after install or on the day its counter
+    reaches k * cycles (_counter's day_reaching; the entry carries the threshold as
+    due_count), whichever is first, the calendar winning ties; a side left as None is
+    never due. A service life's life_expired entry is its first recurrence. Event
+    triggers emit one entry per logged matching event. Output is sorted by (due date,
+    component id, task, reason). The horizon must end by date.max. A trigger that
+    could take the schedule past MAX_ENTRIES is a ValidationError.
     """
     _require_in("horizon", horizon_years, "(0, inf)")
     start = install.install_date
-    end = _days_after(start, round(horizon_years * DAYS_PER_YEAR))
-    if end is None:
+    first = start.toordinal()
+    # a span past date.max's ordinal ends after it from any start; inf would not round
+    last = round(min(horizon_years * DAYS_PER_YEAR, date.max.toordinal()))
+    if last > date.max.toordinal() - first:
         raise ValidationError(f"horizon of {horizon_years} years from {start} ends after {date.max}")
-    first, last = start.toordinal(), end.toordinal()
     entries: list[ScheduleEntry] = []
     append = entries.append
 
@@ -415,15 +403,15 @@ def generate_schedule(
                 entries.extend(
                     ScheduleEntry(when, cid, task, EVENT, None)
                     for when, kind in install.event_log
-                    if kind == trig.kind and when <= end
+                    if kind == trig.kind and (when - start).days <= last
                 )
                 continue
-            # k is due only if k*years in days rounds to <= last - first or k*cycles <= count at end
+            # k is due only if k*years in days rounds to <= last or k*cycles <= count at last
             years, cycles = trig.years, trig.cycles
-            bound = 0.0 if years is None else (last - first + 1) / (years * DAYS_PER_YEAR) + 1
+            bound = 0.0 if years is None else (last + 1) / (years * DAYS_PER_YEAR) + 1
             if cycles is not None:
-                date_reaching, count_at = _counter(trig.counter, install, usage)
-                bound = max(bound, count_at(last - first) / cycles + 1)
+                day_reaching, count_at = _counter(trig.counter, install, usage)
+                bound = max(bound, count_at(last) / cycles + 1)
             bound = min(bound, most)
             if not bound <= MAX_ENTRIES - len(entries):
                 raise ValidationError(f"component {cid!r} task {task!r} "
@@ -431,16 +419,15 @@ def generate_schedule(
             for k in range(1, int(bound) + 1):
                 # a span past the horizon is never due, and may be too large to round
                 span = k * years * DAYS_PER_YEAR if years else math.inf
-                day = first + round(span) if span < last - first + 1 else math.inf
-                cyc_due = date_reaching(k * cycles) if cycles else None
-                if cyc_due is not None and cyc_due.toordinal() < day:
-                    if cyc_due > end:
-                        break
-                    append(ScheduleEntry(cyc_due, cid, task, cycle_reason, k * cycles))
-                elif day <= last:
-                    append(ScheduleEntry(date.fromordinal(day), cid, task, calendar_reason, None))
+                day = round(span) if span < last + 1 else math.inf
+                cycle_day = day_reaching(k * cycles) if cycles else math.inf
+                if cycle_day < day:
+                    day, reason, count = cycle_day, cycle_reason, k * cycles
                 else:
+                    reason, count = calendar_reason, None
+                if day > last:
                     break
+                append(ScheduleEntry(date.fromordinal(first + day), cid, task, reason, count))
 
     entries.sort(key=attrgetter("due_date", "component_id", "task", "reason"))
     return entries

@@ -104,6 +104,11 @@ CASES = {
     "error_fatigue_life_cycles_per_year_overflow": (
         _argv("fatigue life --stress 1e8Pa --a 1e9Pa --b -0.1 --cycles-per-day 1e307"), {}
     ),
+    # σ/a of a 5e-324 Pa stress underflows to 0, and 0 to the power 1/b < 0 is inf:
+    # was "0.0 cannot be raised to a negative power"
+    "error_fatigue_life_ratio_underflow": (
+        _argv("fatigue life --stress 5e-324 --a 93.196ksi --b -0.1206"), {}
+    ),
     # blade
     "blade_bending": (_argv("blade bending"), {}),
     "blade_bending_json": (_argv("blade bending --mass 5 --mount-angle 20 --json"), {}),
@@ -499,6 +504,20 @@ def _environment(env: dict):
 TIME_LIMIT_S = 5.0
 # the values the edge sweeps give each number in turn
 EDGE_VALUES = "0 -0 5e-324 2e-322 1e-300 1e300 1e308 -1 inf -inf nan".split()
+# reason texts that name no quantity: Python's own float errors and the CLI's bare "result"
+ANONYMOUS = ("numeric failure: result is not finite", "Numerical result out of range",
+             "float division by zero", "cannot be raised to a negative power",
+             "cannot convert float infinity to integer")
+
+
+def set_flag(argv: list, flag: str, value: str) -> list:
+    """A copy of argv with flag's value set to value; a flag argv leaves out is added."""
+    probe = [*argv]
+    if flag in probe:
+        probe[probe.index(flag) + 1] = value
+    else:
+        probe += [flag, value]
+    return probe
 
 
 class Hang(BaseException):

@@ -366,11 +366,15 @@ def test_underflow_to_zero_is_a_numeric_failure(message, call):
 
 
 # (the numeric failure's message, a call of valid inputs where a float ** passes the
-#  largest double, which float ** raises as an OverflowError naming no quantity)
+#  largest double, which float ** raises as an OverflowError naming no quantity, or
+#  raises 0 to a negative power, which it refuses with a ZeroDivisionError)
 POWER_OVERFLOWS = {
     "sn_square": ("(f*S_ut)² is not finite (inf Pa²)", lambda: fatigue.sn_constants(1e160, 1e100)),
     "cycles_to_failure": ("cycles to failure is not finite (inf)",
                           lambda: fatigue.cycles_to_failure(1e-300, SN)),
+    # σ/a of a 5e-324 Pa stress is 0.0
+    "cycles_to_failure_zero_ratio": ("cycles to failure is not finite (inf)",
+                                     lambda: fatigue.cycles_to_failure(5e-324, SN)),
     "bearing_rating": ("basic rating C_a is not finite (inf N)",
                        lambda: bearing.basic_dynamic_axial_rating(bearing.SlewingBearingGeometry(
                            **{**GEOMETRY, "ball_diameter_Dr": 1e200,

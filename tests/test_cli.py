@@ -213,12 +213,8 @@ def edge_probes() -> list:
             if spec.get("type") is not float and "dim" not in spec:
                 continue
             for value in regen.EDGE_VALUES:
-                probe = [*argv]
-                if flag in probe:
-                    probe[probe.index(flag) + 1] = value
-                else:
-                    probe += [flag, value]
-                probes.append(pytest.param(probe, options, id=f"{path} {flag} {value}"))
+                probes.append(pytest.param(regen.set_flag(argv, flag, value), options,
+                                           id=f"{path} {flag} {value}"))
     return [*probes, pytest.param(COLUMN_HANG, {}, id="tower column subnormal buckling load")]
 
 

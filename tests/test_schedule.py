@@ -324,6 +324,21 @@ class TestGenerateSchedule:
         with pytest.raises(ValidationError, match="horizon"):
             generate_schedule(default_registry(), INSTALL, DEFAULT_USAGE, horizon)
 
+    YEARLY = [{"description": "yearly", "trigger": {"calendar_interval": {"years": 1}}}]
+    A_YEAR_BEFORE_DATE_MAX = InstallationRecord(install_date=date.max - timedelta(days=365))
+
+    def test_horizon_ending_on_date_max_accepted(self):
+        reg = single_component_registry(self.YEARLY)
+        entries = generate_schedule(reg, self.A_YEAR_BEFORE_DATE_MAX, DEFAULT_USAGE, 1.0)
+        assert [e.due_date for e in entries] == [date.max]
+
+    # a day past date.max, and a horizon whose day count is inf
+    @pytest.mark.parametrize("horizon", [366 / 365, 1e308])
+    def test_horizon_ending_after_date_max_rejected(self, horizon):
+        reg = single_component_registry(self.YEARLY)
+        with pytest.raises(ValidationError, match=r"years from 9998-12-31 ends after 9999-12-31$"):
+            generate_schedule(reg, self.A_YEAR_BEFORE_DATE_MAX, DEFAULT_USAGE, horizon)
+
     def test_recurrences_past_last_date_are_never_due(self):
         reg = single_component_registry(
             [
@@ -381,6 +396,13 @@ class TestGenerateSchedule:
                 event_log=((date(2025, 2, 1), "earthquake"),),
             )
 
+    def test_logged_event_kind_is_read_by_the_trigger_rule(self):
+        with pytest.raises(ValidationError) as by_trigger:
+            EventTrigger("earthquake")
+        with pytest.raises(ValidationError) as by_log:
+            InstallationRecord(date(2025, 1, 1), ((date(2025, 2, 1), "earthquake"),))
+        assert str(by_log.value) == str(by_trigger.value)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_usage_rate_and_logged_count_rejected(self, value):
         with pytest.raises(ValidationError):
@@ -393,38 +415,42 @@ class TestGenerateSchedule:
 
 
 class TestCounter:
-    """_counter: the date a counter first reaches a threshold, and its value at end."""
+    """_counter: the day after install a counter first reaches a threshold, and its value at end."""
 
     LOG = {"jack_cycles": [(date(2025, 2, 1), 10.0), (date(2025, 3, 1), 10.0),
                            (date(2025, 4, 1), 25.0)]}
 
     def counter(self, rate=0.0, end=date(2026, 1, 1), log=LOG):
         install = InstallationRecord(install_date=date(2025, 1, 1), cycle_log=log)
-        date_reaching, count_at = _counter("jack_cycles", install, UsageProfile({"jack_cycles": rate}))
-        return date_reaching, count_at((end - install.install_date).days)
+        day_reaching, count_at = _counter("jack_cycles", install, UsageProfile({"jack_cycles": rate}))
+        return day_reaching, count_at((end - install.install_date).days)
+
+    @staticmethod
+    def day(when):
+        return (when - date(2025, 1, 1)).days
 
     def test_threshold_equal_to_a_logged_count(self):
-        date_reaching, _ = self.counter()
-        assert date_reaching(25.0) == date(2025, 4, 1)
+        day_reaching, _ = self.counter()
+        assert day_reaching(25.0) == self.day(date(2025, 4, 1))
 
     def test_repeated_counts_give_the_first_point(self):
-        date_reaching, _ = self.counter()
-        assert date_reaching(10.0) == date(2025, 2, 1)
+        day_reaching, _ = self.counter()
+        assert day_reaching(10.0) == self.day(date(2025, 2, 1))
 
     def test_threshold_between_two_points(self):
-        date_reaching, _ = self.counter()
-        assert date_reaching(0.5) == date(2025, 2, 1)
-        assert date_reaching(10.5) == date(2025, 4, 1)
+        day_reaching, _ = self.counter()
+        assert day_reaching(0.5) == self.day(date(2025, 2, 1))
+        assert day_reaching(10.5) == self.day(date(2025, 4, 1))
 
     def test_past_the_last_point_at_rate_zero_is_never_due(self):
-        date_reaching, at_end = self.counter(rate=0.0)
-        assert date_reaching(25.5) is None
+        day_reaching, at_end = self.counter(rate=0.0)
+        assert day_reaching(25.5) == math.inf
         assert at_end == 25.0
 
     def test_past_the_last_point_projects_at_the_rate(self):
-        date_reaching, at_end = self.counter(rate=2.0)
+        day_reaching, at_end = self.counter(rate=2.0)
         # ceil((30 - 25) / 2) = 3 days after the last point
-        assert date_reaching(30.0) == date(2025, 4, 4)
+        assert day_reaching(30.0) == self.day(date(2025, 4, 4))
         assert at_end == 25.0 + 2.0 * (date(2026, 1, 1) - date(2025, 4, 1)).days
 
     def test_value_at_end_counts_only_points_dated_by_end(self):
@@ -437,12 +463,12 @@ class TestCounter:
 
     def test_projection_past_every_date_is_never_due(self):
         # 10 / 5e-324 overflows to inf days
-        date_reaching, _ = self.counter(rate=5e-324, log={})
-        assert date_reaching(10.0) is None
+        day_reaching, _ = self.counter(rate=5e-324, log={})
+        assert day_reaching(10.0) == math.inf
 
     def test_no_log_projects_from_the_install_date(self):
-        date_reaching, at_end = self.counter(rate=4.0, log={})
-        assert date_reaching(10.0) == date(2025, 1, 4)
+        day_reaching, at_end = self.counter(rate=4.0, log={})
+        assert day_reaching(10.0) == self.day(date(2025, 1, 4))
         assert at_end == 4.0 * 365
 
     def test_past_every_day_at_rate_zero_adds_nothing(self):
